@@ -10,6 +10,16 @@ phi(t, sigma) = sum f_k(t) sigma^(2k)/(2k)! determined order by order:
   R/(1+f1^2) * (2k+n)/(2k+1)!, so each f_{k+1} is solved by evaluating the
   coefficient with f_{k+1} = 0 and dividing.
 
+The recursion is online, in the sense of relaxed power series (van der
+Hoeven, "Relax, but don't be too lazy", JSC 2002): ``PDESlots`` keeps the
+regularized PDE series E = P I, P = (1 + i q)^(n-1), as running slot
+lists, and step k computes slot k only. P_k comes from J.C.P. Miller's
+power recurrence k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j) with
+W = 1 + i q, I_k and E_k from one convolution row each, and two rank-one
+corrections finish slot k once f_{k+1} is solved. A step is O(k)
+truncated products at cap D - 2k - 2, so O(k (D - 2k)^2) coefficient
+operations, instead of rebuilding all k + 1 slots.
+
 Each recursion step consumes two t-degrees (it differentiates f_k twice),
 so a degree-D potential supports K <= D/2 sigma-orders; the engine tracks
 the descending caps and returns all terms re-truncated to the common cap
@@ -22,7 +32,7 @@ checked numerically in ``gt_hypotheses_check``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arcs import ArcSpec, Frame, existence_gate, normalize_at, tangent_angles
@@ -42,10 +52,9 @@ from .series import (
     TaylorPoly,
     analytic_compose,
     complex_int_pow,
-    even_add,
-    even_int_pow,
-    even_mul,
-    even_shift,
+    cs_add,
+    cs_mul,
+    cs_truncate,
     poly_add,
     poly_derivative,
     poly_eval,
@@ -53,9 +62,9 @@ from .series import (
     poly_neg,
     poly_one,
     poly_reciprocal,
+    poly_scale,
     poly_truncate,
     poly_zero,
-    sigma_eval_with_partials,
 )
 
 
@@ -105,7 +114,7 @@ def compute_R(f0: TaylorPoly, n: int, f1: Optional[TaylorPoly] = None,
     one = poly_one(cap, like=_one_scalar(f0))
     base = ComplexSeries(one, poly_truncate(f1, cap))
     last = ComplexSeries(one, poly_truncate(f0pp, cap))
-    prod = _cs_mul(complex_int_pow(base, n), last)
+    prod = cs_mul(complex_int_pow(base, n), last)
     # rounding noise in the cancellation tracks the size of f1's own
     # coefficients, not just the surviving real part
     scale = max(1.0, _max_abs(prod.re), _max_abs(f1))
@@ -117,91 +126,176 @@ def compute_R(f0: TaylorPoly, n: int, f1: Optional[TaylorPoly] = None,
     return prod.re
 
 
-def _cs_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
-    from .series import cs_mul
-
-    return cs_mul(a, b)
-
-
 def _one_scalar(p: TaylorPoly):
     return p.coeffs[0] * 0 + 1
 
 
-def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, slots: int,
-                            cap: int) -> EvenSeries:
-    """The regularized PDE left side as an even sigma-series.
+class PDESlots:
+    """Running slot lists of the regularized PDE series, one slot at a time.
 
-    Returns (1 + i q)^(n-1) * ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2)
-    with q = phi_sigma/sigma, built from the bare terms f_0..f_J (missing
-    terms are treated as zero). All slot polynomials live at ``cap``;
-    the f_j supplied must have caps >= cap + 2 for every differentiated
-    term actually used.
+    The series is E = P I with W = 1 + i q (q = phi_sigma/sigma),
+    P = W^(n-1) and
+    I = (1 + i phi_tt)(1 + i phi_ss) + sigma^2 (phi_st/sigma)^2.
+    Slot k of each factor needs only f_0..f_(k+1), and f_(k+1) enters it
+    only through W_k = i f_(k+1)/(2k+1)! and (phi_ss)_k = f_(k+1)/(2k)!.
+    A slot k >= 1 is therefore built without those two parts and closed
+    once f_(k+1) is known, by two rank-one corrections,
+    P_k += (n-1) W_k W_0^(n-2) and I_k += (1 + i phi_tt)_0 (i phi_ss)_k,
+    after which E_k is summed again.
+
+    P_k follows J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2,
+    4.7): W dP = (n-1) P dW in sigma^2 gives
+    k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j), and W_0 = 1 + i f1 is
+    invertible because f1(0) = 0.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    zero_scalar = terms[0].coeffs[0] * 0
-    one_scalar = zero_scalar + 1
-    zp = poly_zero(cap, like=zero_scalar)
-    op = poly_one(cap, like=one_scalar)
 
-    def bare(k: int) -> Optional[TaylorPoly]:
-        if k < len(terms):
-            return terms[k]
-        return None
+    def __init__(self, n: int):
+        self.n = n
+        self.cap = None
+        self.open = None  # first slot still missing its f_(k+1)
 
-    def trunc(p: TaylorPoly) -> TaylorPoly:
-        if p.cap < cap:
+    def advance(self, terms: Sequence[TaylorPoly], slots: int,
+                cap: int) -> EvenSeries:
+        """Slots 0..slots-1 at ``cap`` for ``terms``, which must extend the
+        terms of the previous call. Built slots are kept unless the cap
+        grew or a new term reaches past the one open slot; then all are
+        built again."""
+        k = self.open
+        grown = k is not None and len(terms) > k + 1
+        if (self.cap is None or cap > self.cap
+                or (grown and (k == 0 or len(self.e) > k + 1))):
+            self._reset(terms, cap)
+        else:
+            self._truncate(cap)
+            if grown:
+                self._close(k, terms[k + 1])
+                self.e[k] = self._e(k)
+        for j in range(len(self.e), slots):
+            self._slot(j, terms)
+        return EvenSeries(tuple(self.e[:slots]))
+
+    def _reset(self, terms, cap: int):
+        self.cap = cap
+        self.zero = terms[0].coeffs[0] * 0
+        self.open = None
+        self.t, self.o, self.q, self.b = [], [], [], []
+        self.p, self.i, self.e = [], [], []
+
+    def _truncate(self, cap: int):
+        if cap == self.cap:
+            return
+        self.t, self.o, self.q, self.b = (
+            [poly_truncate(x, cap) for x in xs]
+            for xs in (self.t, self.o, self.q, self.b)
+        )
+        self.p, self.i, self.e = (
+            [cs_truncate(x, cap) for x in xs]
+            for xs in (self.p, self.i, self.e)
+        )
+        self.w0_inv = cs_truncate(self.w0_inv, cap)
+        self.w0_pow = cs_truncate(self.w0_pow, cap)
+        self.cap = cap
+
+    def _term(self, f: Optional[TaylorPoly], derivs: int, fact: int):
+        """f^(derivs)/fact at the slot cap; zero for a missing term."""
+        if f is None:
+            return poly_zero(self.cap, like=self.zero)
+        if f.cap < self.cap + derivs:
             raise SeriesShapeError(
                 "term cap too small for the requested slot cap"
             )
-        return poly_truncate(p, cap)
+        f = poly_truncate(f, self.cap + derivs)
+        for _ in range(derivs):
+            f = poly_derivative(f)
+        return _scale_ratio(f, 1, fact)
 
-    q_slots, b_slots, t_slots, o_slots = [], [], [], []
-    for j in range(slots):
-        fj1 = bare(j + 1)
-        fj = bare(j)
-        f_odd = math.factorial(2 * j + 1)
-        f_even = math.factorial(2 * j)
-        q_slots.append(
-            zp if fj1 is None else _scale_ratio(trunc(fj1), 1, f_odd)
-        )
-        b_slots.append(
-            zp if fj1 is None else _scale_ratio(trunc(fj1), 1, f_even)
-        )
-        if fj is None:
-            t_slots.append(zp)
+    def _slot(self, k: int, terms):
+        n = self.n
+        fk = terms[k] if k < len(terms) else None
+        fk1 = terms[k + 1] if k + 1 < len(terms) else None
+        self.t.append(self._term(fk, 2, math.factorial(2 * k)))
+        if k == 0:
+            q0 = self._term(fk1, 0, 1)
+            one = poly_one(self.cap, like=self.zero + 1)
+            w0 = ComplexSeries(one, q0)
+            inv = poly_reciprocal(one + q0 * q0)
+            self.w0_inv = ComplexSeries(inv, -(q0 * inv))
+            self.w0_pow = complex_int_pow(w0, n - 2)
+            self.q.append(q0)
+            self.b.append(q0)
+            t0 = self.t[0]
+            self.p.append(cs_mul(self.w0_pow, w0))
+            self.i.append(ComplexSeries(one - t0 * q0, t0 + q0))
         else:
-            if fj.cap < cap + 2:
-                raise SeriesShapeError(
-                    "term cap too small to differentiate twice at this slot cap"
-                )
-            d2 = poly_derivative(poly_derivative(fj))
-            t_slots.append(_scale_ratio(trunc(d2), 1, f_even))
-        if fj1 is None:
-            o_slots.append(zp)
-        else:
-            if fj1.cap < cap + 1:
-                raise SeriesShapeError(
-                    "term cap too small to differentiate at this slot cap"
-                )
-            o_slots.append(
-                _scale_ratio(trunc(poly_derivative(fj1)), 1, f_odd)
-            )
+            zp = poly_zero(self.cap, like=self.zero)
+            self.o.append(self._term(fk, 1, math.factorial(2 * k - 1)))
+            self.q.append(zp)
+            self.b.append(zp)
+            # Miller's recurrence without its j = k term
+            sr = si = zp
+            for j in range(1, k):
+                qj = poly_scale(self.q[j], n * j - k)
+                sr = sr - qj * self.p[k - j].im
+                si = si + qj * self.p[k - j].re
+            pk = cs_mul(self.w0_inv, ComplexSeries(sr, si))
+            self.p.append(ComplexSeries(_scale_ratio(pk.re, 1, k),
+                                        _scale_ratio(pk.im, 1, k)))
+            # phi_tt, phi_ss slots j >= 1 are imaginary, phi_st/sigma real
+            re = zp
+            for j in range(1, k + 1):
+                re = re - self.t[j] * self.b[k - j]
+            for j in range(k):
+                re = re + self.o[j] * self.o[k - 1 - j]
+            self.i.append(ComplexSeries(re, self.t[k]))
+        if fk1 is None:
+            if self.open is None:
+                self.open = k
+        elif k:
+            self._close(k, fk1)
+        self.e.append(self._e(k))
 
-    def real_even(slot_list) -> EvenSeries:
-        return EvenSeries(tuple(ComplexSeries(s, zp) for s in slot_list))
+    def _e(self, k: int) -> ComplexSeries:
+        # summed afresh from finished P and I slots: adding the rank-one
+        # parts to E_k instead doubles the rounding in its cancelling
+        # imaginary part
+        ek = cs_mul(self.p[0], self.i[k])
+        for j in range(1, k + 1):
+            ek = cs_add(ek, cs_mul(self.p[j], self.i[k - j]))
+        return ek
 
-    def one_plus_i(slot_list) -> EvenSeries:
-        out = [ComplexSeries(op, slot_list[0])]
-        out += [ComplexSeries(zp, s) for s in slot_list[1:]]
-        return EvenSeries(tuple(out))
+    def _close(self, k: int, f: TaylorPoly):
+        """Add the parts of P_k and I_k that f = f_(k+1) contributes."""
+        q = self._term(f, 0, math.factorial(2 * k + 1))
+        b = self._term(f, 0, math.factorial(2 * k))
+        self.q[k], self.b[k] = q, b
+        qn = poly_scale(q, self.n - 1)
+        dp = ComplexSeries(-(qn * self.w0_pow.im), qn * self.w0_pow.re)
+        di = ComplexSeries(-(self.t[0] * b), b)
+        self.p[k] = cs_add(self.p[k], dp)
+        self.i[k] = cs_add(self.i[k], di)
+        self.open = None
 
-    w = one_plus_i(q_slots)          # 1 + i q
-    pt = one_plus_i(t_slots)         # 1 + i phi_tt
-    pb = one_plus_i(b_slots)         # 1 + i phi_ss
-    o = real_even(o_slots)           # phi_st / sigma (odd part factor)
-    inner = even_add(even_mul(pt, pb), even_shift(even_mul(o, o)))
-    return even_mul(even_int_pow(w, n - 1), inner)
+
+def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, slots: int,
+                            cap: int, state: Optional[PDESlots] = None
+                            ) -> EvenSeries:
+    """The regularized PDE left side as an even sigma-series.
+
+    Returns slots 0..slots-1 of (1 + i q)^(n-1) *
+    ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2) with q = phi_sigma/sigma,
+    built from the bare terms f_0..f_J (missing terms are treated as zero).
+    All slot polynomials live at ``cap``; the f_j supplied must have caps
+    >= cap + 2 for every differentiated term actually used. A ``state``
+    from an earlier call whose terms were a prefix of these keeps its
+    finished slots, so only the new ones are computed.
+    """
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    if state is None:
+        state = PDESlots(n)
+    elif state.n != n:
+        raise ValueError("state was built for another n")
+    return state.advance(terms, slots, cap)
 
 
 def extend_series(f0: TaylorPoly, n: int, K: int) -> SigmaExpansion:
@@ -214,24 +308,31 @@ def extend_series(f0: TaylorPoly, n: int, K: int) -> SigmaExpansion:
         raise DegreeExhaustionError(
             f"degree cap {D} supports at most K = {D // 2}; requested {K}"
         )
+    cap_out = D - 2 * K
+    uniform = tuple(poly_truncate(f, cap_out) for f in _solve(f0, n, K))
+    return SigmaExpansion(n=n, terms=uniform)
+
+
+def _solve(f0: TaylorPoly, n: int, K: int) -> list:
+    """f_0..f_K with f_j at its native cap D - 2j: slot k of the PDE series
+    is affine in f_(k+1), so f_(k+1) = -(2k+1)!/(2k+n) (1+f1^2)/R times
+    that slot evaluated with f_(k+1) = 0."""
+    D = f0.cap
     f1 = compute_f1(f0, n)
     r = compute_R(f0, n, f1=f1)
     one = poly_one(f1.cap, like=_one_scalar(f0))
     one_plus_f1sq = poly_add(one, poly_mul(f1, f1))
     pref = poly_mul(one_plus_f1sq, poly_reciprocal(r))  # (1+f1^2)/R
     terms = [f0, f1]
+    state = PDESlots(n)
     for k in range(1, K):
         cap_k = D - 2 * (k + 1)
-        ev = regular_pde_even_series(terms, n, slots=k + 1, cap=cap_k)
-        e_k = ev.slots[k].im
-        step = poly_mul(e_k, poly_truncate(pref, cap_k))
-        f_next = poly_neg(
-            _scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n)
+        ev = regular_pde_even_series(terms, n, k + 1, cap_k, state)
+        step = poly_mul(ev.slots[k].im, poly_truncate(pref, cap_k))
+        terms.append(
+            poly_neg(_scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n))
         )
-        terms.append(f_next)
-    cap_out = D - 2 * K
-    uniform = tuple(poly_truncate(f, cap_out) for f in terms)
-    return SigmaExpansion(n=n, terms=uniform)
+    return terms
 
 
 def linearity_probe(f0: TaylorPoly, n: int, k: int, delta: float = 1e-3) -> float:
@@ -245,7 +346,7 @@ def linearity_probe(f0: TaylorPoly, n: int, k: int, delta: float = 1e-3) -> floa
     if D < 2 * (k + 1):
         raise DegreeExhaustionError("degree cap too small for this k")
     cap_k = D - 2 * (k + 1)
-    terms = _terms_at_native_caps(f0, n, k)
+    terms = _solve(f0, n, k)
     f1 = terms[1]
     r = compute_R(f0, n, f1=f1)
     dconst = _const(delta, D, like=f0.coeffs[0])
@@ -265,24 +366,6 @@ def linearity_probe(f0: TaylorPoly, n: int, k: int, delta: float = 1e-3) -> floa
     predicted = TaylorPoly(tuple(c * delta for c in predicted.coeffs))
     dev = poly_add(diff, poly_neg(predicted))
     return _max_abs(dev)
-
-
-def _terms_at_native_caps(f0: TaylorPoly, n: int, K: int) -> list:
-    """f_0..f_K with f_j at its native cap D - 2j (recomputed)."""
-    D = f0.cap
-    f1 = compute_f1(f0, n)
-    r = compute_R(f0, n, f1=f1)
-    one = poly_one(f1.cap, like=_one_scalar(f0))
-    pref = poly_mul(poly_add(one, poly_mul(f1, f1)), poly_reciprocal(r))
-    terms = [f0, f1]
-    for k in range(1, K):
-        cap_k = D - 2 * (k + 1)
-        ev = regular_pde_even_series(terms, n, slots=k + 1, cap=cap_k)
-        step = poly_mul(ev.slots[k].im, poly_truncate(pref, cap_k))
-        terms.append(
-            poly_neg(_scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n))
-        )
-    return terms
 
 
 def _const(c, cap, like):
@@ -378,14 +461,15 @@ class GTReport:
 def gt_hypotheses_check(f0: TaylorPoly, n: int, t_span: float = 0.2,
                         t_points: int = 21,
                         steps: Sequence[float] = (1e-4, 1e-5, 1e-6),
-                        k_max: int = 1000, tol_id: float = 1e-9,
+                        tol_id: float = 1e-9,
                         tol_partial: float = 1e-7) -> GTReport:
     """Numerical check of the singular normal form hypotheses.
 
     (1) G(t, 0) = 0 along the arc; (2) the partials in the first-order
     sigma-placeholders vanish at sigma = 0; (3) the partials in
     (z20, z10, z00) at the base point are (1, n+3, 2n); (4) the indicial
-    polynomial k^2 + (n+3)k + 2n has no positive integer roots.
+    polynomial k^2 + (n+3)k + 2n has no positive integer roots: its
+    coefficients are positive, so its minimum over k >= 1 is 3n + 4, at k = 1.
     Derivatives are centered differences over the step sweep, Richardson-
     extrapolated across consecutive steps.
     """
@@ -425,9 +509,7 @@ def gt_hypotheses_check(f0: TaylorPoly, n: int, t_span: float = 0.2,
         for var in (5, 2, 0)  # z20, z10, z00
     )
     expected = (1.0, float(n + 3), float(2 * n))
-    cond4_min = min(
-        k * k + (n + 3) * k + 2 * n for k in range(1, k_max + 1)
-    )
+    cond4_min = 1 + (n + 3) + 2 * n
     ok = (
         cond1 <= tol_id
         and cond2 <= tol_id

@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_flat_potential
 from slagext.arcs import existence_gate, graph_arc, unit_circle_arc
 from slagext.engine import (
     Chart,
+    PDESlots,
     build_atlas,
     compute_R,
     compute_f1,
@@ -28,12 +32,22 @@ from slagext.errors import DegreeExhaustionError, GateObstructionError
 from slagext.precision import mp_context
 from slagext.series import (
     ComplexSeries,
+    EvenSeries,
+    TaylorPoly,
     complex_int_pow,
     cs_mul,
+    even_add,
+    even_int_pow,
+    even_mul,
+    even_shift,
     poly_derivative,
     poly_eval,
     poly_from,
+    poly_mul,
     poly_one,
+    poly_reciprocal,
+    poly_truncate,
+    poly_zero,
 )
 
 PARABOLA_F0 = poly_from([0.0, 0.0, 0.0, 1.0 / 6.0], 18)
@@ -113,6 +127,132 @@ def test_flat_potential_stays_flat():
     for term in exp.terms:
         assert all(c == 0.0 for c in term.coeffs)
     assert pde_lhs_value(exp, 0.2, 0.3) == 0.0
+
+
+def _whole_pde_series(terms, n, slots, cap):
+    """Reference PDE series built whole by even_mul and repeated squaring:
+    (1 + i q)^(n-1) ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2)."""
+    zp = poly_zero(cap, like=terms[0].coeffs[0] * 0)
+    one = poly_one(cap, like=terms[0].coeffs[0] * 0 + 1)
+
+    def part(j, derivs, fact):
+        if j >= len(terms):
+            return zp
+        f = terms[j]
+        for _ in range(derivs):
+            f = poly_derivative(f)
+        f = poly_truncate(f, cap)
+        return TaylorPoly(tuple(c / fact for c in f.coeffs))
+
+    def even(re, im):
+        return EvenSeries(tuple(map(ComplexSeries, re, im)))
+
+    fac = math.factorial
+    unit, zeros = [one] + [zp] * (slots - 1), [zp] * slots
+    w = even(unit, [part(j + 1, 0, fac(2 * j + 1)) for j in range(slots)])
+    pt = even(unit, [part(j, 2, fac(2 * j)) for j in range(slots)])
+    pb = even(unit, [part(j + 1, 0, fac(2 * j)) for j in range(slots)])
+    o = even([part(j + 1, 1, fac(2 * j + 1)) for j in range(slots)], zeros)
+    inner = even_add(even_mul(pt, pb), even_shift(even_mul(o, o)))
+    return even_mul(even_int_pow(w, n - 1), inner)
+
+
+def _rebuild_extend(f0, n, K):
+    """Reference recursion: rebuild the whole PDE series for every k."""
+    D = f0.cap
+    f1 = compute_f1(f0, n)
+    one = poly_one(f1.cap, like=f0.coeffs[0] * 0 + 1)
+    pref = poly_mul(one + f1 * f1, poly_reciprocal(compute_R(f0, n, f1=f1)))
+    terms = [f0, f1]
+    for k in range(1, K):
+        cap = D - 2 * (k + 1)
+        e_k = _whole_pde_series(terms, n, k + 1, cap).slots[k].im
+        step = poly_mul(e_k, poly_truncate(pref, cap))
+        scale = -math.factorial(2 * k + 1) / (2 * k + n)
+        terms.append(TaylorPoly(tuple(c * scale for c in step.coeffs)))
+    return [poly_truncate(f, D - 2 * K) for f in terms]
+
+
+def _worst_relative(got, want):
+    worst = 0.0
+    for a, b in zip(got, want):
+        size = max(abs(c) for c in b.coeffs)
+        diff = max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs))
+        worst = max(worst, float(diff / size) if size else float(diff))
+    return worst
+
+
+def test_online_recursion_matches_rebuild_float():
+    rng = random.Random(29)
+    for n in (2, 3, 4, 5):
+        f0 = random_flat_potential(rng, 48)
+        want = _rebuild_extend(f0, n, 12)
+        got = extend_series(f0, n, 12).terms
+        assert len(got) == len(want) == 13
+        assert _worst_relative(got, want) <= 1e-15
+
+
+def test_online_recursion_matches_rebuild_mp40():
+    ctx = mp_context(40)
+    rng = random.Random(31)
+    f0 = poly_from([ctx.real(0)] * 3 + [
+        ctx.real(rng.uniform(-1.0, 1.0)) / 5 ** j for j in range(1, 46)
+    ], 48)
+    want = _rebuild_extend(f0, 2, 8)
+    got = extend_series(f0, 2, 8).terms
+    assert _worst_relative(got, want) <= 1e-36
+
+
+def _online_pde(terms, n, cap):
+    """Feed the terms to one PDESlots as the recursion does: every call
+    brings the next term and asks for one slot it cannot close yet."""
+    K = len(terms) - 1
+    state = PDESlots(n)
+    for k in range(1, K + 1):
+        ev = regular_pde_even_series(terms[:k + 1], n, min(k + 1, K), cap,
+                                     state)
+    return state, ev
+
+
+@given(st.integers(2, 7), st.integers(1, 6),
+       st.lists(st.integers(-9, 9), min_size=20, max_size=20))
+@settings(max_examples=20, deadline=None)
+def test_online_slots_exact_over_rationals(n, K, nums):
+    D = 2 * K + 8
+    f0 = poly_from([Fraction(0)] * 3 + [
+        Fraction(m, 5 ** j) for j, m in enumerate(nums[:D - 2], start=1)
+    ], D)
+    exp = extend_series(f0, n, K)
+    cap = exp.cap - 2
+    state, ev = _online_pde(exp.terms, n, cap)
+    # Miller's recurrence reproduces the repeated-squaring power exactly
+    one = poly_one(cap, like=Fraction(1))
+    zp = poly_zero(cap, like=Fraction(0))
+    q = [TaylorPoly(tuple(c / math.factorial(2 * j + 1) for c in
+                          poly_truncate(exp.terms[j + 1], cap).coeffs))
+         for j in range(K)]
+    w = EvenSeries((ComplexSeries(one, q[0]),)
+                   + tuple(ComplexSeries(zp, x) for x in q[1:]))
+    assert tuple(state.p) == even_int_pow(w, n - 1).slots
+    # reusing the running slots changes nothing, and every solved slot
+    # vanishes exactly
+    assert ev == regular_pde_even_series(exp.terms, n, K, cap)
+    assert ev == _whole_pde_series(exp.terms, n, K, cap)
+    assert all(c == 0 for s in ev.slots for c in s.im.coeffs)
+
+
+@given(st.integers(2, 7), st.integers(1, 6),
+       st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_solved_slots_vanish_property(n, K, us):
+    D = 2 * K + 8
+    f0 = poly_from([0.0] * 3 + [u * 0.2 ** j for j, u in
+                                enumerate(us[:D - 2], start=1)], D)
+    exp = extend_series(f0, n, K)
+    ev = regular_pde_even_series(exp.terms, n, K, exp.cap - 2)
+    scale = max(1.0, max(abs(c) for f in exp.terms for c in f.coeffs))
+    for s in ev.slots:
+        assert max(abs(c) for c in s.im.coeffs) <= 1e-13 * scale
 
 
 def test_linearity_of_order_k_equation():
