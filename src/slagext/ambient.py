@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Chart, ReducedChartMap
+from .engine import Chart
 from .errors import RankError, SingularLocusError
 
 
@@ -52,8 +52,7 @@ def chart_point(chart: Chart, t: float, sigma: float,
                 u: Sequence[float]) -> AmbientPoint:
     """Ambient point of the chart surface at (t, sigma, u): graph lift,
     branch twist, then the inverse of the normalizing motion."""
-    m = ReducedChartMap(chart)
-    w, zeta = m.point(t, sigma)
+    w, zeta = chart.reduced_map.point(t, sigma)
     return phi_map(complex(w), complex(zeta), u)
 
 
@@ -174,7 +173,7 @@ def chart_parametrization(chart: Chart) -> Callable[[Sequence[float]], AmbientPo
     """Map (t, sigma, angles...) -> ambient chart point, with the sphere
     factor in hyperspherical angles so the parameter space is flat."""
     n = chart.n
-    m = ReducedChartMap(chart)
+    m = chart.reduced_map
 
     def run(params: Sequence[float]) -> AmbientPoint:
         t, sigma = float(params[0]), float(params[1])

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ambient import chart_point, sphere_points
@@ -37,7 +37,6 @@ class RunConfig:
     spacing: float = 0.2
     seed: int = 0
     out: Optional[str] = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:

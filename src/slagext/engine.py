@@ -33,13 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .arcs import ArcSpec, Frame, existence_gate, normalize_at, tangent_angles
 from .errors import (
     CoverageError,
     DegreeExhaustionError,
     GateObstructionError,
+    NonFiniteError,
     NormalizationError,
     SeriesShapeError,
 )
@@ -561,8 +565,6 @@ def estimate_radius(exp: SigmaExpansion, t_radius: float = 0.15) -> RadiusEstima
     factorial-normalized series.  An identically zero tail yields the
     infinite-radius marker.
     """
-    import numpy as np
-
     ks, amps = [], []
     for k in range(1, exp.K + 1):
         a = 0.0
@@ -628,6 +630,13 @@ class Chart:
     def D(self) -> int:
         """Degree budget the chart was built from (terms end at cap D - 2K)."""
         return self.phi.cap + 2 * self.phi.K
+
+    @cached_property
+    def reduced_map(self) -> "ReducedChartMap":
+        """The chart's float64 ``ReducedChartMap``, built on first use and
+        kept, so every point evaluation of one chart shares one jet
+        evaluator. Not a field: equality and hashing ignore it."""
+        return ReducedChartMap(self)
 
 
 def extend_arc(arc: ArcSpec, s0, n: int, K: int, D: int, branch: int = 0,
@@ -722,7 +731,12 @@ class ReducedChartMap:
     """Evaluation of the chart surface in reduced coordinates (w, zeta),
     with the analytic Jacobian. Ambient distance between same-direction
     points equals the reduced distance, which is what the overlap
-    measurement needs."""
+    measurement needs.
+
+    ``point`` takes scalars of the map's context or, on a float64 map,
+    numpy float64 arrays of equal shape, which it evaluates in one pass
+    since the jet evaluator works elementwise.
+    """
 
     def __init__(self, chart: Chart, ctx: Context = FLOAT64):
         self.chart = chart
@@ -762,9 +776,14 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
 
     Sample points on chart 1 are projected onto chart 2 by Gauss-Newton in
     reduced coordinates (the direction vector drops out of the distance for
-    SO(n)-orbit surfaces). Points whose projection leaves chart 2's window
-    are not in the overlap and are skipped; if no sample projects into
-    chart 2 the domains are disjoint, which is an error.
+    SO(n)-orbit surfaces). Each projection starts from the nearest point of
+    a 21 x 11 (t, sigma) seed grid on chart 2; the grid is evaluated once
+    per pair, in float64 whatever ``ctx``, and only Gauss-Newton runs in
+    ``ctx``. Points whose projection leaves chart 2's window are not in the
+    overlap and are skipped, as are those whose foot is not finite; if no
+    sample projects into chart 2 the domains are disjoint, which is an
+    error. A non-finite sample point, or a non-finite distance at a counted
+    sample, raises ``NonFiniteError`` rather than passing as a sup.
     """
     sigma_max = ctx.real(sigma_max)
     w1 = ctx.real(t_halfwidth if t_halfwidth is not None
@@ -784,6 +803,9 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     seed_s = [
         -float(sigma_max) + 2 * float(sigma_max) * j / 10 for j in range(11)
     ]
+    # flattened t-outer, sigma-inner; argmin keeps the first of equal minima
+    T, S = np.meshgrid(seed_t, seed_s, indexing="ij")
+    grid_w, grid_z = f2map.point(T.ravel(), S.ravel())
     worst = None
     hit = 0
     for it in range(nt):
@@ -792,29 +814,34 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
             s1 = -sigma_max + 2 * sigma_max * js / (ns - 1)
             p1 = map1.point(t1, s1)
             p1f = f1map.point(float(t1), float(s1))
-            seed = min(
-                ((tt, ss) for tt in seed_t for ss in seed_s),
-                key=lambda ts: _dist2_f(f2map.point(ts[0], ts[1]), p1f),
-            )
-            t2, s2 = ctx.real(seed[0]), ctx.real(seed[1])
+            if not np.all(np.isfinite(p1f)):
+                raise NonFiniteError(
+                    f"chart 1 is not finite at (t, sigma) = "
+                    f"({float(t1):.6g}, {float(s1):.6g})"
+                )
+            nearest = int(np.argmin(np.abs(grid_w - p1f[0]) ** 2
+                                    + np.abs(grid_z - p1f[1]) ** 2))
+            i, j = divmod(nearest, len(seed_s))
+            t2, s2 = ctx.real(seed_t[i]), ctx.real(seed_s[j])
             t2, s2, dist = _gauss_newton_project(
                 map2, p1, t2, s2, ctx, gn_iterations
             )
-            if float(abs(t2)) > 1.05 * float(w2) or (
-                float(abs(s2)) > 1.2 * float(sigma_max)
-            ):
+            # written so that a NaN foot fails the window test
+            if not (float(abs(t2)) <= 1.05 * float(w2)
+                    and float(abs(s2)) <= 1.2 * float(sigma_max)):
                 continue
             hit += 1
             d = float(dist)
+            if not math.isfinite(d):
+                raise NonFiniteError(
+                    f"overlap distance {d} at chart-1 sample "
+                    f"(t, sigma) = ({float(t1):.6g}, {float(s1):.6g})"
+                )
             if worst is None or d > worst:
                 worst = d
     if hit == 0:
         raise CoverageError("charts have disjoint domains; no overlap")
     return worst
-
-
-def _dist2_f(p, q):
-    return abs(p[0] - q[0]) ** 2 + abs(p[1] - q[1]) ** 2
 
 
 def _gauss_newton_project(cmap: ReducedChartMap, target, t, s, ctx,

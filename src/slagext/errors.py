@@ -44,3 +44,7 @@ class SingularLocusError(ValueError):
 
 class SchemaError(ValueError):
     """Serialized payload has the wrong schema name or version."""
+
+
+class NonFiniteError(ValueError):
+    """A computed value is NaN or infinite where it must be finite."""

@@ -17,6 +17,7 @@ import numpy as np
 from .ambient import (
     AmbientPoint,
     _sphere_from_angles,
+    _van_der_corput,
     chart_point,
     plane_P,
     plane_parametrization,
@@ -26,7 +27,7 @@ from .ambient import (
     sphere_points,
 )
 from .arcs import ArcSpec, existence_gate
-from .engine import Chart, ReducedChartMap, extend_arc, pde_residual
+from .engine import Chart, extend_arc, pde_residual
 from .errors import GateObstructionError
 from .series import SigmaJetEvaluator
 
@@ -51,15 +52,6 @@ def _result(name: str, max_residual: float, samples: int, tolerance: float,
         passed=bool(max_residual <= tolerance) and extra_ok,
         details=details,
     )
-
-
-def _vdc(index: int, base: int) -> float:
-    x, denom = 0.0, 1.0
-    while index:
-        index, rem = divmod(index, base)
-        denom *= base
-        x += rem / denom
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +84,8 @@ def harvey_lawson_sample(m: int, c: float, count: int = 200, h: float = 1e-5,
     idx = 1
     for kind, base_angle in sectors:
         for _ in range(per):
-            frac = 0.15 + 0.7 * _vdc(idx, 2)
-            angles = [0.3 + (math.pi - 0.6) * _vdc(idx, p)
+            frac = 0.15 + 0.7 * _van_der_corput(idx, 2)
+            angles = [0.3 + (math.pi - 0.6) * _van_der_corput(idx, p)
                       for p in (3, 5, 7, 11, 13)[: m - 1]]
             idx += 1
 
@@ -138,7 +130,7 @@ def unit_circle_residual(n: int, chart: Chart, sigma_max: float,
     """
     if chart.n != n:
         raise ValueError("chart was built for a different n")
-    m = ReducedChartMap(chart)
+    m = chart.reduced_map
     for t in np.linspace(-t_halfwidth, t_halfwidth, 7):
         w, _ = m.point(float(t), 0.0)
         if abs(abs(complex(w)) - 1.0) > 1e-6:

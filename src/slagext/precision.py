@@ -21,6 +21,7 @@ import os
 from typing import Any, Union
 
 import mpmath
+import numpy as np
 
 Scalar = Any
 CScalar = Any
@@ -36,6 +37,9 @@ class FloatContext:
         return float(x)
 
     def make_complex(self, re, im) -> complex:
+        """``complex(re, im)``; elementwise over numpy float64 arrays."""
+        if isinstance(re, np.ndarray):
+            return re + 1j * im
         return complex(re, im)
 
     def to_float(self, x) -> float:
@@ -57,25 +61,11 @@ class FloatContext:
     def cos(self, x):
         return math.cos(x)
 
-    def tan(self, x):
-        return math.tan(x)
-
-    def atan(self, x):
-        return math.atan(x)
-
     def atan2(self, y, x):
         return math.atan2(y, x)
 
     def exp_i(self, theta) -> complex:
         return complex(math.cos(theta), math.sin(theta))
-
-    def c_abs(self, z) -> float:
-        return abs(z)
-
-    def c_sqrt(self, z) -> complex:
-        import cmath
-
-        return cmath.sqrt(z)
 
 
 class MPContext:
@@ -123,23 +113,11 @@ class MPContext:
     def cos(self, x):
         return mpmath.cos(x)
 
-    def tan(self, x):
-        return mpmath.tan(x)
-
-    def atan(self, x):
-        return mpmath.atan(x)
-
     def atan2(self, y, x):
         return mpmath.atan2(y, x)
 
     def exp_i(self, theta) -> mpmath.mpc:
         return mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
-
-    def c_abs(self, z):
-        return abs(z)
-
-    def c_sqrt(self, z):
-        return mpmath.sqrt(z)
 
 
 Context = Union[FloatContext, MPContext]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     CompositionDomainError,
@@ -344,10 +344,6 @@ def cs_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     return ComplexSeries(re, im)
 
 
-def cs_scale(a: ComplexSeries, s) -> ComplexSeries:
-    return ComplexSeries(poly_scale(a.re, s), poly_scale(a.im, s))
-
-
 def cs_truncate(a: ComplexSeries, cap: int) -> ComplexSeries:
     return ComplexSeries(poly_truncate(a.re, cap), poly_truncate(a.im, cap))
 
@@ -394,10 +390,6 @@ class EvenSeries:
     @property
     def cap(self) -> int:
         return self.slots[0].cap
-
-
-def even_from_slots(slots: Sequence[ComplexSeries]) -> EvenSeries:
-    return EvenSeries(tuple(slots))
 
 
 def even_add(a: EvenSeries, b: EvenSeries) -> EvenSeries:

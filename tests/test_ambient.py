@@ -31,8 +31,10 @@ from slagext.ambient import (
     twist_C,
 )
 from slagext.arcs import graph_arc, unit_circle_arc
-from slagext.engine import extend_arc
+from slagext.chartio import deserialize_chart, serialize_chart
+from slagext.engine import ReducedChartMap, chart_cast, extend_arc
 from slagext.errors import RankError, SingularLocusError
+from slagext.precision import FLOAT64
 
 
 def test_phi_map_fixed_locus_and_axes():
@@ -142,6 +144,25 @@ def test_chart_point_flat_chart_and_arc_locus():
     b = chart_point(circ, 0.05, 0.0, (0.0, 1.0))
     assert a.z == b.z
     assert abs(abs(a.z[0]) - 1.0) < 1e-4
+
+
+def test_chart_point_uses_one_map_per_chart():
+    ch = extend_arc(unit_circle_arc(), 0.3, n=3, K=4, D=16)
+    u = sphere_points(3, 7)[-1]
+    m = ch.reduced_map
+    assert ch.reduced_map is m
+    for t, s in ((0.0, 0.0), (-0.1, 0.03), (0.12, -0.05)):
+        w, zeta = ReducedChartMap(ch).point(t, s)
+        want = phi_map(complex(w), complex(zeta), u)
+        assert chart_point(ch, t, s, u) == want
+    # a cast or reloaded chart is a new object with its own map; the cached
+    # map is not a field, so equality and hashing ignore it
+    reloaded = deserialize_chart(serialize_chart(ch))
+    for other in (chart_cast(ch, FLOAT64), reloaded):
+        assert other == ch and hash(other) == hash(ch)
+        assert other.reduced_map is not m
+        assert (chart_point(other, 0.1, 0.02, u)
+                == chart_point(ch, 0.1, 0.02, u))
 
 
 def test_branch_shift_by_n_matches_antipode():

@@ -1,6 +1,7 @@
 """Tests of the extension recursion, its oracles, and chart assembly."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_flat_potential
+from slagext import engine
 from slagext.arcs import existence_gate, graph_arc, unit_circle_arc
 from slagext.engine import (
     Chart,
     PDESlots,
+    ReducedChartMap,
+    _gauss_newton_project,
     build_atlas,
     compute_R,
     compute_f1,
@@ -28,11 +32,17 @@ from slagext.engine import (
     pde_residual,
     regular_pde_even_series,
 )
-from slagext.errors import DegreeExhaustionError, GateObstructionError
-from slagext.precision import mp_context
+from slagext.errors import (
+    CoverageError,
+    DegreeExhaustionError,
+    GateObstructionError,
+    NonFiniteError,
+)
+from slagext.precision import FLOAT64, mp_context
 from slagext.series import (
     ComplexSeries,
     EvenSeries,
+    SigmaExpansion,
     TaylorPoly,
     complex_int_pow,
     cs_mul,
@@ -366,6 +376,111 @@ def test_overlap_distinct_branches_separated():
     c1 = extend_arc(arc, 0.0, n=2, K=6, D=24, branch=1)
     v = overlap_agreement(c0, c1, 0.05, samples=16)
     assert v >= 0.01
+
+
+def _overlap_scalar_seed(c1, c2, sigma_max, w, iterations):
+    """overlap_agreement at samples=24 for float64 charts, with the seed
+    search it had before the grid was batched: a Python min over scalar
+    ``point`` values of chart 2 (evaluated once here, not once per sample
+    as it was; ``point`` is deterministic, so the seeds are the same)."""
+    m1, m2 = ReducedChartMap(c1), ReducedChartMap(c2)
+    grid = [((t, s), m2.point(t, s))
+            for t in [-w + 2 * w * i / 20 for i in range(21)]
+            for s in [-sigma_max + 2 * sigma_max * j / 10 for j in range(11)]]
+    worst = None
+    for it in range(5):
+        for js in range(5):
+            p1 = m1.point(-w + 2 * w * it / 4,
+                          -sigma_max + 2 * sigma_max * js / 4)
+            (t2, s2), _ = min(grid, key=lambda g: abs(g[1][0] - p1[0]) ** 2
+                              + abs(g[1][1] - p1[1]) ** 2)
+            t2, s2, d = _gauss_newton_project(m2, p1, t2, s2, FLOAT64,
+                                              iterations)
+            if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
+                worst = d if worst is None or d > worst else worst
+    return worst
+
+
+def test_overlap_seed_grid_matches_scalar_search():
+    charts = build_atlas(unit_circle_arc(), 2, 10, 40, 2 * math.pi / 12)
+    pairs = [(charts[i], charts[(i + 1) % 12], 0.35) for i in range(12)]
+    parab = build_atlas(graph_arc(["0", "0", "0.5"]), n=3, K=6, D=24,
+                        spacing=0.5)
+    pairs.append((parab[0], parab[1], 0.375))
+    # Gauss-Newton reaches the same foot from nearly any seed, so the
+    # zero-iteration sups, the distances to the seeds, check the seeds
+    for c1, c2, w in pairs:
+        for iterations in (30, 0):
+            got = overlap_agreement(c1, c2, 0.05, t_halfwidth=w,
+                                    t_halfwidth_other=w,
+                                    gn_iterations=iterations)
+            want = _overlap_scalar_seed(c1, c2, 0.05, w, iterations)
+            assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("bad_chart", [0, 1])
+def test_overlap_rejects_non_finite_distance(bad_chart):
+    arc = unit_circle_arc()
+    spacing = 2 * math.pi / 12
+    pair = [extend_arc(arc, s0, n=2, K=6, D=24, with_radius=False)
+            for s0 in (0.0, spacing)]
+    terms = list(pair[bad_chart].phi.terms)
+    coeffs = list(terms[3].coeffs)
+    coeffs[2] = math.nan
+    terms[3] = TaylorPoly(tuple(coeffs))
+    pair[bad_chart] = dataclasses.replace(
+        pair[bad_chart], phi=SigmaExpansion(n=2, terms=tuple(terms)))
+    with pytest.raises(NonFiniteError):
+        overlap_agreement(*pair, 0.05, t_halfwidth=0.75 * spacing,
+                          t_halfwidth_other=0.75 * spacing)
+
+
+def test_overlap_skips_divergent_feet_outside_window(monkeypatch):
+    """A projection that runs off chart 2 (an infinite or NaN foot, with a
+    distance that is not finite) is not in the overlap: it is skipped, not
+    reported as a non-finite distance."""
+    arc = unit_circle_arc()
+    c1 = extend_arc(arc, 0.0, n=2, K=4, D=16, with_radius=False)
+    c2 = extend_arc(arc, 0.3, n=2, K=4, D=16, with_radius=False)
+    project = engine._gauss_newton_project
+    calls = []
+
+    def diverge_on_even_samples(cmap, target, t, s, ctx, iterations):
+        calls.append(None)
+        if len(calls) % 2:
+            return project(cmap, target, t, s, ctx, iterations)
+        return (math.inf, s, math.nan) if len(calls) % 4 else (
+            math.nan, math.nan, math.inf)
+
+    kw = dict(t_halfwidth=0.3, t_halfwidth_other=0.3)
+    want = overlap_agreement(c1, c2, 0.05, **kw)
+    monkeypatch.setattr(engine, "_gauss_newton_project",
+                        diverge_on_even_samples)
+    got = overlap_agreement(c1, c2, 0.05, **kw)
+    assert math.isfinite(got) and got <= want
+    monkeypatch.setattr(engine, "_gauss_newton_project",
+                        lambda *a: (math.inf, 0.0, math.nan))
+    with pytest.raises(CoverageError):
+        overlap_agreement(c1, c2, 0.05, **kw)
+
+
+@given(st.integers(2, 4), st.integers(1, 10),
+       st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=6),
+       st.floats(-0.3, 0.3))
+@settings(max_examples=25, deadline=None)
+def test_point_on_arrays_matches_scalars(n, K, tail, s0):
+    arc = graph_arc(["0", "0"] + tail)
+    m = ReducedChartMap(extend_arc(arc, s0, n=n, K=K, D=2 * K + 8,
+                                   with_radius=False))
+    T, S = np.meshgrid(np.linspace(-0.2, 0.2, 9), np.linspace(-0.05, 0.05, 5),
+                       indexing="ij")
+    W, Z = m.point(T, S)
+    assert W.shape == Z.shape == T.shape
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(T.shape):
+        w, z = m.point(float(T[idx]), float(S[idx]))
+        assert abs(W[idx] - w) <= 4 * eps * abs(w)
+        assert abs(Z[idx] - z) <= 4 * eps * abs(z)
 
 
 def test_residual_report_shape():
