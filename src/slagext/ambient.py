@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def chart_point(chart: Chart, t: float, sigma: float,
     """Ambient point of the chart surface at (t, sigma, u): graph lift,
     branch twist, then the inverse of the normalizing motion."""
     w, zeta = chart.reduced_map.point(t, sigma)
-    return phi_map(complex(w), complex(zeta), u)
+    return phi_map(w, zeta, u)
 
 
 def lambda_star(p: AmbientPoint, j: int, n: int) -> AmbientPoint:
@@ -173,17 +173,13 @@ def chart_parametrization(chart: Chart) -> Callable[[Sequence[float]], AmbientPo
     """Map (t, sigma, angles...) -> ambient chart point, with the sphere
     factor in hyperspherical angles so the parameter space is flat."""
     n = chart.n
-    m = chart.reduced_map
 
     def run(params: Sequence[float]) -> AmbientPoint:
         t, sigma = float(params[0]), float(params[1])
         angles = [float(a) for a in params[2:]]
         if len(angles) != n - 1:
             raise ValueError("expected n-1 sphere angles")
-        u = _sphere_from_angles(angles)
-        w, zeta = m.point(t, sigma)
-        return AmbientPoint((complex(w),)
-                            + tuple(complex(zeta) * x for x in u))
+        return chart_point(chart, t, sigma, _sphere_from_angles(angles))
 
     return run
 

@@ -24,8 +24,6 @@ from .series import (
     TaylorPoly,
     poly_antiderivative,
     poly_compose,
-    poly_derivative,
-    poly_eval,
     poly_from,
     poly_pad,
     poly_reversion,
@@ -108,11 +106,6 @@ def local_series(arc: ArcSpec, s0, cap: int) -> tuple:
         shifted_x = poly_truncate(shifted_x, cap)
         shifted_y = poly_truncate(shifted_y, cap)
     return shifted_x, shifted_y
-
-
-def arc_point(arc: ArcSpec, s) -> tuple:
-    X, Y = local_series(arc, s, 1)
-    return X.coeffs[0], Y.coeffs[0]
 
 
 def arc_tangent(arc: ArcSpec, s) -> tuple:
@@ -225,20 +218,6 @@ def graph_arc(coeffs: Sequence, ctx: Context = FLOAT64, cap: int | None = None,
     g = poly_from([ctx.real(c) for c in coeffs], cap=cap)
     return ArcSpec(kind="graph", g=g,
                    domain=(ctx.real(domain[0]), ctx.real(domain[1])))
-
-
-def frame_at(arc: ArcSpec, s0, n: int, ctx: Context = FLOAT64) -> Frame:
-    """Normalizing frame at s0 without computing the local potential."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    X, Y = local_series(arc, s0, 1)
-    x0, y0 = X.coeffs[0], Y.coeffs[0]
-    tx, ty = X.coeffs[1], Y.coeffs[1]
-    if ctx.to_float(tx * tx + ty * ty) < 1e-18:
-        raise NormalizationError("singular parametrization at the base point")
-    chi = (-ctx.atan2(ty, tx)) % (2 * ctx.pi())
-    a = -(ctx.exp_i(chi) * ctx.make_complex(x0, y0))
-    return Frame(a=a, theta=chi / n)
 
 
 def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,

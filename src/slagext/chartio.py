@@ -9,17 +9,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ambient import chart_point, sphere_points
-from .engine import Chart, RadiusEstimate, ReducedChartMap
+from .engine import Chart, RadiusEstimate
 from .errors import SchemaError
 from .precision import FLOAT64, Context, context_named
-from .series import SigmaExpansion, TaylorPoly, poly_from
+from .series import SigmaExpansion, poly_from
 
 SCHEMA_NAME = "slag-chart"
 SCHEMA_VERSION = 1
@@ -78,6 +77,16 @@ def _decode_real(s, ctx: Context):
     return ctx.real(s)
 
 
+def _fields(value, what: str, keys) -> dict:
+    """``value`` as a JSON object that has every key in ``keys``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in value:
+            raise SchemaError(f"{what} is missing {key!r}")
+    return value
+
+
 def serialize_chart(chart: Chart) -> dict:
     prec = "float64"
     if not isinstance(chart.phi.terms[0].coeffs[0], float):
@@ -116,36 +125,35 @@ def serialize_chart(chart: Chart) -> dict:
 def deserialize_chart(doc: dict) -> Chart:
     from .arcs import Frame
 
-    if not isinstance(doc, dict):
-        raise SchemaError("chart document must be a JSON object")
+    _fields(doc, "chart document", ())
     if doc.get("schema") != SCHEMA_NAME:
         raise SchemaError(f"not a chart document: schema={doc.get('schema')!r}")
     if doc.get("version") != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported chart schema version {doc.get('version')!r}")
-    for key in ("n", "branch", "K", "D", "frame", "terms"):
-        if key not in doc:
-            raise SchemaError(f"chart document is missing {key!r}")
+    _fields(doc, "chart document", ("n", "branch", "K", "D", "frame", "terms"))
     try:
-        ctx = context_named(doc.get("precision", "float64"))
+        ctx = context_named(str(doc.get("precision", "float64")))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    n, K, D = int(doc["n"]), int(doc["K"]), int(doc["D"])
+    try:
+        n, K, D, branch = (int(doc[k]) for k in ("n", "K", "D", "branch"))
+    except (TypeError, ValueError):
+        raise SchemaError("chart n, K, D and branch must be integers") from None
     cap = D - 2 * K
     if cap < 0:
         raise SchemaError("chart document has D < 2K")
     raw_terms = doc["terms"]
-    if len(raw_terms) != K + 1:
+    if not isinstance(raw_terms, list) or len(raw_terms) != K + 1:
         raise SchemaError("chart document terms do not match K")
     terms = []
     for row in raw_terms:
+        if not isinstance(row, list):
+            raise SchemaError("chart document term is not a list")
         if len(row) != cap + 1:
             raise SchemaError("chart document term length does not match D-2K")
         terms.append(poly_from([_decode_real(c, ctx) for c in row], cap=cap))
-    fr = doc["frame"]
-    for key in ("a_re", "a_im", "theta"):
-        if key not in fr:
-            raise SchemaError(f"chart frame is missing {key!r}")
+    fr = _fields(doc["frame"], "chart frame", ("a_re", "a_im", "theta"))
     frame = Frame(
         a=ctx.make_complex(_decode_real(fr["a_re"], ctx),
                            _decode_real(fr["a_im"], ctx)),
@@ -153,7 +161,7 @@ def deserialize_chart(doc: dict) -> Chart:
     )
     radius = None
     if doc.get("radius") is not None:
-        rd = doc["radius"]
+        rd = _fields(doc["radius"], "chart radius", ("C", "M", "rho", "fit"))
         radius = RadiusEstimate(
             C=float(_decode_real(rd["C"], FLOAT64)),
             M=float(_decode_real(rd["M"], FLOAT64)),
@@ -162,7 +170,7 @@ def deserialize_chart(doc: dict) -> Chart:
         )
     center = doc.get("center_param")
     return Chart(
-        n=n, branch=int(doc["branch"]), frame=frame,
+        n=n, branch=branch, frame=frame,
         phi=SigmaExpansion(n=n, terms=tuple(terms)), radius=radius,
         center_param=None if center is None else float(
             _decode_real(center, FLOAT64)),
@@ -212,8 +220,8 @@ def _grid(lo: float, hi: float, count: int) -> list:
 
 
 def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
-                      sigma_max: float, t_halfwidth: Optional[float] = None,
-                      ctx: Context = FLOAT64) -> str:
+                      sigma_max: float, t_halfwidth: Optional[float] = None
+                      ) -> str:
     """OBJ quad mesh of the reduced surfaces (t, sigma) -> (w, zeta).
 
     Vertex records carry four values: Re w, Im w, Re zeta, with Im zeta as
@@ -227,14 +235,13 @@ def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
     faces = []
     base = 1
     for chart in charts:
-        rm = ReducedChartMap(chart, ctx=ctx)
         for t in _grid(-w, w, resolution):
             for s in _grid(0.0, float(sigma_max), resolution):
-                wv, zv = rm.point(ctx.real(t), ctx.real(s))
+                wv, zv = chart.reduced_map.point(t, s)
                 lines.append(
                     "v "
-                    f"{float(wv.real):.17g} {float(wv.imag):.17g} "
-                    f"{float(zv.real):.17g} {float(zv.imag):.17g}"
+                    f"{wv.real:.17g} {wv.imag:.17g} "
+                    f"{zv.real:.17g} {zv.imag:.17g}"
                 )
         for i in range(resolution - 1):
             for j in range(resolution - 1):

@@ -28,7 +28,7 @@ from .chartio import (
 )
 from .engine import build_atlas, extend_arc, gt_hypotheses_check, overlap_agreement
 from .errors import GateObstructionError
-from .precision import FLOAT64, Context, from_env
+from .precision import Context, from_env
 
 
 def _enc_tree(value):
@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_oracle)
 
     q = os_sub.add_parser("circle")
-    _add_common(q, "n", "K", "D", "sigma-max", "out")
+    _add_common(q, "n", "K", "sigma-max", "out")
+    q.add_argument("--D", type=int, default=None,
+                   help="total degree budget (default 4K)")
     q.add_argument("--samples", type=int, default=500)
     q.add_argument("--tolerance", type=float, default=1e-8)
     q.set_defaults(func=cmd_oracle)

@@ -395,22 +395,14 @@ def pde_lhs_value(exp: SigmaExpansion, t, sigma, evaluator=None):
     """Pointwise singular PDE left side
     Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)]."""
     jet = (evaluator or SigmaJetEvaluator(exp)).jet(t, sigma)
-    one = (t * 0) + 1
-    a = _c(sigma, jet.phi_sigma)
-    b = _c(one, jet.phi_tt)
-    c = _c(one, jet.phi_sigmasigma)
+    # x + 1j * y is exact for float and mpf alike; complex() would round
+    # mpf scalars through float
+    a = sigma + 1j * jet.phi_sigma
+    b = 1 + 1j * jet.phi_tt
+    c = 1 + 1j * jet.phi_sigmasigma
     st = jet.phi_sigmat
     val = (a ** (exp.n - 1)) * (b * c + st * st)
     return val.imag
-
-
-def _c(re, im):
-    # complex() would silently round mpf scalars through float
-    if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-        return complex(re, im)
-    import mpmath
-
-    return mpmath.mpc(re, im)
 
 
 def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
@@ -633,9 +625,10 @@ class Chart:
 
     @cached_property
     def reduced_map(self) -> "ReducedChartMap":
-        """The chart's float64 ``ReducedChartMap``, built on first use and
-        kept, so every point evaluation of one chart shares one jet
-        evaluator. Not a field: equality and hashing ignore it."""
+        """The chart's float64 ``ReducedChartMap``, whatever the chart's
+        precision, built on first use and kept, so every float64 point
+        evaluation of one chart shares one jet evaluator. Not a field:
+        equality and hashing ignore it."""
         return ReducedChartMap(self)
 
 
@@ -709,45 +702,31 @@ def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
     return charts
 
 
-def chart_cast(chart: Chart, ctx: Context) -> Chart:
-    """Re-express a chart's numbers in another precision context."""
-    def cast_poly(p: TaylorPoly) -> TaylorPoly:
-        return TaylorPoly(tuple(ctx.real(float(c)) for c in p.coeffs))
-
-    terms = tuple(cast_poly(f) for f in chart.phi.terms)
-    frame = Frame(
-        a=ctx.make_complex(float(chart.frame.a.real),
-                           float(chart.frame.a.imag)),
-        theta=ctx.real(float(chart.frame.theta)),
-    )
-    return Chart(
-        n=chart.n, branch=chart.branch, frame=frame,
-        phi=SigmaExpansion(n=chart.n, terms=terms), radius=chart.radius,
-        center_param=chart.center_param,
-    )
-
-
 class ReducedChartMap:
     """Evaluation of the chart surface in reduced coordinates (w, zeta),
     with the analytic Jacobian. Ambient distance between same-direction
     points equals the reduced distance, which is what the overlap
     measurement needs.
 
-    ``point`` takes scalars of the map's context or, on a float64 map,
-    numpy float64 arrays of equal shape, which it evaluates in one pass
-    since the jet evaluator works elementwise.
+    The chart's coefficients and frame are cast into ``ctx`` when the map
+    is built, so the map computes in ``ctx`` whatever the chart's own
+    precision. ``point`` takes scalars of that context or, on a float64
+    map, numpy float64 arrays of equal shape, which it evaluates in one
+    pass since the jet evaluator works elementwise.
     """
 
     def __init__(self, chart: Chart, ctx: Context = FLOAT64):
-        self.chart = chart
         self.ctx = ctx
-        self.ev = SigmaJetEvaluator(chart.phi)
+        terms = tuple(TaylorPoly(tuple(ctx.real(c) for c in f.coeffs))
+                      for f in chart.phi.terms)
+        self.ev = SigmaJetEvaluator(SigmaExpansion(n=chart.n, terms=terms))
         n = chart.n
-        theta = chart.frame.theta
+        theta = ctx.real(chart.frame.theta)
         self.w_phase = ctx.exp_i(-n * theta)
         pi = ctx.pi()
         self.z_phase = ctx.exp_i(theta + chart.branch * pi / n)
-        self.a = chart.frame.a
+        a = chart.frame.a
+        self.a = ctx.make_complex(ctx.real(a.real), ctx.real(a.imag))
 
     def point(self, t, sigma):
         jet = self.ev.jet(t, sigma)
@@ -778,12 +757,13 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     reduced coordinates (the direction vector drops out of the distance for
     SO(n)-orbit surfaces). Each projection starts from the nearest point of
     a 21 x 11 (t, sigma) seed grid on chart 2; the grid is evaluated once
-    per pair, in float64 whatever ``ctx``, and only Gauss-Newton runs in
-    ``ctx``. Points whose projection leaves chart 2's window are not in the
-    overlap and are skipped, as are those whose foot is not finite; if no
-    sample projects into chart 2 the domains are disjoint, which is an
-    error. A non-finite sample point, or a non-finite distance at a counted
-    sample, raises ``NonFiniteError`` rather than passing as a sup.
+    per pair with chart 2's float64 ``reduced_map`` whatever ``ctx``, and
+    only the samples and Gauss-Newton run in ``ctx``. Points whose
+    projection leaves chart 2's window are not in the overlap and are
+    skipped, as are those whose foot is not finite; if no sample projects
+    into chart 2 the domains are disjoint, which is an error. A non-finite
+    sample point, or a non-finite distance at a counted sample, raises
+    ``NonFiniteError`` rather than passing as a sup.
     """
     sigma_max = ctx.real(sigma_max)
     w1 = ctx.real(t_halfwidth if t_halfwidth is not None
@@ -792,11 +772,8 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
                   else 4 * float(sigma_max))
     nt = max(2, int(round(math.sqrt(samples))))
     ns = max(2, int(math.ceil(samples / nt)))
-    map1 = ReducedChartMap(c1, ctx)
-    map2 = ReducedChartMap(c2, ctx)
-    # coarse seeding runs in float precision
-    f1map = ReducedChartMap(chart_cast(c1, FLOAT64), FLOAT64)
-    f2map = ReducedChartMap(chart_cast(c2, FLOAT64), FLOAT64)
+    map1, map2 = (c.reduced_map if ctx.name == FLOAT64.name
+                  else ReducedChartMap(c, ctx) for c in (c1, c2))
     seed_t = [
         -float(w2) + 2 * float(w2) * j / 20 for j in range(21)
     ]
@@ -805,7 +782,7 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     ]
     # flattened t-outer, sigma-inner; argmin keeps the first of equal minima
     T, S = np.meshgrid(seed_t, seed_s, indexing="ij")
-    grid_w, grid_z = f2map.point(T.ravel(), S.ravel())
+    grid_w, grid_z = c2.reduced_map.point(T.ravel(), S.ravel())
     worst = None
     hit = 0
     for it in range(nt):
@@ -813,7 +790,7 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
             t1 = -w1 + 2 * w1 * it / (nt - 1)
             s1 = -sigma_max + 2 * sigma_max * js / (ns - 1)
             p1 = map1.point(t1, s1)
-            p1f = f1map.point(float(t1), float(s1))
+            p1f = (complex(p1[0]), complex(p1[1]))
             if not np.all(np.isfinite(p1f)):
                 raise NonFiniteError(
                     f"chart 1 is not finite at (t, sigma) = "

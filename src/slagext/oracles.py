@@ -9,8 +9,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .ambient import (
 from .arcs import ArcSpec, existence_gate
 from .engine import Chart, extend_arc, pde_residual
 from .errors import GateObstructionError
-from .series import SigmaJetEvaluator
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def chart_residual_report(chart: Chart, sigma_max: float,
                           h: float = 1e-5) -> dict:
     """PDE, symplectic, volume, and momentum residuals of one chart over a
     (t, sigma) grid, as a plain dict ready for serialization."""
-    from .ambient import chart_parametrization, momentum_so_n
+    from .ambient import chart_parametrization, momentum_so_n, phi_map
 
     ts = [(-t_halfwidth + 2 * t_halfwidth * i / (nt - 1)) for i in range(nt)]
     sig = [sigma_max * (j + 1) / ns for j in range(ns)]
@@ -298,10 +297,12 @@ def chart_residual_report(chart: Chart, sigma_max: float,
             rec = slag_residual(param, [t, s] + angles0, h=h)
             omega = max(omega, rec.omega_res)
             upsilon = max(upsilon, rec.upsilon_res)
+    dirs = sphere_points(n, 6)
     for t in ts:
         for s in sig:
-            for u in sphere_points(n, 6):
-                p = chart_point(chart, t, s, u)
+            w, zeta = chart.reduced_map.point(t, s)
+            for u in dirs:
+                p = phi_map(w, zeta, u)
                 momentum = max(momentum, float(np.max(np.abs(momentum_so_n(p)))))
     return {
         "n": chart.n,

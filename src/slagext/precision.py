@@ -45,10 +45,6 @@ class FloatContext:
     def to_float(self, x) -> float:
         return float(x)
 
-    def encode(self, x) -> str:
-        # repr of a float is the shortest round-trip decimal string
-        return repr(float(x))
-
     def pi(self) -> float:
         return math.pi
 
@@ -95,10 +91,6 @@ class MPContext:
 
     def to_float(self, x) -> float:
         return float(x)
-
-    def encode(self, x) -> str:
-        mpmath.mp.dps = self.dps
-        return mpmath.nstr(mpmath.mpf(x), self.dps, strip_zeros=False)
 
     def pi(self):
         mpmath.mp.dps = self.dps

@@ -506,6 +506,12 @@ class SigmaJetEvaluator:
         self._fact_odd = [math.factorial(2 * k + 1) for k in range(len(self._f))]
 
     def jet(self, t, sigma) -> PhiJet:
+        """phi and its partials at (t, sigma); exact at sigma = 0.
+
+        The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
+        sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
+        odd factorials while phi_sigmasigma uses (2k-2)!.
+        """
         f = [poly_eval(p, t) for p in self._f]
         fp = [poly_eval(p, t) for p in self._fp]
         fpp = [poly_eval(p, t) for p in self._fpp]
@@ -540,13 +546,3 @@ class SigmaJetEvaluator:
             phi_sigmasigma=phi_ss,
             phi_sigma_over_sigma=q,
         )
-
-
-def sigma_eval_with_partials(exp: SigmaExpansion, t, sigma) -> PhiJet:
-    """phi and its partials at (t, sigma); exact at sigma = 0.
-
-    The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
-    sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the odd
-    factorials while phi_sigmasigma uses (2k-2)!.
-    """
-    return SigmaJetEvaluator(exp).jet(t, sigma)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -32,9 +33,8 @@ from slagext.ambient import (
 )
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import deserialize_chart, serialize_chart
-from slagext.engine import ReducedChartMap, chart_cast, extend_arc
+from slagext.engine import ReducedChartMap, extend_arc
 from slagext.errors import RankError, SingularLocusError
-from slagext.precision import FLOAT64
 
 
 def test_phi_map_fixed_locus_and_axes():
@@ -155,10 +155,10 @@ def test_chart_point_uses_one_map_per_chart():
         w, zeta = ReducedChartMap(ch).point(t, s)
         want = phi_map(complex(w), complex(zeta), u)
         assert chart_point(ch, t, s, u) == want
-    # a cast or reloaded chart is a new object with its own map; the cached
+    # a copied or reloaded chart is a new object with its own map; the cached
     # map is not a field, so equality and hashing ignore it
     reloaded = deserialize_chart(serialize_chart(ch))
-    for other in (chart_cast(ch, FLOAT64), reloaded):
+    for other in (dataclasses.replace(ch), reloaded):
         assert other == ch and hash(other) == hash(ch)
         assert other.reduced_map is not m
         assert (chart_point(other, 0.1, 0.02, u)

@@ -9,7 +9,6 @@ import pytest
 from slagext.arcs import (
     ArcSpec,
     existence_gate,
-    frame_at,
     graph_arc,
     load_arc,
     local_series,
@@ -109,15 +108,6 @@ def test_reversed_circle_flips_potential_sign():
     na = normalize_at(arc, 0.0, n=2, cap=9)
     expect = [0, 0, 0, -1 / 6, 0, -1 / 40, 0, -1 / 112, 0, -5 / 1152]
     assert list(na.f0.coeffs) == pytest.approx(expect, abs=1e-15)
-
-
-def test_frame_at_matches_normalize_at():
-    arc = unit_circle_arc()
-    for s0 in (0.0, 0.7, 2.9):
-        fa = frame_at(arc, s0, n=2)
-        na = normalize_at(arc, s0, n=2, cap=6)
-        assert fa.theta == pytest.approx(na.frame.theta, abs=1e-15)
-        assert abs(fa.a - na.frame.a) < 1e-15
 
 
 def test_local_series_matches_circle_samples():

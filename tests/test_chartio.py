@@ -106,10 +106,25 @@ def test_truncated_document_rejected():
         del broken[key]
         with pytest.raises(SchemaError):
             deserialize_chart(broken)
-    short = dict(doc)
-    short["terms"] = doc["terms"][:-1]
-    with pytest.raises(SchemaError):
-        deserialize_chart(short)
+    rows = doc["terms"]
+    radius = doc["radius"]
+    broken_parts = [
+        {"terms": rows[:-1]},
+        {"terms": 3},
+        {"terms": [rows[0], 7] + rows[2:]},
+        {"frame": 0},
+        {"radius": "0.5"},
+        {"n": [2]},
+        {"K": None},
+        {"branch": "x"},
+        {"precision": 5},
+    ] + [
+        {"radius": {k: v for k, v in radius.items() if k != key}}
+        for key in ("C", "M", "rho", "fit")
+    ]
+    for part in broken_parts:
+        with pytest.raises(SchemaError):
+            deserialize_chart({**doc, **part})
 
 
 def test_version_and_schema_mismatch_rejected():

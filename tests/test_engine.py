@@ -378,6 +378,45 @@ def test_overlap_distinct_branches_separated():
     assert v >= 0.01
 
 
+def test_overlap_in_mp_context():
+    ctx = mp_context(30)
+    circle = unit_circle_arc(ctx)
+    c = extend_arc(circle, ctx.real(0), n=2, K=4, D=16, ctx=ctx,
+                   with_radius=False)
+    # 16 samples lie off the seed grid, so Gauss-Newton has to converge;
+    # it reaches the exact foot in mp30 but not in float64 (6.9e-18)
+    assert overlap_agreement(c, c, 0.05, samples=16, ctx=ctx) == 0.0
+    kw = dict(t_halfwidth=0.75, t_halfwidth_other=0.75)
+    sups = []
+    for arc, s1, run_ctx in ((unit_circle_arc(), 1.0, FLOAT64),
+                             (circle, ctx.real(1), ctx)):
+        c1, c2 = (extend_arc(arc, s, n=2, K=6, D=24, ctx=run_ctx,
+                             with_radius=False) for s in (s1 * 0, s1))
+        sups.append(overlap_agreement(c1, c2, 0.05, ctx=run_ctx, **kw))
+    assert sups[0] > 1e-4
+    assert abs(sups[1] - sups[0]) <= 1e-12 * sups[0]
+
+
+def test_reduced_map_of_mp_chart_is_float64():
+    ctx = mp_context(30)
+    ch = extend_arc(unit_circle_arc(ctx), ctx.real("0.4"), n=3, K=4, D=16,
+                    ctx=ctx, with_radius=False)
+    m = ch.reduced_map
+    T, S = np.meshgrid(np.linspace(-0.2, 0.2, 5), np.linspace(-0.05, 0.05, 3),
+                       indexing="ij")
+    W, Z = m.point(T, S)
+    assert W.dtype == Z.dtype == np.complex128
+    eps = np.finfo(float).eps
+    exact = ReducedChartMap(ch, ctx)
+    for idx in np.ndindex(T.shape):
+        w, z = m.point(float(T[idx]), float(S[idx]))
+        assert type(w) is complex and type(z) is complex
+        assert abs(W[idx] - w) <= 4 * eps * abs(w)
+        assert abs(Z[idx] - z) <= 4 * eps * abs(z)
+        we, ze = exact.point(ctx.real(T[idx]), ctx.real(S[idx]))
+        assert abs(w - complex(we)) <= 1e-15 and abs(z - complex(ze)) <= 1e-15
+
+
 def _overlap_scalar_seed(c1, c2, sigma_max, w, iterations):
     """overlap_agreement at samples=24 for float64 charts, with the seed
     search it had before the grid was batched: a Python min over scalar

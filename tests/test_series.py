@@ -21,6 +21,7 @@ from slagext.errors import (
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
+    SigmaJetEvaluator,
     TaylorPoly,
     analytic_compose,
     complex_int_pow,
@@ -40,7 +41,6 @@ from slagext.series import (
     poly_shift,
     poly_truncate,
     poly_zero,
-    sigma_eval_with_partials,
 )
 
 
@@ -237,9 +237,9 @@ def test_sigma_eval_partials_match_finite_differences():
     h = 1e-6
 
     def phi(t, s):
-        return sigma_eval_with_partials(exp, t, s).phi
+        return SigmaJetEvaluator(exp).jet(t, s).phi
 
-    jet = sigma_eval_with_partials(exp, t0, s0)
+    jet = SigmaJetEvaluator(exp).jet(t0, s0)
     fd_t = (phi(t0 + h, s0) - phi(t0 - h, s0)) / (2 * h)
     fd_s = (phi(t0, s0 + h) - phi(t0, s0 - h)) / (2 * h)
     fd_tt = (phi(t0 + h, s0) - 2 * phi(t0, s0) + phi(t0 - h, s0)) / h**2
@@ -261,7 +261,7 @@ def test_sigma_eval_partials_match_finite_differences():
 def test_sigma_eval_regular_at_sigma_zero():
     exp = _sample_expansion()
     t0 = 0.2
-    jet = sigma_eval_with_partials(exp, t0, 0.0)
+    jet = SigmaJetEvaluator(exp).jet(t0, 0.0)
     f1_at = poly_eval(exp.terms[1], t0)
     assert jet.phi_sigma == 0.0
     assert jet.phi_sigmat == 0.0
@@ -272,8 +272,8 @@ def test_sigma_eval_regular_at_sigma_zero():
 def test_sigma_eval_even_in_sigma():
     exp = _sample_expansion()
     for s in (0.1, 0.23):
-        a = sigma_eval_with_partials(exp, 0.11, s)
-        b = sigma_eval_with_partials(exp, 0.11, -s)
+        a = SigmaJetEvaluator(exp).jet(0.11, s)
+        b = SigmaJetEvaluator(exp).jet(0.11, -s)
         assert a.phi == b.phi
         assert a.phi_sigma == -b.phi_sigma
         assert a.phi_sigmasigma == b.phi_sigmasigma
