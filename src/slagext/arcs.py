@@ -23,10 +23,9 @@ from .precision import FLOAT64, Context
 from .series import (
     TaylorPoly,
     poly_antiderivative,
-    poly_compose,
+    poly_compose_inverse,
     poly_from,
     poly_pad,
-    poly_reversion,
     poly_shift,
     poly_truncate,
 )
@@ -81,31 +80,29 @@ class NormalizedArc:
 
 
 def local_series(arc: ArcSpec, s0, cap: int) -> tuple:
-    """Taylor series (X, Y) of the arc about parameter s0, in h = s - s0."""
+    """Taylor series (X, Y) of the arc about parameter s0, in h = s - s0.
+
+    Polynomial data is shifted at its full length and truncated after, since
+    every stored coefficient feeds the low orders about s0 != 0.
+    """
     if arc.kind == "graph":
-        g = arc.g
-        if g.cap < cap:
-            g = poly_pad(g, cap)  # graph data is an exact polynomial
-        elif g.cap > cap:
-            g = poly_truncate(g, cap)
-        zero = g.coeffs[0] * 0
-        one = zero + 1
-        xc = [s0 + zero, one] + [zero] * (cap - 1)
-        return TaylorPoly(tuple(xc[: cap + 1])), poly_shift(g, s0)
-    if arc.resample is not None:
+        zero = arc.g.coeffs[0] * 0
+        x, y = TaylorPoly((zero, zero + 1)), arc.g  # the graph is (s, g(s))
+    elif arc.resample is not None:
         X, Y = arc.resample(s0, cap)
         if X.cap != cap or Y.cap != cap:
             raise ValueError("resample hook returned wrong degree cap")
         return X, Y
-    x, y = arc.x, arc.y
-    if x.cap < cap:
-        x, y = poly_pad(x, cap), poly_pad(y, cap)
-    shifted_x = poly_shift(x, s0)
-    shifted_y = poly_shift(y, s0)
-    if shifted_x.cap > cap:
-        shifted_x = poly_truncate(shifted_x, cap)
-        shifted_y = poly_truncate(shifted_y, cap)
-    return shifted_x, shifted_y
+    else:
+        x, y = arc.x, arc.y
+    return _shift_to_cap(x, s0, cap), _shift_to_cap(y, s0, cap)
+
+
+def _shift_to_cap(p: TaylorPoly, s0, cap: int) -> TaylorPoly:
+    if p.cap < cap:
+        p = poly_pad(p, cap)  # arc data is an exact polynomial
+    p = poly_shift(p, s0)
+    return p if p.cap == cap else poly_truncate(p, cap)
 
 
 def arc_tangent(arc: ArcSpec, s) -> tuple:
@@ -247,7 +244,7 @@ def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
     v = _lin_comb(s, xs, c, ys)
     if not ctx.to_float(u.coeffs[1]) > 0:
         raise NormalizationError("frame rotation failed to orient the tangent")
-    gtilde = poly_compose(v, poly_reversion(u))
+    gtilde = poly_compose_inverse(v, u)
     scale = max(1.0, max(abs(ctx.to_float(cc)) for cc in gtilde.coeffs))
     if abs(ctx.to_float(gtilde.coeffs[1])) > 1e-10 * scale:
         raise NormalizationError("tangent not eliminated by the frame")

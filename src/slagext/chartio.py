@@ -34,8 +34,6 @@ class RunConfig:
     sigma_max: float = 0.1
     branch: Optional[int] = None
     spacing: float = 0.2
-    seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -55,7 +53,6 @@ class RunConfig:
             "sigma_max": encode_real(self.sigma_max),
             "branch": self.branch,
             "spacing": encode_real(self.spacing),
-            "seed": self.seed,
         }
 
 

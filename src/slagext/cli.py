@@ -75,7 +75,7 @@ def _oracle_payload(res: oracles.OracleResult) -> dict:
 def cmd_extend(args) -> int:
     ctx = from_env()
     cfg = RunConfig(n=args.n, K=args.K, D=args.D, sigma_max=args.sigma_max,
-                    branch=args.branch, seed=args.seed, out=args.out)
+                    branch=args.branch)
     arc = _load_arc_arg(args.arc, ctx)
     branches = [args.branch] if args.branch is not None else list(range(args.n))
     charts, files = [], []
@@ -196,8 +196,7 @@ def cmd_oracle(args) -> int:
 def cmd_atlas(args) -> int:
     ctx = from_env()
     cfg = RunConfig(n=args.n, K=args.K, D=args.D, sigma_max=args.sigma_max,
-                    branch=args.branch or 0, spacing=args.spacing,
-                    seed=args.seed)
+                    branch=args.branch or 0, spacing=args.spacing)
     arc = _load_arc_arg(args.arc, ctx)
     gate = None
     if arc.closed:
@@ -283,8 +282,6 @@ def _add_common(p, *names):
     if "spacing" in names:
         p.add_argument("--spacing", type=float, default=0.2,
                        help="parameter distance between chart centers")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=0)
     if "out" in names:
         p.add_argument("--out", default=None, help="report JSON path")
 
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arc JSON path, or 'circle' for the unit circle")
     p.add_argument("--s0", type=float, default=0.0,
                    help="arc parameter of the chart center")
-    _add_common(p, "n", "K", "D", "sigma-max", "branch", "seed")
+    _add_common(p, "n", "K", "D", "sigma-max", "branch")
     p.add_argument("--out", default=None,
                    help="chart JSON path (suffixed .b<j> when all branches)")
     p.add_argument("--report", default=None, help="report JSON path")
@@ -362,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="chart cover of an arc with overlaps")
     p.add_argument("--arc", required=True)
-    _add_common(p, "n", "K", "D", "sigma-max", "branch", "spacing", "seed",
-                "out")
+    _add_common(p, "n", "K", "D", "sigma-max", "branch", "spacing", "out")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--chart-out", default=None, dest="chart_out",
                    help="path prefix for chart JSON dumps")

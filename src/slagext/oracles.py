@@ -246,15 +246,16 @@ def branch_separation(arc: ArcSpec, n: int, K: int, D: Optional[int] = None,
         return [np.array(chart_point(chart, float(t), float(s), u).z)
                 for t in ts]
 
+    # each branch's cloud once per sigma, and once on the arc
+    clouds = [[cloud(ch, s) for s in sigmas] for ch in charts]
+    on_arc = [cloud(ch, 0.0) for ch in charts]
     slopes = {}
     coincide = 0.0
     used = 0
     for j in range(n):
         for k in range(j + 1, n):
             dvals = []
-            for s in sigmas:
-                cj = cloud(charts[j], s)
-                ck = cloud(charts[k], s)
+            for cj, ck in zip(clouds[j], clouds[k]):
                 dmin = min(float(np.linalg.norm(a - b))
                            for a in cj for b in ck)
                 dvals.append(dmin)
@@ -262,10 +263,9 @@ def branch_separation(arc: ArcSpec, n: int, K: int, D: Optional[int] = None,
             num = float(np.dot(dvals, sigmas))
             den = float(np.dot(sigmas, sigmas))
             slopes[f"{j}-{k}"] = num / den
-            cj0 = cloud(charts[j], 0.0)
-            ck0 = cloud(charts[k], 0.0)
             coincide = max(coincide, max(
-                float(np.linalg.norm(a - b)) for a, b in zip(cj0, ck0)
+                float(np.linalg.norm(a - b))
+                for a, b in zip(on_arc[j], on_arc[k])
             ))
     all_positive = all(v > 0.0 for v in slopes.values())
     return _result(

@@ -185,54 +185,38 @@ def poly_reciprocal(a: TaylorPoly) -> TaylorPoly:
     return TaylorPoly(tuple(out))
 
 
-def poly_compose(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
-    """outer(inner(t)) truncated at the common cap; inner(0) must be 0."""
-    _check_same_cap(outer, inner, "poly_compose")
+def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
+    """outer(q(h)) for the compositional inverse q of inner, at the common cap.
+
+    Requires inner(0) = 0 and inner'(0) != 0. Lagrange-Buermann inversion
+    (Knuth, TAOCP Vol. 2, 4.7): with phi(s) = s / inner(s),
+    [h^m] outer(q(h)) = [s^(m-1)] outer'(s) phi(s)^m / m for m >= 1, so one
+    reciprocal and one running power of phi give every coefficient; with
+    outer(s) = s the result is q itself.
+    """
+    _check_same_cap(outer, inner, "poly_compose_inverse")
     if inner.coeffs[0] != 0:
         raise CompositionDomainError(
-            "poly_compose: inner series has nonzero constant term"
+            "poly_compose_inverse: inner series has nonzero constant term"
         )
-    cap = outer.cap
-    acc = poly_zero(cap, like=outer.coeffs[0])
-    for c in reversed(outer.coeffs):
-        acc = poly_mul(acc, inner)
-        acc = poly_add(acc, _const_poly(c, cap))
-    return acc
-
-
-def _const_poly(c, cap: int) -> TaylorPoly:
-    z = _zero_like(c)
-    return TaylorPoly((c,) + tuple(z for _ in range(cap)))
-
-
-def poly_reversion(a: TaylorPoly) -> TaylorPoly:
-    """Compositional inverse: q with a(q(h)) = h + O(h^(D+1)).
-
-    Requires a(0) = 0 and a'(0) != 0. Newton lifting with cap doubling: if
-    a(q) = id mod h^(m+1) then q - (a(q) - id)/a'(q) holds mod h^(2m+1).
-    """
-    if a.coeffs[0] != 0:
-        raise CompositionDomainError(
-            "poly_reversion: series has nonzero constant term"
+    if inner.cap == 0 or inner.coeffs[1] == 0:
+        raise SingularDivisionError(
+            "poly_compose_inverse: inner series has a vanishing linear term"
         )
-    a1 = a.coeffs[1] if a.cap >= 1 else _zero_like(a.coeffs[0])
-    if a1 == 0:
-        raise SingularDivisionError("poly_reversion: vanishing linear term")
-    cap = a.cap
-    z = _zero_like(a.coeffs[0])
-    one = _one_like(a1)
-    q = TaylorPoly((z, 1 / a1))
-    while q.cap < cap:
-        m = min(2 * q.cap, cap)
-        qm = TaylorPoly(q.coeffs + tuple(z for _ in range(m - q.cap)))
-        am = poly_truncate(a, m)
-        ident = TaylorPoly((z, one) + tuple(z for _ in range(m - 1)))
-        r = poly_compose(am, qm) - ident
-        # a' is known one degree short; the padded top coefficient only
-        # touches orders beyond the lift and is harmless
-        dm = poly_compose(poly_pad(poly_derivative(am), m), qm)
-        q = qm - poly_mul(r, poly_reciprocal(dm))
-    return q
+    cap = inner.cap
+    phi = poly_reciprocal(TaylorPoly(inner.coeffs[1:]))
+    dout = poly_derivative(outer).coeffs
+    out = [outer.coeffs[0]]
+    power = phi
+    for m in range(1, cap + 1):
+        pw = power.coeffs
+        acc = dout[0] * pw[m - 1]
+        for j in range(1, m):
+            acc = acc + dout[j] * pw[m - 1 - j]
+        out.append(acc / m)
+        if m < cap:
+            power = poly_mul(power, phi)
+    return TaylorPoly(tuple(out))
 
 
 def poly_shift(a: TaylorPoly, h) -> TaylorPoly:
@@ -285,22 +269,20 @@ def _tan_series(a: TaylorPoly) -> TaylorPoly:
         return poly_zero(0, like=a.coeffs[0])
     da = a.coeffs  # use j*a_j directly below
     y = [z] * (cap + 1)
+    ysq = [z] * cap  # ysq[t] = [y^2]_t, summed once y_0..y_t are known
     for d in range(1, cap + 1):
         # [a'(1 + y^2)]_{d-1} depends on y_0..y_{d-1} only
-        acc = d * da[d] if d < len(da) else z
+        s = z
+        for j in range(0, d):
+            s = s + y[j] * y[d - 1 - j]
+        ysq[d - 1] = s
+        acc = d * da[d]
         # a' coefficients: a'_m = (m+1) a_{m+1}
-        ysq_needed = d - 1
-        if ysq_needed >= 1:
-            for m in range(0, d - 1):
-                ap = (m + 1) * da[m + 1]
-                if ap == 0:
-                    continue
-                # [y^2]_{d-1-m}
-                target = d - 1 - m
-                s = z
-                for j in range(0, target + 1):
-                    s = s + y[j] * y[target - j]
-                acc = acc + ap * s
+        for m in range(0, d - 1):
+            ap = (m + 1) * da[m + 1]
+            if ap == 0:
+                continue
+            acc = acc + ap * ysq[d - 1 - m]
         y[d] = acc / d
     return TaylorPoly(tuple(y))
 

@@ -8,6 +8,7 @@ import pytest
 
 from slagext.arcs import (
     ArcSpec,
+    arc_tangent,
     existence_gate,
     graph_arc,
     load_arc,
@@ -121,6 +122,17 @@ def test_local_series_matches_circle_samples():
     for h in (-0.2, 0.15):
         assert poly_eval(X, h) == pytest.approx(math.cos(0.3 + h), abs=1e-15)
         assert poly_eval(Y, h) == pytest.approx(-math.sin(0.3 + h), abs=1e-15)
+
+
+def test_graph_tangent_away_from_origin():
+    # the Taylor shift must see every coefficient of g before truncation
+    for coeffs, slope in ((["0", "0", "0.5"], lambda s: s),
+                          (["0.1", "-0.2", "0", "1"], lambda s: -0.2 + 3 * s * s)):
+        arc = graph_arc(coeffs)
+        for s in (-0.4, 0.25, 0.7):
+            tx, ty = arc_tangent(arc, s)
+            assert tx == 1.0
+            assert ty == pytest.approx(slope(s), abs=1e-15)
 
 
 def test_rotation_number_both_orientations():

@@ -146,6 +146,19 @@ def test_same_seed_is_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_extend_and_atlas_take_no_seed(parabola, tmp_path, capsys):
+    # nothing in extend or atlas is random, so neither takes --seed
+    for cmd in ("extend", "atlas"):
+        with pytest.raises(SystemExit):
+            main([cmd, "--arc", parabola, "--seed", "3"])
+    capsys.readouterr()
+    rep = tmp_path / "rep.json"
+    rc = main(["extend", "--arc", parabola, "--n", "2", "--K", "2",
+               "--report", str(rep)])
+    assert rc == 0
+    assert "seed" not in _read(rep)["config"]
+
+
 def test_bad_arc_path_is_an_error(capsys):
     rc = main(["extend", "--arc", "/nonexistent/arc.json", "--n", "2"])
     assert rc == 1

@@ -370,6 +370,18 @@ def test_overlap_identical_and_adjacent():
     assert 0.0 < v10 <= 1e-9
 
 
+def test_open_arc_atlas_agrees_across_tangent_sign_change():
+    # the tangent angle of y = x^2/2 changes sign at the middle of the
+    # domain, where the frame angle wraps and the branch index must follow
+    charts = build_atlas(graph_arc(["0", "0", "0.5"]), n=3, K=6, D=24,
+                         spacing=0.5)
+    for c1, c2 in zip(charts, charts[1:]):
+        sup = overlap_agreement(c1, c2, 0.04, t_halfwidth=0.375,
+                                t_halfwidth_other=0.375)
+        assert sup <= 1e-6
+    assert [c.branch for c in charts] == [0, 0, 1, 1]
+
+
 def test_overlap_distinct_branches_separated():
     arc = unit_circle_arc()
     c0 = extend_arc(arc, 0.0, n=2, K=6, D=24, branch=0)

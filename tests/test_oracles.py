@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slagext import oracles
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.engine import extend_arc
 from slagext.errors import GateObstructionError
@@ -106,6 +107,23 @@ def test_branch_separation_flat_law():
     assert abs(s["0-1"] - 1.0) < 1e-12
     assert abs(s["0-2"] - math.sqrt(3.0)) < 1e-12
     assert abs(s["1-2"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_branch_separation_builds_each_cloud_once(monkeypatch, n):
+    calls = []
+    real = oracles.chart_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "chart_point", counted)
+    r = branch_separation(graph_arc(["0", "0", "0.5"]), n, K=3,
+                          sigma_steps=5, t_points=9)
+    assert r.passed
+    # one point per (branch, sigma row incl. sigma = 0, t)
+    assert len(calls) == n * (5 + 1) * 9
 
 
 def test_branch_separation_respects_gate():

@@ -29,7 +29,7 @@ from slagext.series import (
     cs_mul,
     poly_add,
     poly_antiderivative,
-    poly_compose,
+    poly_compose_inverse,
     poly_derivative,
     poly_eval,
     poly_from,
@@ -37,7 +37,6 @@ from slagext.series import (
     poly_one,
     poly_pad,
     poly_reciprocal,
-    poly_reversion,
     poly_shift,
     poly_truncate,
     poly_zero,
@@ -166,19 +165,41 @@ def test_arctan_pointwise_against_math():
 def test_compose_and_reversion():
     cap = 6
     a = frac_poly([0, 1, 1], cap=cap)  # t + t^2
-    q = poly_reversion(a)
+    ident = poly_from([Fraction(0), Fraction(1)], cap=cap)
+    q = poly_compose_inverse(ident, a)
     # classical: h - h^2 + 2h^3 - 5h^4 + 14h^5 - 42h^6 (Catalan numbers)
     assert list(q.coeffs) == [0, 1, -1, 2, -5, 14, -42]
-    ident = poly_compose(a, q)
-    expect = poly_from([Fraction(0), Fraction(1)], cap=cap)
-    assert ident == expect
+    assert poly_compose_inverse(a, a) == ident
 
 
 def test_reversion_rejects_singular_linear_term():
+    ident = poly_from([Fraction(0), Fraction(1)], cap=4)
     with pytest.raises(SingularDivisionError):
-        poly_reversion(frac_poly([0, 0, 1], cap=4))
+        poly_compose_inverse(ident, frac_poly([0, 0, 1], cap=4))
     with pytest.raises(CompositionDomainError):
-        poly_reversion(frac_poly([1, 1], cap=4))
+        poly_compose_inverse(ident, frac_poly([1, 1], cap=4))
+
+
+def _horner_compose(outer, inner):
+    """outer(inner(t)) at the common cap, by Horner; inner(0) = 0."""
+    acc = poly_zero(outer.cap, like=outer.coeffs[0])
+    for c in reversed(outer.coeffs):
+        acc = poly_add(poly_mul(acc, inner),
+                       poly_from([c], cap=outer.cap))
+    return acc
+
+
+@given(rational_coeffs, rational_coeffs,
+       st.fractions(min_value=-5, max_value=5, max_denominator=12)
+       .filter(lambda x: x != 0))
+@settings(max_examples=60, deadline=None)
+def test_compose_inverse_undoes_inner_exactly(vs, us, u1):
+    # w = v o u^-1, so w o u gives v back, coefficient for coefficient
+    cap = 8
+    v = frac_poly(vs, cap=cap)
+    u = frac_poly([0, u1] + us, cap=cap)
+    w = poly_compose_inverse(v, u)
+    assert _horner_compose(w, u) == v
 
 
 def test_shift_exact():
