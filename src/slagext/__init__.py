@@ -19,7 +19,6 @@ from .arcs import (
     unit_circle_arc,
 )
 from .chartio import (
-    RunConfig,
     deserialize_chart,
     dump_chart,
     export_mesh,
@@ -79,7 +78,6 @@ __all__ = [
     "OracleResult",
     "RadiusEstimate",
     "ReducedChartMap",
-    "RunConfig",
     "SigmaExpansion",
     "TaylorPoly",
     "branch_separation",

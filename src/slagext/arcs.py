@@ -163,9 +163,10 @@ def _domain(doc, ctx):
     return (lo, hi)
 
 
-def _check_regular(arc: ArcSpec, ctx: Context, samples: int = 64):
+def _check_regular(arc: ArcSpec, ctx: Context):
     if arc.kind == "graph":
         return
+    samples = 64
     lo, hi = arc.domain
     for j in range(samples + 1):
         s = lo + (hi - lo) * j / samples
@@ -176,8 +177,7 @@ def _check_regular(arc: ArcSpec, ctx: Context, samples: int = 64):
             )
 
 
-def unit_circle_arc(ctx: Context = FLOAT64, orientation: int = 1,
-                    base_cap: int = 32) -> ArcSpec:
+def unit_circle_arc(ctx: Context = FLOAT64, orientation: int = 1) -> ArcSpec:
     """Counterclockwise (orientation +1) unit circle with an exact
     trigonometric resampling hook, so local series carry full precision at
     any degree cap."""
@@ -203,18 +203,16 @@ def unit_circle_arc(ctx: Context = FLOAT64, orientation: int = 1,
             yc.append(cyc_y[j % 4] * sgn / fact)
         return poly_from(xc), poly_from(yc)
 
-    X, Y = hook(ctx.real(0), base_cap)
+    X, Y = hook(ctx.real(0), 32)
     return ArcSpec(
         kind="parametric", x=X, y=Y, closed=True, period=two_pi,
         domain=(ctx.real(0), two_pi), resample=hook,
     )
 
 
-def graph_arc(coeffs: Sequence, ctx: Context = FLOAT64, cap: int | None = None,
-              domain: tuple = (-1.0, 1.0)) -> ArcSpec:
-    g = poly_from([ctx.real(c) for c in coeffs], cap=cap)
-    return ArcSpec(kind="graph", g=g,
-                   domain=(ctx.real(domain[0]), ctx.real(domain[1])))
+def graph_arc(coeffs: Sequence, ctx: Context = FLOAT64) -> ArcSpec:
+    g = poly_from([ctx.real(c) for c in coeffs])
+    return ArcSpec(kind="graph", g=g, domain=(ctx.real(-1.0), ctx.real(1.0)))
 
 
 def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
@@ -286,10 +284,11 @@ def tangent_angles(arc: ArcSpec, s_values) -> list:
     return out
 
 
-def rotation_number(arc: ArcSpec, samples: int = 512) -> int:
+def rotation_number(arc: ArcSpec) -> int:
     """Winding of the tangent over one period of a closed arc."""
     if not arc.closed:
         raise ValueError("rotation_number needs a closed arc")
+    samples = 512
     period = float(arc.period)
     grid = [period * j / samples for j in range(samples + 1)]
     angles = tangent_angles(arc, grid)
@@ -317,7 +316,7 @@ class GateResult:
     turns: int
 
 
-def existence_gate(arc: ArcSpec, n: int, samples: int = 512) -> GateResult:
+def existence_gate(arc: ArcSpec, n: int) -> GateResult:
     """Single-valuedness test for extensions of a closed arc.
 
     Traversing the arc once conjugates the branch by twice the tangent
@@ -328,6 +327,6 @@ def existence_gate(arc: ArcSpec, n: int, samples: int = 512) -> GateResult:
         raise ValueError("n must be >= 2")
     if not arc.closed:
         return GateResult(ok=True, shift=0, turns=0)
-    turns = rotation_number(arc, samples=samples)
+    turns = rotation_number(arc)
     shift = (2 * turns) % n
     return GateResult(ok=(shift == 0), shift=shift, turns=turns)

@@ -1,4 +1,4 @@
-"""Chart serialization, run configuration, and mesh export.
+"""Chart serialization and mesh export.
 
 All numeric payloads in JSON documents are base-10 decimal strings, so
 documents are reproducible across platforms and reload to the exact same
@@ -11,8 +11,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ambient import chart_point, sphere_points
 from .engine import Chart, RadiusEstimate
@@ -22,38 +21,6 @@ from .series import SigmaExpansion, poly_from
 
 SCHEMA_NAME = "slag-chart"
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    """Settings shared by the CLI subcommands."""
-
-    n: int = 2
-    K: int = 4
-    D: Optional[int] = None
-    sigma_max: float = 0.1
-    branch: Optional[int] = None
-    spacing: float = 0.2
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.D is None:
-            self.D = 2 * self.K + 8
-        if self.D < 2 * self.K:
-            raise ValueError("D must be >= 2K to feed the recursion")
-        if self.sigma_max <= 0:
-            raise ValueError("sigma_max must be positive")
-
-    def echo(self) -> dict:
-        return {
-            "n": self.n, "K": self.K, "D": self.D,
-            "sigma_max": encode_real(self.sigma_max),
-            "branch": self.branch,
-            "spacing": encode_real(self.spacing),
-        }
 
 
 def encode_real(x) -> str:
@@ -217,17 +184,16 @@ def _grid(lo: float, hi: float, count: int) -> list:
 
 
 def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
-                      sigma_max: float, t_halfwidth: Optional[float] = None
-                      ) -> str:
+                      sigma_max: float) -> str:
     """OBJ quad mesh of the reduced surfaces (t, sigma) -> (w, zeta).
 
     Vertex records carry four values: Re w, Im w, Re zeta, with Im zeta as
     the optional fourth component. One (resolution x resolution) grid per
-    chart, faces local to their chart.
+    chart over |t| <= 2 sigma_max, faces local to their chart.
     """
     if resolution < 2:
         raise ValueError("mesh resolution must be >= 2")
-    w = float(t_halfwidth if t_halfwidth is not None else 2 * sigma_max)
+    w = float(2 * sigma_max)
     lines = ["# reduced chart mesh: Re w, Im w, Re zeta / Im zeta"]
     faces = []
     base = 1
@@ -252,10 +218,9 @@ def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
 
 
 def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
-                        sigma_max: float,
-                        t_halfwidth: Optional[float] = None,
-                        directions: int = 6) -> list:
-    """Point cloud of ambient chart points over a (t, sigma, u) grid.
+                        sigma_max: float, directions: int = 6) -> list:
+    """Point cloud of ambient chart points over a (t, sigma, u) grid with
+    |t| <= 2 sigma_max.
 
     Rows are the 2n+2 real coordinates of each point, header included.
     """
@@ -264,7 +229,7 @@ def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
     n = charts[0].n
     if any(c.n != n for c in charts):
         raise ValueError("charts mix different n")
-    w = float(t_halfwidth if t_halfwidth is not None else 2 * sigma_max)
+    w = float(2 * sigma_max)
     header = []
     for k in range(n + 1):
         header += [f"x{k}", f"y{k}"]
@@ -283,17 +248,14 @@ def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
 
 
 def export_mesh(charts: Sequence[Chart], mode: str, resolution: int,
-                sigma_max: float, path: str,
-                t_halfwidth: Optional[float] = None,
-                directions: int = 6) -> str:
+                sigma_max: float, path: str, directions: int = 6) -> str:
     """Write the mesh/point-cloud file for the charts; returns the path."""
     if mode == "reduced":
-        atomic_write_text(path, reduced_mesh_text(
-            charts, resolution, sigma_max, t_halfwidth=t_halfwidth))
+        atomic_write_text(path, reduced_mesh_text(charts, resolution,
+                                                  sigma_max))
         return path
     if mode == "embedded":
         rows = embedded_cloud_rows(charts, resolution, sigma_max,
-                                   t_halfwidth=t_halfwidth,
                                    directions=directions)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)

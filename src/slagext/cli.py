@@ -18,7 +18,6 @@ from typing import Optional
 from . import oracles
 from .arcs import ArcSpec, existence_gate, load_arc, unit_circle_arc
 from .chartio import (
-    RunConfig,
     dump_chart,
     encode_real,
     export_mesh,
@@ -74,13 +73,12 @@ def _oracle_payload(res: oracles.OracleResult) -> dict:
 
 def cmd_extend(args) -> int:
     ctx = from_env()
-    cfg = RunConfig(n=args.n, K=args.K, D=args.D, sigma_max=args.sigma_max,
-                    branch=args.branch)
+    D = 2 * args.K + 8 if args.D is None else args.D
     arc = _load_arc_arg(args.arc, ctx)
     branches = [args.branch] if args.branch is not None else list(range(args.n))
     charts, files = [], []
     for j in branches:
-        ch = extend_arc(arc, ctx.real(args.s0), n=args.n, K=args.K, D=cfg.D,
+        ch = extend_arc(arc, ctx.real(args.s0), n=args.n, K=args.K, D=D,
                         branch=j, ctx=ctx)
         charts.append(ch)
         if args.out:
@@ -90,7 +88,7 @@ def cmd_extend(args) -> int:
             files.append(path)
     report = {
         "command": "extend",
-        "config": cfg.echo(),
+        "config": {"n": args.n, "K": args.K, "D": D, "branch": args.branch},
         "precision": ctx.name,
         "arc": args.arc,
         "s0": encode_real(float(args.s0)),
@@ -194,21 +192,27 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_atlas(args) -> int:
+    # also when the atlas has a single chart and so no overlap to check
+    if not args.sigma_max > 0:
+        raise ValueError("sigma_max must be positive")
     ctx = from_env()
-    cfg = RunConfig(n=args.n, K=args.K, D=args.D, sigma_max=args.sigma_max,
-                    branch=args.branch or 0, spacing=args.spacing)
+    D = 2 * args.K + 8 if args.D is None else args.D
+    branch = args.branch or 0
+    config = {"n": args.n, "K": args.K, "D": D,
+              "sigma_max": encode_real(args.sigma_max), "branch": branch,
+              "spacing": encode_real(args.spacing)}
     arc = _load_arc_arg(args.arc, ctx)
     gate = None
     if arc.closed:
         g = existence_gate(arc, args.n)
         gate = {"ok": g.ok, "branch_shift": g.shift, "turns": g.turns}
     try:
-        charts = build_atlas(arc, args.n, args.K, cfg.D, args.spacing,
-                             branch=cfg.branch, ctx=ctx)
+        charts = build_atlas(arc, args.n, args.K, D, args.spacing,
+                             branch=branch, ctx=ctx)
     except GateObstructionError as exc:
         report = {
             "command": "atlas",
-            "config": cfg.echo(),
+            "config": config,
             "arc": args.arc,
             "gate": gate,
             "error": str(exc),
@@ -235,7 +239,7 @@ def cmd_atlas(args) -> int:
             files.append(path)
     report = {
         "command": "atlas",
-        "config": cfg.echo(),
+        "config": config,
         "precision": ctx.name,
         "arc": args.arc,
         "gate": gate,
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arc JSON path, or 'circle' for the unit circle")
     p.add_argument("--s0", type=float, default=0.0,
                    help="arc parameter of the chart center")
-    _add_common(p, "n", "K", "D", "sigma-max", "branch")
+    _add_common(p, "n", "K", "D", "branch")
     p.add_argument("--out", default=None,
                    help="chart JSON path (suffixed .b<j> when all branches)")
     p.add_argument("--report", default=None, help="report JSON path")

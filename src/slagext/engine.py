@@ -105,11 +105,11 @@ def compute_f1(f0: TaylorPoly, n: int) -> TaylorPoly:
     return poly_neg(analytic_compose("tan", alpha_over_n))
 
 
-def compute_R(f0: TaylorPoly, n: int, f1: Optional[TaylorPoly] = None,
-              im_tol: float = 1e-13) -> TaylorPoly:
+def compute_R(f0: TaylorPoly, n: int, f1: Optional[TaylorPoly] = None
+              ) -> TaylorPoly:
     """R = (1 + i f1)^n (1 + i f0''), which is real once f1 solves the
-    sigma^0 equation. The imaginary part is asserted below im_tol and
-    dropped; R(0) = 1."""
+    sigma^0 equation. The imaginary part is asserted below 1e-13 (relative)
+    and dropped; R(0) = 1."""
     f0 = _require_flat_base(f0)
     if f1 is None:
         f1 = compute_f1(f0, n)
@@ -122,7 +122,7 @@ def compute_R(f0: TaylorPoly, n: int, f1: Optional[TaylorPoly] = None,
     # rounding noise in the cancellation tracks the size of f1's own
     # coefficients, not just the surviving real part
     scale = max(1.0, _max_abs(prod.re), _max_abs(f1))
-    if _max_abs(prod.im) > im_tol * scale:
+    if _max_abs(prod.im) > 1e-13 * scale:
         raise NormalizationError(
             "imaginary part of (1+i f1)^n (1+i f0'') did not cancel; "
             "f1 does not solve the base equation"
@@ -339,10 +339,11 @@ def _solve(f0: TaylorPoly, n: int, K: int) -> list:
     return terms
 
 
-def linearity_probe(f0: TaylorPoly, n: int, k: int, delta: float = 1e-3) -> float:
+def linearity_probe(f0: TaylorPoly, n: int, k: int) -> float:
     """Max coefficient deviation of the affine law for the sigma^(2k)
-    coefficient: perturbing f_{k+1} by a constant delta must shift the
-    coefficient by exactly delta * R/(1+f1^2) * (2k+n)/(2k+1)!."""
+    coefficient: perturbing f_{k+1} by a constant delta = 1e-3 must shift
+    the coefficient by exactly delta * R/(1+f1^2) * (2k+n)/(2k+1)!."""
+    delta = 1e-3
     if k < 1:
         raise ValueError("k must be >= 1")
     f0 = _require_flat_base(f0)
@@ -454,21 +455,21 @@ class GTReport:
     passed: bool
 
 
-def gt_hypotheses_check(f0: TaylorPoly, n: int, t_span: float = 0.2,
-                        t_points: int = 21,
-                        steps: Sequence[float] = (1e-4, 1e-5, 1e-6),
-                        tol_id: float = 1e-9,
-                        tol_partial: float = 1e-7) -> GTReport:
+def gt_hypotheses_check(f0: TaylorPoly, n: int) -> GTReport:
     """Numerical check of the singular normal form hypotheses.
 
-    (1) G(t, 0) = 0 along the arc; (2) the partials in the first-order
-    sigma-placeholders vanish at sigma = 0; (3) the partials in
-    (z20, z10, z00) at the base point are (1, n+3, 2n); (4) the indicial
-    polynomial k^2 + (n+3)k + 2n has no positive integer roots: its
-    coefficients are positive, so its minimum over k >= 1 is 3n + 4, at k = 1.
-    Derivatives are centered differences over the step sweep, Richardson-
-    extrapolated across consecutive steps.
+    (1) G(t, 0) = 0 along the arc, to 1e-9 on 21 points of |t| <= 0.2;
+    (2) the partials in the first-order sigma-placeholders vanish there at
+    sigma = 0, to 1e-9; (3) the partials in (z20, z10, z00) at the base
+    point are (1, n+3, 2n), to 1e-7; (4) the indicial polynomial
+    k^2 + (n+3)k + 2n has no positive integer roots: its coefficients are
+    positive, so its minimum over k >= 1 is 3n + 4, at k = 1.
+    Derivatives are centered differences over the steps 1e-4, 1e-5, 1e-6,
+    Richardson-extrapolated across consecutive steps.
     """
+    t_span, t_points = 0.2, 21
+    steps = (1e-4, 1e-5, 1e-6)
+    tol_id, tol_partial = 1e-9, 1e-7
     f0 = _require_flat_base(f0)
     if f0.cap < 6:
         raise DegreeExhaustionError("gt check needs f0 cap >= 6")
@@ -546,17 +547,18 @@ class RadiusEstimate:
     fit_quality: float
 
 
-def estimate_radius(exp: SigmaExpansion, t_radius: float = 0.15) -> RadiusEstimate:
+def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     """Least-squares growth fit of the computed terms.
 
     The amplitude proxy for f_k is the l1 coefficient norm weighted by
-    t_radius**j, an upper envelope of |f_k| on |t| <= t_radius.  This is
-    insensitive to f_k(0) vanishing (odd arcs) and to rounding dust in
-    individual coefficients.  Fits log(amp) against k for the envelope
+    t_radius**j, an upper envelope of |f_k| on |t| <= t_radius = 0.15.
+    This is insensitive to f_k(0) vanishing (odd arcs) and to rounding dust
+    in individual coefficients.  Fits log(amp) against k for the envelope
     |f_k| <= C/M^k and log(amp/(2k)!) for the sigma-radius of the
     factorial-normalized series.  An identically zero tail yields the
     infinite-radius marker.
     """
+    t_radius = 0.15
     ks, amps = [], []
     for k in range(1, exp.K + 1):
         a = 0.0
@@ -645,20 +647,22 @@ def extend_arc(arc: ArcSpec, s0, n: int, K: int, D: int, branch: int = 0,
 
 
 def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
-                ctx: Context = FLOAT64, t_halfwidth=None,
-                gate_samples: int = 512) -> list:
+                ctx: Context = FLOAT64) -> list:
     """Charts centered along the arc with branch continuity.
 
-    Closed arcs must pass the existence gate. The effective branch of each
-    chart follows the unwrapped tangent angle so that neighbouring charts
-    extend each other rather than jumping to a different sheet; each full
-    turn of the tangent shifts the branch index by 2 mod n.
+    Closed arcs must pass the existence gate. ``branch`` in [0, n) is the
+    branch of the first chart. The effective branch of each chart follows
+    the unwrapped tangent angle so that neighbouring charts extend each
+    other rather than jumping to a different sheet; each full turn of the
+    tangent shifts the branch index by 2 mod n.
     """
     spacing = float(spacing)
     if spacing <= 0:
         raise ValueError("spacing must be positive")
+    if not 0 <= branch < n:
+        raise ValueError("branch must lie in [0, n)")
     if arc.closed:
-        gate = existence_gate(arc, n, samples=gate_samples)
+        gate = existence_gate(arc, n)
         if not gate.ok:
             raise GateObstructionError(
                 f"closed arc obstruction: branch shift {gate.shift} mod {n}"
@@ -672,12 +676,6 @@ def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
         count = max(1, math.ceil((hi - lo) / spacing - 1e-9))
         eff = (hi - lo) / count
         centers = [lo + (j + 0.5) * eff for j in range(count)]
-    halfwidth = 0.75 * eff if t_halfwidth is None else float(t_halfwidth)
-    if halfwidth < 0.5 * eff:
-        raise CoverageError(
-            f"chart halfwidth {halfwidth:.4g} below half the spacing "
-            f"{eff:.4g}; atlas would leave gaps"
-        )
     # dense unwrap grid through the centers
     refine = 16
     if len(centers) == 1:
@@ -765,6 +763,8 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     sample point, or a non-finite distance at a counted sample, raises
     ``NonFiniteError`` rather than passing as a sup.
     """
+    if not float(sigma_max) > 0:
+        raise ValueError("sigma_max must be positive")
     sigma_max = ctx.real(sigma_max)
     w1 = ctx.real(t_halfwidth if t_halfwidth is not None
                   else 4 * float(sigma_max))

@@ -214,33 +214,30 @@ def plane_oracle(n: int, trials: int = 20, tolerance: float = 1e-12,
 # branch separation
 
 
-def branch_separation(arc: ArcSpec, n: int, K: int, D: Optional[int] = None,
-                      s0: Optional[float] = None, sigma_lo: float = 0.01,
-                      sigma_hi: float = 0.05, sigma_steps: int = 5,
-                      t_halfwidth: float = 0.1, t_points: int = 9,
+def branch_separation(arc: ArcSpec, n: int, K: int, sigma_steps: int = 5,
+                      t_points: int = 9,
                       tolerance: float = 1e-13) -> OracleResult:
     """All branch pairs separate linearly in sigma and coincide on the arc.
 
-    For each pair j < k the minimum distance between branch point sets at
-    fixed sigma is fitted to c * sigma through the origin; every fitted c
-    must be positive. The reported residual is the worst coincidence
-    defect at sigma = 0.
+    The n charts are built at the middle of the arc's domain with degree
+    budget max(4K, 12). For each pair j < k the minimum distance between
+    branch point sets over |t| <= 0.1, at fixed sigma in [0.01, 0.05], is
+    fitted to c * sigma through the origin; every fitted c must be
+    positive. The reported residual is the worst coincidence defect at
+    sigma = 0.
     """
     gate = existence_gate(arc, n)
     if not gate.ok:
         raise GateObstructionError(
             f"branch field is obstructed (shift {gate.shift})"
         )
-    if D is None:
-        D = max(4 * K, 12)
-    if s0 is None:
-        lo, hi = arc.domain
-        s0 = 0.5 * (lo + hi)
-    charts = [extend_arc(arc, s0, n=n, K=K, D=D, branch=j, with_radius=False)
+    lo, hi = arc.domain
+    charts = [extend_arc(arc, 0.5 * (lo + hi), n=n, K=K, D=max(4 * K, 12),
+                         branch=j, with_radius=False)
               for j in range(n)]
     u = sphere_points(n, 1)[0]
-    ts = np.linspace(-t_halfwidth, t_halfwidth, t_points)
-    sigmas = np.linspace(sigma_lo, sigma_hi, sigma_steps)
+    ts = np.linspace(-0.1, 0.1, t_points)
+    sigmas = np.linspace(0.01, 0.05, sigma_steps)
 
     def cloud(chart, s):
         return [np.array(chart_point(chart, float(t), float(s), u).z)
@@ -278,13 +275,14 @@ def branch_separation(arc: ArcSpec, n: int, K: int, D: Optional[int] = None,
 # combined chart report
 
 
-def chart_residual_report(chart: Chart, sigma_max: float,
-                          t_halfwidth: float = 0.1, nt: int = 9, ns: int = 7,
-                          h: float = 1e-5) -> dict:
-    """PDE, symplectic, volume, and momentum residuals of one chart over a
-    (t, sigma) grid, as a plain dict ready for serialization."""
+def chart_residual_report(chart: Chart, sigma_max: float, nt: int = 9,
+                          ns: int = 7) -> dict:
+    """PDE, symplectic, volume, and momentum residuals of one chart over an
+    nt x ns grid of |t| <= 0.1, 0 < sigma <= sigma_max, as a plain dict
+    ready for serialization."""
     from .ambient import chart_parametrization, momentum_so_n, phi_map
 
+    t_halfwidth = 0.1
     ts = [(-t_halfwidth + 2 * t_halfwidth * i / (nt - 1)) for i in range(nt)]
     sig = [sigma_max * (j + 1) / ns for j in range(ns)]
     pde = pde_residual(chart.phi, ts, sig)
@@ -294,7 +292,7 @@ def chart_residual_report(chart: Chart, sigma_max: float,
     omega = upsilon = momentum = 0.0
     for t in ts[:: max(1, nt // 4)]:
         for s in sig[:: max(1, ns // 3)]:
-            rec = slag_residual(param, [t, s] + angles0, h=h)
+            rec = slag_residual(param, [t, s] + angles0, h=1e-5)
             omega = max(omega, rec.omega_res)
             upsilon = max(upsilon, rec.upsilon_res)
     dirs = sphere_points(n, 6)

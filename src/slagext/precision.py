@@ -135,9 +135,10 @@ def context_named(spec: str) -> Context:
     raise ValueError(f"bad precision name: {spec!r}")
 
 
-def from_env(default: Context = FLOAT64) -> Context:
-    """Context selected by SLAG_PRECISION (``float64`` or ``mp<digits>``)."""
+def from_env() -> Context:
+    """Context selected by SLAG_PRECISION (``float64`` or ``mp<digits>``);
+    float64 when it is unset or blank."""
     spec = os.environ.get("SLAG_PRECISION", "").strip()
     if not spec:
-        return default
+        return FLOAT64
     return context_named(spec)

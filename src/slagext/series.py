@@ -310,10 +310,8 @@ class ComplexSeries:
         return self.re.cap
 
 
-def cs_from_real(re: TaylorPoly, im: TaylorPoly | None = None) -> ComplexSeries:
-    if im is None:
-        im = poly_zero(re.cap, like=re.coeffs[0])
-    return ComplexSeries(re, im)
+def cs_from_real(re: TaylorPoly) -> ComplexSeries:
+    return ComplexSeries(re, poly_zero(re.cap, like=re.coeffs[0]))
 
 
 def cs_add(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:

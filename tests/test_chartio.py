@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import (
-    RunConfig,
     deserialize_chart,
     embedded_cloud_rows,
     export_mesh,
@@ -147,17 +146,6 @@ def test_mp_chart_round_trip():
     assert doc["precision"] == "mp30"
     back = deserialize_chart(json.loads(json.dumps(doc)))
     assert _charts_equal(ch, back)
-
-
-def test_run_config_invariants():
-    cfg = RunConfig(n=2, K=4)
-    assert cfg.D == 16
-    with pytest.raises(ValueError):
-        RunConfig(n=1, K=1)
-    with pytest.raises(ValueError):
-        RunConfig(n=2, K=0)
-    with pytest.raises(ValueError):
-        RunConfig(n=2, K=5, D=9)
 
 
 def test_reduced_mesh_counts_and_flatness():

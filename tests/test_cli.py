@@ -147,16 +147,46 @@ def test_same_seed_is_bit_identical(tmp_path):
 
 
 def test_extend_and_atlas_take_no_seed(parabola, tmp_path, capsys):
-    # nothing in extend or atlas is random, so neither takes --seed
-    for cmd in ("extend", "atlas"):
+    # nothing in extend or atlas is random, so neither takes --seed, and
+    # extend builds charts of every sigma, so it takes no --sigma-max
+    for argv in (["extend", "--seed", "3"], ["atlas", "--seed", "3"],
+                 ["extend", "--sigma-max", "0.05"]):
         with pytest.raises(SystemExit):
-            main([cmd, "--arc", parabola, "--seed", "3"])
+            main(argv + ["--arc", parabola])
     capsys.readouterr()
     rep = tmp_path / "rep.json"
     rc = main(["extend", "--arc", parabola, "--n", "2", "--K", "2",
                "--report", str(rep)])
     assert rc == 0
-    assert "seed" not in _read(rep)["config"]
+    # only extend's own flags, with D = 2K + 8 when --D is absent
+    assert _read(rep)["config"] == {"n": 2, "K": 2, "D": 12, "branch": None}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["extend", "--n", "1"], id="extend-n1"),
+    pytest.param(["extend", "--K", "0"], id="extend-K0"),
+    pytest.param(["extend", "--K", "5", "--D", "9"], id="extend-K5-D9"),
+    pytest.param(["atlas", "--n", "1"], id="atlas-n1"),
+    pytest.param(["atlas", "--K", "0"], id="atlas-K0"),
+    pytest.param(["atlas", "--K", "5", "--D", "9"], id="atlas-K5-D9"),
+    pytest.param(["atlas", "--K", "2", "--spacing", "1.0", "--sigma-max",
+                  "0"], id="atlas-sigma0"),
+    pytest.param(["atlas", "--K", "2", "--spacing", "5", "--sigma-max", "0"],
+                 id="atlas-one-chart-sigma0"),
+])
+def test_bad_run_settings_are_errors(parabola, capsys, argv):
+    rc = main(argv + ["--arc", parabola])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("branch", ["7", "-1"])
+def test_atlas_rejects_branch_outside_range(capsys, branch):
+    rc = main(["atlas", "--arc", "circle", "--n", "2", "--K", "4", "--D",
+               "24", "--spacing", "0.5", "--sigma-max", "0.04",
+               f"--branch={branch}"])
+    assert rc == 1
+    assert "error: branch must lie in [0, n)" in capsys.readouterr().err
 
 
 def test_bad_arc_path_is_an_error(capsys):

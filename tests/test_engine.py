@@ -358,6 +358,21 @@ def test_atlas_construction_and_gate():
     assert len(charts) >= 4
 
 
+def test_atlas_rejects_branch_outside_range():
+    for branch in (2, 7, -1):
+        with pytest.raises(ValueError, match=r"branch must lie in \[0, n\)"):
+            build_atlas(unit_circle_arc(), 2, 4, 16, 0.5, branch=branch)
+
+
+def test_overlap_rejects_nonpositive_sigma():
+    arc = unit_circle_arc()
+    c1 = extend_arc(arc, 0.0, n=2, K=4, D=16, with_radius=False)
+    c2 = extend_arc(arc, 0.5, n=2, K=4, D=16, with_radius=False)
+    for sigma_max in (0.0, -0.05, math.nan):
+        with pytest.raises(ValueError, match="sigma_max must be positive"):
+            overlap_agreement(c1, c2, sigma_max)
+
+
 def test_overlap_identical_and_adjacent():
     arc = unit_circle_arc()
     spacing = 2 * math.pi / 12

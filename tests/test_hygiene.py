@@ -1,5 +1,6 @@
-"""Source hygiene: every name a slagext module imports is used in it, and
-every module-level private helper is referenced somewhere in the package."""
+"""Source hygiene: every name a slagext module imports is used in it, every
+module-level private helper is referenced somewhere in the package, and
+every defaulted parameter is set by some call in the repository."""
 from __future__ import annotations
 
 import ast
@@ -9,6 +10,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slagext"
 MODULES = sorted(SRC.glob("*.py"))
+ROOT = SRC.parent.parent
+CALLERS = ("src", "tests", "scripts", "perfbench")
 
 
 def _imported(tree: ast.AST) -> dict:
@@ -121,3 +124,117 @@ def test_detects_an_unreferenced_private_helper():
     b = ast.parse("from .a import _shared\n")
     assert _unreferenced_private({"a": a, "b": b}) == ["a._Orphan",
                                                        "a._recursive"]
+
+
+def _defaulted(tree: ast.AST, mod: str) -> dict:
+    """``module.function.param`` -> (called name, param, position or None)
+    of every defaulted parameter of a module-level function or a method.
+    A class's ``__init__`` is called by the class name, and a keyword-only
+    parameter has no position."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                called_as = node.name if item.name == "__init__" else item.name
+                defs.append((f"{node.name}.{item.name}", called_as, item,
+                             0 if static else 1))
+    found = {}
+    for label, called_as, fn, skip in defs:
+        positional = (fn.args.posonlyargs + fn.args.args)[skip:]
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            found[f"{mod}.{label}.{arg.arg}"] = (called_as, arg.arg, i)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[f"{mod}.{label}.{arg.arg}"] = (called_as, arg.arg, None)
+    return found
+
+
+def _dict_keys(node: ast.AST):
+    """Keys of a ``dict(k=...)`` call or a dict literal, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and not node.args):
+        return {k.arg for k in node.keywords}
+    if isinstance(node, ast.Dict):
+        return {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    return None
+
+
+def _call_settings(tree: ast.AST) -> dict:
+    """Called name -> (positional count, keywords) of each call in ``tree``.
+    A ``*args`` counts as every position; ``**`` of a ``dict(...)``, of a
+    dict literal, or of a name assigned one in ``tree`` counts as its keys,
+    and any other ``**`` as every keyword."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _dict_keys(node.value) is not None:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, set()).update(
+                        _dict_keys(node.value))
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        count = float("inf") if starred else len(node.args)
+        keys = set()
+        for kw in node.keywords:
+            if kw.arg is not None:
+                keys.add(kw.arg)
+            elif _dict_keys(kw.value) is not None:
+                keys.update(_dict_keys(kw.value))
+            elif isinstance(kw.value, ast.Name) and kw.value.id in bound:
+                keys.update(bound[kw.value.id])
+            else:
+                keys.add("**")
+        calls.setdefault(name, []).append((count, keys))
+    return calls
+
+
+def _unset_options(defined: dict, calls: dict) -> list:
+    """Each defaulted parameter that no call sets by keyword or position."""
+    unset = []
+    for label, (name, param, pos) in defined.items():
+        if not any(param in keys or "**" in keys
+                   or (pos is not None and count > pos)
+                   for count, keys in calls.get(name, ())):
+            unset.append(label)
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_some_call():
+    defined = {}
+    for p in MODULES:
+        defined.update(_defaulted(ast.parse(p.read_text()), p.stem))
+    calls = {}
+    for top in CALLERS:
+        for p in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(p.read_text(), filename=str(p))
+            for name, sites in _call_settings(tree).items():
+                calls.setdefault(name, []).extend(sites)
+    unset = _unset_options(defined, calls)
+    assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_detects_an_unset_option():
+    src = ast.parse("def f(a, b=1, c=2, *, d=3):\n    return a\n"
+                    "class K:\n    def __init__(self, x=0):\n        pass\n"
+                    "    def m(self, y=1, z=2):\n        pass\n"
+                    "def g(p=0, q=1):\n    return p\n")
+    caller = ast.parse("f(0, 5)\nK(x=1)\nkw = dict(z=4)\nobj.m(**kw)\n"
+                       "g(*args)\n")
+    assert _unset_options(_defaulted(src, "a"), _call_settings(caller)) == [
+        "a.K.m.y", "a.f.c", "a.f.d"]
