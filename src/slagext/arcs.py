@@ -76,7 +76,6 @@ class Frame:
 class NormalizedArc:
     f0: TaylorPoly
     frame: Frame
-    base_param: object
 
 
 def local_series(arc: ArcSpec, s0, cap: int) -> tuple:
@@ -145,7 +144,7 @@ def load_arc(doc: dict, ctx: Context = FLOAT64) -> ArcSpec:
         )
     else:
         raise ValueError(f"unknown arc kind {kind!r}")
-    _check_regular(arc, ctx)
+    _check_regular(arc)
     return arc
 
 
@@ -163,7 +162,7 @@ def _domain(doc, ctx):
     return (lo, hi)
 
 
-def _check_regular(arc: ArcSpec, ctx: Context):
+def _check_regular(arc: ArcSpec):
     if arc.kind == "graph":
         return
     samples = 64
@@ -171,9 +170,9 @@ def _check_regular(arc: ArcSpec, ctx: Context):
     for j in range(samples + 1):
         s = lo + (hi - lo) * j / samples
         tx, ty = arc_tangent(arc, s)
-        if ctx.to_float(tx * tx + ty * ty) < 1e-18:
+        if float(tx * tx + ty * ty) < 1e-18:
             raise NormalizationError(
-                f"singular parametrization near s = {ctx.to_float(s):.6g}"
+                f"singular parametrization near s = {float(s):.6g}"
             )
 
 
@@ -230,7 +229,7 @@ def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
     x0, y0 = X.coeffs[0], Y.coeffs[0]
     tx, ty = X.coeffs[1], Y.coeffs[1]
     speed2 = tx * tx + ty * ty
-    if ctx.to_float(speed2) < 1e-18:
+    if float(speed2) < 1e-18:
         raise NormalizationError("singular parametrization at the base point")
     beta = ctx.atan2(ty, tx)
     two_pi = 2 * ctx.pi()
@@ -240,11 +239,11 @@ def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
     ys = TaylorPoly((y0 * 0,) + Y.coeffs[1:])
     u = _lin_comb(c, xs, -s, ys)
     v = _lin_comb(s, xs, c, ys)
-    if not ctx.to_float(u.coeffs[1]) > 0:
+    if not float(u.coeffs[1]) > 0:
         raise NormalizationError("frame rotation failed to orient the tangent")
     gtilde = poly_compose_inverse(v, u)
-    scale = max(1.0, max(abs(ctx.to_float(cc)) for cc in gtilde.coeffs))
-    if abs(ctx.to_float(gtilde.coeffs[1])) > 1e-10 * scale:
+    scale = max(1.0, max(abs(float(cc)) for cc in gtilde.coeffs))
+    if abs(float(gtilde.coeffs[1])) > 1e-10 * scale:
         raise NormalizationError("tangent not eliminated by the frame")
     # the linear term is zero by construction; clear the rounding residue
     z = gtilde.coeffs[0] * 0
@@ -252,7 +251,7 @@ def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
     f0 = poly_truncate(poly_antiderivative(gtilde), cap)
     a = -(ctx.exp_i(chi) * ctx.make_complex(x0, y0))
     theta = chi / n
-    return NormalizedArc(f0=f0, frame=Frame(a=a, theta=theta), base_param=s0)
+    return NormalizedArc(f0=f0, frame=Frame(a=a, theta=theta))
 
 
 def _lin_comb(ca, a: TaylorPoly, cb, b: TaylorPoly) -> TaylorPoly:

@@ -24,15 +24,13 @@ SCHEMA_VERSION = 1
 
 
 def encode_real(x) -> str:
-    """Shortest decimal string that reloads to the exact same value."""
-    if isinstance(x, (int, float)):
+    """Shortest decimal string that reloads to the exact same value: the
+    float repr, or for an mpmath scalar enough digits for the precision of
+    its own mpmath context."""
+    mp = getattr(x, "context", None)
+    if mp is None:
         return repr(float(x))
-    import mpmath
-
-    if isinstance(x, mpmath.mpf):
-        digits = int(mpmath.mp.prec * 0.30103) + 3
-        return mpmath.nstr(x, digits)
-    return repr(float(x))
+    return mp.nstr(x, int(mp.prec * 0.30103) + 3)
 
 
 def _decode_real(s, ctx: Context):
@@ -52,11 +50,9 @@ def _fields(value, what: str, keys) -> dict:
 
 
 def serialize_chart(chart: Chart) -> dict:
-    prec = "float64"
-    if not isinstance(chart.phi.terms[0].coeffs[0], float):
-        import mpmath
-
-        prec = f"mp{mpmath.mp.dps}"
+    # labelled from the chart's own scalars, whatever else is in the process
+    c = chart.phi.terms[0].coeffs[0]
+    prec = "float64" if isinstance(c, float) else f"mp{c.context.dps}"
     doc = {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,

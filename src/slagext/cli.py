@@ -95,7 +95,7 @@ def cmd_extend(args) -> int:
         "charts": [
             {
                 "branch": ch.branch,
-                "frame_theta": encode_real(float(ctx.to_float(ch.frame.theta))),
+                "frame_theta": encode_real(float(ch.frame.theta)),
                 "radius": None if ch.radius is None else {
                     "rho_sigma": encode_real(ch.radius.rho_sigma),
                     "fit_quality": encode_real(ch.radius.fit_quality),

@@ -304,17 +304,21 @@ def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, slots: int,
 
 def extend_series(f0: TaylorPoly, n: int, K: int) -> SigmaExpansion:
     """Solve for f_1..f_K; returns the expansion at the common cap D - 2K."""
+    _require_order(K, f0.cap)
+    f0 = _require_flat_base(f0)
+    cap_out = f0.cap - 2 * K
+    uniform = tuple(poly_truncate(f, cap_out) for f in _solve(f0, n, K))
+    return SigmaExpansion(n=n, terms=uniform)
+
+
+def _require_order(K: int, D: int) -> None:
+    """Reject an order K below 1, or a degree cap D too small for it."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    f0 = _require_flat_base(f0)
-    D = f0.cap
     if D < 2 * K:
         raise DegreeExhaustionError(
             f"degree cap {D} supports at most K = {D // 2}; requested {K}"
         )
-    cap_out = D - 2 * K
-    uniform = tuple(poly_truncate(f, cap_out) for f in _solve(f0, n, K))
-    return SigmaExpansion(n=n, terms=uniform)
 
 
 def _solve(f0: TaylorPoly, n: int, K: int) -> list:
@@ -384,10 +388,7 @@ def _const(c, cap, like):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    max_pde: Optional[float]
-    max_omega: Optional[float]
-    max_upsilon: Optional[float]
-    max_momentum: Optional[float]
+    max_pde: float
     samples: int
     grid: str
 
@@ -420,10 +421,7 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
         f"t[{float(min(t_values)):.4g},{float(max(t_values)):.4g}]x"
         f"sigma[{float(min(sigma_values)):.4g},{float(max(sigma_values)):.4g}]"
     )
-    return ResidualReport(
-        max_pde=worst, max_omega=None, max_upsilon=None, max_momentum=None,
-        samples=count, grid=grid,
-    )
+    return ResidualReport(max_pde=worst, samples=count, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +640,7 @@ def extend_arc(arc: ArcSpec, s0, n: int, K: int, D: int, branch: int = 0,
     radius = estimate_radius(exp) if with_radius else None
     return Chart(
         n=n, branch=branch, frame=na.frame, phi=exp, radius=radius,
-        center_param=float(ctx.to_float(s0)),
+        center_param=float(s0),
     )
 
 
@@ -661,6 +659,8 @@ def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
         raise ValueError("spacing must be positive")
     if not 0 <= branch < n:
         raise ValueError("branch must lie in [0, n)")
+    # before the gate, so that a bad order is not reported as an obstruction
+    _require_order(K, D)
     if arc.closed:
         gate = existence_gate(arc, n)
         if not gate.ok:
@@ -800,9 +800,8 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
                                     + np.abs(grid_z - p1f[1]) ** 2))
             i, j = divmod(nearest, len(seed_s))
             t2, s2 = ctx.real(seed_t[i]), ctx.real(seed_s[j])
-            t2, s2, dist = _gauss_newton_project(
-                map2, p1, t2, s2, ctx, gn_iterations
-            )
+            t2, s2, dist = _gauss_newton_project(map2, p1, t2, s2,
+                                                 gn_iterations)
             # written so that a NaN foot fails the window test
             if not (float(abs(t2)) <= 1.05 * float(w2)
                     and float(abs(s2)) <= 1.2 * float(sigma_max)):
@@ -821,8 +820,9 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     return worst
 
 
-def _gauss_newton_project(cmap: ReducedChartMap, target, t, s, ctx,
+def _gauss_newton_project(cmap: ReducedChartMap, target, t, s,
                           iterations: int):
+    ctx = cmap.ctx
     tiny = ctx.real(ctx.eps) * 100
     for _ in range(iterations):
         (w, z), (dw_dt, dw_ds, dz_dt, dz_ds) = cmap.point_and_jacobian(t, s)

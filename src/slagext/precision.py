@@ -42,9 +42,6 @@ class FloatContext:
             return re + 1j * im
         return complex(re, im)
 
-    def to_float(self, x) -> float:
-        return float(x)
-
     def pi(self) -> float:
         return math.pi
 
@@ -67,9 +64,10 @@ class FloatContext:
 class MPContext:
     """mpmath scalars at a fixed working precision.
 
-    Constructing a context sets the global mpmath precision; mpmath
-    arithmetic always runs at the precision active at call time, so keep a
-    single mp context alive per computation.
+    Each context computes in its own ``mpmath.MPContext``, and every scalar
+    it makes belongs to that mpmath context, whose precision its arithmetic
+    keeps. So contexts of different precision can live in one process, and
+    none of them reads or writes mpmath's process-wide ``mpmath.mp``.
     """
 
     def __init__(self, dps: int):
@@ -77,39 +75,33 @@ class MPContext:
             raise ValueError("mp context needs at least 16 digits")
         self.dps = int(dps)
         self.name = f"mp{self.dps}"
-        mpmath.mp.dps = self.dps
-        self.eps = float(mpmath.mpf(10) ** (1 - self.dps))
+        self._mp = mpmath.MPContext()
+        self._mp.dps = self.dps
+        self.eps = float(self._mp.mpf(10) ** (1 - self.dps))
 
-    def real(self, x) -> mpmath.mpf:
-        mpmath.mp.dps = self.dps
-        if isinstance(x, str):
-            return mpmath.mpf(x)
-        return mpmath.mpf(x)
+    def real(self, x):
+        return self._mp.mpf(x)
 
-    def make_complex(self, re, im) -> mpmath.mpc:
-        return mpmath.mpc(re, im)
-
-    def to_float(self, x) -> float:
-        return float(x)
+    def make_complex(self, re, im):
+        return self._mp.mpc(re, im)
 
     def pi(self):
-        mpmath.mp.dps = self.dps
-        return +mpmath.pi
+        return +self._mp.pi
 
     def sqrt(self, x):
-        return mpmath.sqrt(x)
+        return self._mp.sqrt(x)
 
     def sin(self, x):
-        return mpmath.sin(x)
+        return self._mp.sin(x)
 
     def cos(self, x):
-        return mpmath.cos(x)
+        return self._mp.cos(x)
 
     def atan2(self, y, x):
-        return mpmath.atan2(y, x)
+        return self._mp.atan2(y, x)
 
-    def exp_i(self, theta) -> mpmath.mpc:
-        return mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
+    def exp_i(self, theta):
+        return self._mp.mpc(self._mp.cos(theta), self._mp.sin(theta))
 
 
 Context = Union[FloatContext, MPContext]
@@ -118,7 +110,12 @@ FLOAT64 = FloatContext()
 
 
 def mp_context(dps: int = 50) -> MPContext:
-    return MPContext(dps)
+    """An ``MPContext``, with ``mpmath.mp`` set to the same precision for
+    callers that compute with mpmath directly. Nothing in the package
+    reads ``mpmath.mp``, and this is the only place that writes it."""
+    ctx = MPContext(dps)
+    mpmath.mp.dps = ctx.dps
+    return ctx
 
 
 def context_named(spec: str) -> Context:

@@ -19,6 +19,7 @@ from slagext.chartio import (
 )
 from slagext.engine import extend_arc
 from slagext.errors import SchemaError
+from slagext.precision import MPContext
 from slagext.series import poly_from
 from conftest import random_flat_potential
 
@@ -146,6 +147,34 @@ def test_mp_chart_round_trip():
     assert doc["precision"] == "mp30"
     back = deserialize_chart(json.loads(json.dumps(doc)))
     assert _charts_equal(ch, back)
+
+
+def _mp_graph_chart(dps, s0="0.1", K=6, D=24):
+    ctx = MPContext(dps)
+    return extend_arc(graph_arc(["0", "0", "0.5", "0.1"], ctx=ctx),
+                      ctx.real(s0), n=2, K=K, D=D, ctx=ctx)
+
+
+def test_mp_chart_label_ignores_later_contexts():
+    # the label and the digits written come from the chart's own scalars,
+    # not from the last precision context made in the process
+    ch = _mp_graph_chart(40)
+    MPContext(20)
+    doc = json.loads(json.dumps(serialize_chart(ch)))
+    assert doc["precision"] == "mp40"
+    assert deserialize_chart(doc) == ch
+
+
+@given(st.data(),
+       st.lists(st.integers(16, 60), min_size=2, max_size=3, unique=True),
+       st.floats(-0.3, 0.3))
+@settings(max_examples=15, deadline=None)
+def test_mixed_precision_round_trip_property(data, digits, s0):
+    charts = [_mp_graph_chart(dps, s0=s0, K=2, D=8) for dps in digits]
+    for i in data.draw(st.permutations(range(len(digits)))):
+        doc = json.loads(json.dumps(serialize_chart(charts[i])))
+        assert doc["precision"] == f"mp{digits[i]}"
+        assert deserialize_chart(doc) == charts[i]
 
 
 def test_reduced_mesh_counts_and_flatness():

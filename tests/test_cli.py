@@ -173,9 +173,16 @@ def test_extend_and_atlas_take_no_seed(parabola, tmp_path, capsys):
                   "0"], id="atlas-sigma0"),
     pytest.param(["atlas", "--K", "2", "--spacing", "5", "--sigma-max", "0"],
                  id="atlas-one-chart-sigma0"),
+    # on an obstructed closed arc, a bad K or D is still a bad setting,
+    # not an obstruction report
+    pytest.param(["atlas", "--arc", "circle", "--n", "3", "--K", "0"],
+                 id="atlas-circle-n3-K0"),
+    pytest.param(["atlas", "--arc", "circle", "--n", "3", "--K", "4", "--D",
+                  "5"], id="atlas-circle-n3-K4-D5"),
 ])
 def test_bad_run_settings_are_errors(parabola, capsys, argv):
-    rc = main(argv + ["--arc", parabola])
+    arc = [] if "--arc" in argv else ["--arc", parabola]
+    rc = main(argv + arc)
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 

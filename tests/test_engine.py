@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from slagext.errors import (
     GateObstructionError,
     NonFiniteError,
 )
-from slagext.precision import FLOAT64, mp_context
+from slagext.precision import FLOAT64, MPContext, mp_context
 from slagext.series import (
     ComplexSeries,
     EvenSeries,
@@ -211,6 +212,25 @@ def test_online_recursion_matches_rebuild_mp40():
     want = _rebuild_extend(f0, 2, 8)
     got = extend_series(f0, 2, 8).terms
     assert _worst_relative(got, want) <= 1e-36
+
+
+def test_mp_residual_ignores_other_contexts():
+    # an mp40 chart computes at 40 digits whatever other contexts exist and
+    # whatever precision mpmath.mp is left at
+    ctx = MPContext(40)
+    ch = extend_arc(graph_arc(["0", "0", "0.5", "0.1"], ctx=ctx),
+                    ctx.real("0.1"), n=2, K=6, D=24, ctx=ctx)
+    ts = [ctx.real(j) / 20 for j in range(-3, 4)]
+    ss = [ctx.real(j) / 80 for j in range(1, 5)]
+    before = pde_residual(ch.phi, ts, ss).max_pde
+    dps = mpmath.mp.dps
+    try:
+        MPContext(20)
+        mpmath.mp.dps = 15
+        after = pde_residual(ch.phi, ts, ss).max_pde
+    finally:
+        mpmath.mp.dps = dps
+    assert after == before
 
 
 def _online_pde(terms, n, cap):
@@ -460,8 +480,7 @@ def _overlap_scalar_seed(c1, c2, sigma_max, w, iterations):
                           -sigma_max + 2 * sigma_max * js / 4)
             (t2, s2), _ = min(grid, key=lambda g: abs(g[1][0] - p1[0]) ** 2
                               + abs(g[1][1] - p1[1]) ** 2)
-            t2, s2, d = _gauss_newton_project(m2, p1, t2, s2, FLOAT64,
-                                              iterations)
+            t2, s2, d = _gauss_newton_project(m2, p1, t2, s2, iterations)
             if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
                 worst = d if worst is None or d > worst else worst
     return worst
@@ -511,10 +530,10 @@ def test_overlap_skips_divergent_feet_outside_window(monkeypatch):
     project = engine._gauss_newton_project
     calls = []
 
-    def diverge_on_even_samples(cmap, target, t, s, ctx, iterations):
+    def diverge_on_even_samples(cmap, target, t, s, iterations):
         calls.append(None)
         if len(calls) % 2:
-            return project(cmap, target, t, s, ctx, iterations)
+            return project(cmap, target, t, s, iterations)
         return (math.inf, s, math.nan) if len(calls) % 4 else (
             math.nan, math.nan, math.inf)
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a slagext module imports is used in it, every
-module-level private helper is referenced somewhere in the package, and
-every defaulted parameter is set by some call in the repository."""
+module-level private helper is referenced somewhere in the package, every
+defaulted parameter is set by some call in the repository, and only the
+precision module imports mpmath."""
 from __future__ import annotations
 
 import ast
@@ -67,6 +68,37 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom typing import List, Optional\n"
                      "def f(x: 'Optional[int]'):\n    return os.sep\n")
     assert sorted(set(_imported(tree)) - _used(tree)) == ["List"]
+
+
+def _mpmath_importers(trees: dict) -> list:
+    """Each module whose tree imports mpmath or a submodule of it, at any
+    depth."""
+    def imports_mpmath(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "mpmath")
+
+    return sorted(mod for mod, tree in trees.items()
+                  if any(imports_mpmath(node) for node in ast.walk(tree)))
+
+
+def test_only_precision_imports_mpmath():
+    # precision lives in the scalars that precision.py makes; a module that
+    # reaches for mpmath itself would bypass them
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    assert _mpmath_importers(trees) == ["precision"]
+
+
+def test_detects_an_mpmath_import():
+    trees = {
+        "a": ast.parse("def f(x):\n    import mpmath\n    return x\n"),
+        "b": ast.parse("from mpmath.libmp import to_str\n"),
+        "c": ast.parse("import math\nfrom .mpmath_notes import y\n"),
+        "d": ast.parse("import numpy as np, mpmath as mp\n"),
+    }
+    assert _mpmath_importers(trees) == ["a", "b", "d"]
 
 
 def _private_defs(tree: ast.AST) -> dict:

@@ -317,9 +317,10 @@ def test_sigma_expansion_invariants():
 def test_mixed_precision_scalars_supported():
     import mpmath
 
-    mpmath.mp.dps = 40
-    a = poly_from([mpmath.mpf(0), mpmath.mpf(1)], cap=6)
-    y = analytic_compose("tan", a)
-    assert abs(y.coeffs[3] - mpmath.mpf(1) / 3) < mpmath.mpf(10) ** -35
-    r = poly_reciprocal(poly_from([mpmath.mpf(1), mpmath.mpf(-1)], cap=6))
-    assert r.coeffs[6] == 1
+    with mpmath.workdps(40):
+        a = poly_from([mpmath.mpf(0), mpmath.mpf(1)], cap=6)
+        y = analytic_compose("tan", a)
+        assert abs(y.coeffs[3] - mpmath.mpf(1) / 3) < mpmath.mpf(10) ** -35
+        r = poly_reciprocal(poly_from([mpmath.mpf(1), mpmath.mpf(-1)],
+                                      cap=6))
+        assert r.coeffs[6] == 1
