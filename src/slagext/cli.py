@@ -163,8 +163,8 @@ def cmd_oracle(args) -> int:
     elif which == "circle":
         ctx = from_env()
         ch = extend_arc(unit_circle_arc(ctx), ctx.real(0.0), n=args.n,
-                        K=args.K, D=args.D or (4 * args.K), ctx=ctx,
-                        with_radius=False)
+                        K=args.K, D=args.D or max(4 * args.K, 2 * args.K + 16),
+                        ctx=ctx, with_radius=False)
         res = oracles.unit_circle_residual(args.n, ch, args.sigma_max,
                                            samples=args.samples,
                                            tolerance=args.tolerance)
@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = os_sub.add_parser("circle")
     _add_common(q, "n", "K", "sigma-max", "out")
     q.add_argument("--D", type=int, default=None,
-                   help="total degree budget (default 4K)")
+                   help="total degree budget (default max(4K, 2K+16), "
+                        "so f_k keep at least 16 t-degrees)")
     q.add_argument("--samples", type=int, default=500)
     q.add_argument("--tolerance", type=float, default=1e-8)
     q.set_defaults(func=cmd_oracle)

@@ -13,6 +13,11 @@ complex, mpf and mpc all share.
 
 The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
+
+``truncated_product`` is the one multiplication kernel per scalar type
+behind ``series.poly_mul``: a numpy convolution for Python floats, an exact
+big-integer (Kronecker) product rounded once per coefficient for mpf, and
+the generic loop for every other scalar.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from typing import Any, Union
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, round_nearest
 
 Scalar = Any
 CScalar = Any
@@ -139,3 +145,80 @@ def from_env() -> Context:
     if not spec:
         return FLOAT64
     return context_named(spec)
+
+
+def truncated_product(ca: tuple, cb: tuple) -> list:
+    """Coefficients 0..len(ca)-1 of the product of two equal-length
+    coefficient sequences, by the kernel of their scalar type.
+
+    Python floats go through one numpy convolution. mpf of one mpmath
+    context go through one exact big-integer product, each coefficient
+    then rounded once at that context's precision. Everything else
+    (Fraction, int, mixed scalars, and mpf holding NaN or an infinity)
+    takes the generic loop, which is exact over an exact field.
+    """
+    kinds = {*map(type, ca), *map(type, cb)}
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            return np.convolve(ca, cb)[:len(ca)].tolist()
+        mp = getattr(kind, "context", None)
+        if mp is not None and kind is mp.mpf:
+            out = _mpf_product(ca, cb, mp)
+            if out is not None:
+                return out
+    return _loop_product(ca, cb)
+
+
+def _loop_product(ca, cb) -> list:
+    out = []
+    for d in range(len(ca)):
+        acc = ca[0] * cb[d]
+        for j in range(1, d + 1):
+            acc = acc + ca[j] * cb[d - j]
+        out.append(acc)
+    return out
+
+
+def _mpf_product(ca, cb, mp) -> list | None:
+    """Kronecker substitution: each operand becomes one Python int whose
+    fixed-width slots hold its coefficients as exact integers over a shared
+    exponent, so one multiplication gives every exact product coefficient.
+    None when a coefficient is NaN or infinite, which the integers cannot
+    hold."""
+    ia, ea = _exact_mantissas(ca)
+    ib, eb = _exact_mantissas(cb)
+    if ia is None or ib is None:
+        return None
+    n = len(ca)
+    bits = (max(abs(x) for x in ia).bit_length()
+            + max(abs(x) for x in ib).bit_length() + n.bit_length())
+    # every exact product coefficient is below 2**bits <= half a slot
+    size = bits // 8 + 1
+    width = 8 * size
+    packed_a = packed_b = 0
+    for x, y in zip(reversed(ia), reversed(ib)):
+        packed_a = (packed_a << width) + x
+        packed_b = (packed_b << width) + y
+    # offset each of the low n slots by half its range, so that they read
+    # back as unsigned bytes with no borrow between slots
+    half = 1 << (width - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    low = (packed_a * packed_b + offset) & ((1 << (width * n)) - 1)
+    raw = low.to_bytes(size * n, "little")
+    exp, prec, make = ea + eb, mp.prec, mp.make_mpf
+    return [make(from_man_exp(
+                int.from_bytes(raw[k:k + size], "little") - half,
+                exp, prec, round_nearest))
+            for k in range(0, size * n, size)]
+
+
+def _exact_mantissas(cs):
+    """Signed integers m_j and one exponent e with c_j == m_j * 2**e
+    exactly, or (None, 0) when some c_j is NaN or infinite."""
+    raw = [x._mpf_ for x in cs]
+    if any(not man and exp for _, man, exp, _ in raw):
+        return None, 0
+    e = min((exp for _, man, exp, _ in raw if man), default=0)
+    return [(int(-man if sign else man) << (exp - e)) if man else 0
+            for sign, man, exp, _ in raw], e

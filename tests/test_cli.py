@@ -92,6 +92,17 @@ def test_oracle_subcommands(parabola, capsys):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_circle_passes_at_its_defaults(n, capsys):
+    # default K=4: D must leave the f_k enough t-degrees (D - 2K >= 16)
+    # for the default 1e-8 tolerance; D = 4K = 16 left 8 and failed
+    rc = main(["oracle", "circle", "--n", str(n)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["D"] == 24
+    assert float(doc["oracle"]["max_residual"]) < 1e-8
+    assert rc == 0
+
+
 def test_atlas_open_arc(parabola, tmp_path):
     rep = tmp_path / "atlas.json"
     rc = main(["atlas", "--arc", parabola, "--n", "2", "--K", "3",

@@ -7,6 +7,7 @@ known coefficient tables and compare jets against finite differences.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
+from slagext.precision import MPContext
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -82,6 +84,120 @@ def test_ring_axioms_exact(xs, ys, zs):
 def test_mul_requires_matching_caps():
     with pytest.raises(SeriesShapeError):
         poly_mul(frac_poly([1, 2]), frac_poly([1, 2, 3]))
+
+
+# poly_mul multiplies floats by a numpy convolution and mpf by an exact
+# big-integer product; this is the plain Cauchy loop they replace, kept as
+# the reference (and still the kernel for every other scalar type)
+def _loop_mul(ca, cb):
+    out = []
+    for d in range(len(ca)):
+        acc = ca[0] * cb[d]
+        for j in range(1, d + 1):
+            acc = acc + ca[j] * cb[d - j]
+        out.append(acc)
+    return out
+
+
+def _exact(x) -> Fraction:
+    """The exact rational value of a float or a finite mpf."""
+    if isinstance(x, float):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction((-1) ** sign * int(man)) * Fraction(2) ** int(exp)
+
+
+_float_coeff = st.builds(
+    lambda sign, mant, exp: sign * math.ldexp(mant, exp),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(min_value=0.5, max_value=1.0),
+    st.integers(min_value=-60, max_value=60),
+)
+
+
+@st.composite
+def _float_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=97))
+    coeffs = st.lists(_float_coeff, min_size=n, max_size=n)
+    return draw(coeffs), draw(coeffs)
+
+
+@given(_float_pair())
+@settings(max_examples=80, deadline=None)
+def test_float_kernel_within_summation_bound_of_loop(pair):
+    xs, ys = pair
+    got = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+    assert isinstance(got, tuple) and len(got) == len(xs)
+    assert all(type(c) is float for c in got)
+    eps = 2.0 ** -52  # float64 machine epsilon, fixed by the dtype
+    for d, (g, w) in enumerate(zip(got, _loop_mul(xs, ys))):
+        scale = sum(abs(xs[j] * ys[d - j]) for j in range(d + 1))
+        assert abs(g - w) <= 4 * (d + 1) * eps * scale
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_kernel_propagates_nan_and_inf_like_the_loop(bad):
+    xs = [1.0, bad, 0.0, 2.0, -0.5]
+    ys = [0.1, 0.2, 0.3, 0.4, 0.5]
+    got = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+    want = _loop_mul(xs, ys)
+    assert [math.isnan(g) for g in got] == [math.isnan(w) for w in want]
+    assert [g for g in got if not math.isnan(g)] == [
+        w for w in want if not math.isnan(w)]
+    assert math.isnan(got[1]) is math.isnan(bad)
+
+
+@pytest.mark.parametrize("dps", [16, 40, 60])
+def test_mp_kernel_is_correctly_rounded(dps):
+    # a_j = r 3^j and b_j = r' 0.2^j: at cap 96 the b_j span more than
+    # 2^200 and the a_j 2^150, so each product coefficient sums terms of
+    # very different sizes; each result must still be within half an ulp
+    ctx = MPContext(dps)
+    rng = random.Random(dps)
+    for n in (1, 2, 7, 25, 65, 97):
+        xs = [ctx.real(rng.uniform(-1, 1)) * ctx.real(3) ** j
+              for j in range(n)]
+        ys = [ctx.real(rng.uniform(-1, 1)) * ctx.real("0.2") ** j
+              for j in range(n)]
+        if n > 2:
+            xs[n // 2] = ctx.real(0)
+        got = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+        exact = _loop_mul([_exact(x) for x in xs], [_exact(y) for y in ys])
+        prec = xs[0].context.prec
+        assert prec >= dps * 3.32
+        for g, e in zip(got, exact):
+            assert g.context is xs[0].context
+            assert abs(_exact(g) - e) <= abs(e) / 2 ** prec
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_mp_kernel_propagates_nan_and_inf_like_the_loop(bad):
+    ctx = MPContext(40)
+    xs = [ctx.real(v) for v in ("1", bad, "0", "2")]
+    ys = [ctx.real(v) for v in ("0.1", "0.2", "0.3", "0.4")]
+    got = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+    want = _loop_mul(xs, ys)
+    assert [repr(g) for g in got] == [repr(w) for w in want]
+    assert "nan" in repr(got[2]) or "inf" in repr(got[2])
+
+
+def test_mp_kernel_ignores_other_contexts():
+    import mpmath
+
+    ctx = MPContext(40)
+    rng = random.Random(7)
+    xs = [ctx.real(rng.uniform(-1, 1)) / 3 ** j for j in range(30)]
+    ys = [ctx.real(rng.uniform(-1, 1)) for _ in range(30)]
+    before = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+    dps = mpmath.mp.dps
+    try:
+        MPContext(20)
+        mpmath.mp.dps = 15
+        after = poly_mul(poly_from(xs), poly_from(ys)).coeffs
+    finally:
+        mpmath.mp.dps = dps
+    assert [x._mpf_ for x in after] == [x._mpf_ for x in before]
+    assert all(x.context is xs[0].context for x in before + after)
 
 
 def test_reciprocal_geometric_series():
