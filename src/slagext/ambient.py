@@ -16,14 +16,20 @@ import numpy as np
 
 from .engine import Chart
 from .errors import RankError, SingularLocusError
+from .precision import complex_product
 
 
 @dataclass(frozen=True)
 class AmbientPoint:
+    """A point of C^(n+1), or with complex128 array coordinates of one
+    shape, one point per element."""
+
     z: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(complex(c) for c in self.z))
+        object.__setattr__(self, "z", tuple(
+            c.astype(np.complex128, copy=False) if isinstance(c, np.ndarray)
+            else complex(c) for c in self.z))
 
     @property
     def dim(self) -> int:
@@ -41,17 +47,20 @@ def _unit_check(u: Sequence[float]) -> Tuple[float, ...]:
 
 def phi_map(w: complex, zeta: complex, u: Sequence[float]) -> AmbientPoint:
     """(w, zeta, u) -> (w, zeta u_1, ..., zeta u_n); 2-to-1 under
-    (zeta, u) -> (-zeta, -u)."""
+    (zeta, u) -> (-zeta, -u). w and zeta may be arrays of one shape; each
+    element of the result then equals the scalar map bit for bit."""
     uu = _unit_check(u)
-    w = complex(w)
-    zeta = complex(zeta)
-    return AmbientPoint((w,) + tuple(zeta * x for x in uu))
+    if not isinstance(zeta, np.ndarray):
+        w, zeta = complex(w), complex(zeta)
+    return AmbientPoint((w,) + tuple(complex_product(zeta, x) for x in uu))
 
 
 def chart_point(chart: Chart, t: float, sigma: float,
                 u: Sequence[float]) -> AmbientPoint:
     """Ambient point of the chart surface at (t, sigma, u): graph lift,
-    branch twist, then the inverse of the normalizing motion."""
+    branch twist, then the inverse of the normalizing motion. t and sigma
+    may be float64 arrays of one shape, which give one point per element
+    from one jet evaluation."""
     w, zeta = chart.reduced_map.point(t, sigma)
     return phi_map(w, zeta, u)
 
@@ -88,10 +97,11 @@ def group_motion(p: AmbientPoint, a: complex, theta: float,
 
 def momentum_so_n(p: AmbientPoint) -> np.ndarray:
     """Antisymmetric n x n matrix (x_i y_j - y_i x_j) over the rotating
-    coordinates; vanishes exactly on rank-one configurations zeta*u."""
+    coordinates; vanishes exactly on rank-one configurations zeta*u. For
+    a point with array coordinates the matrix axes come first."""
     x = np.array([c.real for c in p.z[1:]])
     y = np.array([c.imag for c in p.z[1:]])
-    return np.outer(x, y) - np.outer(y, x)
+    return x[:, None] * y[None] - y[:, None] * x[None]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import os
 import tempfile
 from typing import Sequence
 
+import numpy as np
+
 from .ambient import chart_point, sphere_points
 from .engine import Chart, RadiusEstimate
 from .errors import SchemaError
@@ -179,6 +181,26 @@ def _grid(lo: float, hi: float, count: int) -> list:
     return [lo + j * step for j in range(count)]
 
 
+def _mesh_grid(resolution: int, sigma_max: float):
+    """The export grid |t| <= 2 sigma_max, 0 <= sigma <= sigma_max as two
+    flat float64 arrays, t-outer and sigma-inner."""
+    w = float(2 * sigma_max)
+    T, S = np.meshgrid(_grid(-w, w, resolution),
+                       _grid(0.0, float(sigma_max), resolution),
+                       indexing="ij")
+    return T.ravel(), S.ravel()
+
+
+def _text_rows(coords) -> list:
+    """Per element of the complex arrays in ``coords``, the list of its
+    real and imaginary parts in ``%.17g``, coordinate by coordinate."""
+    cols = []
+    for z in coords:
+        cols.append([f"{x:.17g}" for x in z.real.tolist()])
+        cols.append([f"{x:.17g}" for x in z.imag.tolist()])
+    return [list(row) for row in zip(*cols)]
+
+
 def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
                       sigma_max: float) -> str:
     """OBJ quad mesh of the reduced surfaces (t, sigma) -> (w, zeta).
@@ -189,19 +211,13 @@ def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
     """
     if resolution < 2:
         raise ValueError("mesh resolution must be >= 2")
-    w = float(2 * sigma_max)
+    T, S = _mesh_grid(resolution, sigma_max)
     lines = ["# reduced chart mesh: Re w, Im w, Re zeta / Im zeta"]
     faces = []
     base = 1
     for chart in charts:
-        for t in _grid(-w, w, resolution):
-            for s in _grid(0.0, float(sigma_max), resolution):
-                wv, zv = chart.reduced_map.point(t, s)
-                lines.append(
-                    "v "
-                    f"{wv.real:.17g} {wv.imag:.17g} "
-                    f"{zv.real:.17g} {zv.imag:.17g}"
-                )
+        wv, zv = chart.reduced_map.point(T, S)
+        lines += ["v " + " ".join(row) for row in _text_rows((wv, zv))]
         for i in range(resolution - 1):
             for j in range(resolution - 1):
                 v00 = base + i * resolution + j
@@ -225,21 +241,17 @@ def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
     n = charts[0].n
     if any(c.n != n for c in charts):
         raise ValueError("charts mix different n")
-    w = float(2 * sigma_max)
     header = []
     for k in range(n + 1):
         header += [f"x{k}", f"y{k}"]
     rows = [header]
+    T, S = _mesh_grid(resolution, sigma_max)
     dirs = sphere_points(n, directions)
     for chart in charts:
-        for t in _grid(-w, w, resolution):
-            for s in _grid(0.0, float(sigma_max), resolution):
-                for u in dirs:
-                    p = chart_point(chart, t, s, u)
-                    row = []
-                    for z in p.z:
-                        row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-                    rows.append(row)
+        # one array call per direction; rows run over t, then sigma, then u
+        per_dir = [_text_rows(chart_point(chart, T, S, u).z) for u in dirs]
+        for point_rows in zip(*per_dir):
+            rows += point_rows
     return rows
 
 

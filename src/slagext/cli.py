@@ -202,13 +202,13 @@ def cmd_atlas(args) -> int:
               "sigma_max": encode_real(args.sigma_max), "branch": branch,
               "spacing": encode_real(args.spacing)}
     arc = _load_arc_arg(args.arc, ctx)
-    gate = None
+    g = gate = None
     if arc.closed:
         g = existence_gate(arc, args.n)
         gate = {"ok": g.ok, "branch_shift": g.shift, "turns": g.turns}
     try:
         charts = build_atlas(arc, args.n, args.K, D, args.spacing,
-                             branch=branch, ctx=ctx)
+                             branch=branch, ctx=ctx, gate=g)
     except GateObstructionError as exc:
         report = {
             "command": "atlas",

@@ -38,7 +38,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arcs import ArcSpec, Frame, existence_gate, normalize_at, tangent_angles
+from .arcs import (
+    ArcSpec,
+    Frame,
+    GateResult,
+    existence_gate,
+    normalize_at,
+    tangent_angles,
+)
 from .errors import (
     CoverageError,
     DegreeExhaustionError,
@@ -47,7 +54,7 @@ from .errors import (
     NormalizationError,
     SeriesShapeError,
 )
-from .precision import FLOAT64, Context
+from .precision import FLOAT64, Context, complex_product
 from .series import (
     ComplexSeries,
     EvenSeries,
@@ -645,10 +652,13 @@ def extend_arc(arc: ArcSpec, s0, n: int, K: int, D: int, branch: int = 0,
 
 
 def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
-                ctx: Context = FLOAT64) -> list:
+                ctx: Context = FLOAT64,
+                gate: Optional[GateResult] = None) -> list:
     """Charts centered along the arc with branch continuity.
 
-    Closed arcs must pass the existence gate. ``branch`` in [0, n) is the
+    Closed arcs must pass the existence gate; a caller that has already
+    computed ``existence_gate(arc, n)`` passes it as ``gate``, so the
+    tangent winding is not computed twice. ``branch`` in [0, n) is the
     branch of the first chart. The effective branch of each chart follows
     the unwrapped tangent angle so that neighbouring charts extend each
     other rather than jumping to a different sheet; each full turn of the
@@ -662,7 +672,8 @@ def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,
     # before the gate, so that a bad order is not reported as an obstruction
     _require_order(K, D)
     if arc.closed:
-        gate = existence_gate(arc, n)
+        if gate is None:
+            gate = existence_gate(arc, n)
         if not gate.ok:
             raise GateObstructionError(
                 f"closed arc obstruction: branch shift {gate.shift} mod {n}"
@@ -710,7 +721,8 @@ class ReducedChartMap:
     is built, so the map computes in ``ctx`` whatever the chart's own
     precision. ``point`` takes scalars of that context or, on a float64
     map, numpy float64 arrays of equal shape, which it evaluates in one
-    pass since the jet evaluator works elementwise.
+    pass since the jet evaluator works elementwise; each element equals
+    the scalar call at that (t, sigma) bit for bit, zero signs included.
     """
 
     def __init__(self, chart: Chart, ctx: Context = FLOAT64):
@@ -730,7 +742,8 @@ class ReducedChartMap:
         jet = self.ev.jet(t, sigma)
         w_g = self.ctx.make_complex(t, jet.phi_t)
         z_g = self.ctx.make_complex(sigma, jet.phi_sigma)
-        return self.w_phase * (w_g - self.a), self.z_phase * z_g
+        return (complex_product(self.w_phase, w_g - self.a),
+                complex_product(self.z_phase, z_g))
 
     def point_and_jacobian(self, t, sigma):
         jet = self.ev.jet(t, sigma)

@@ -125,35 +125,42 @@ def unit_circle_residual(n: int, chart: Chart, sigma_max: float,
     circle: F1 = |zeta|^2 - n(|z|^2 - 1) and F2 = Re(z zeta^n) both vanish.
 
     zeta is recovered from the ambient point through the sphere direction
-    used to produce it, so the test exercises the full chart_point path.
+    used to produce it, so the test exercises the full chart_point path:
+    one array call per direction, over the samples that use it. A
+    non-finite residual makes the result non-finite, so it fails.
     """
     if chart.n != n:
         raise ValueError("chart was built for a different n")
-    m = chart.reduced_map
-    for t in np.linspace(-t_halfwidth, t_halfwidth, 7):
-        w, _ = m.point(float(t), 0.0)
-        if abs(abs(complex(w)) - 1.0) > 1e-6:
-            raise ValueError("chart is not based on the unit circle")
+    base = np.linspace(-t_halfwidth, t_halfwidth, 7)
+    w, _ = chart.reduced_map.point(base, np.zeros_like(base))
+    if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
+        raise ValueError("chart is not based on the unit circle")
 
     dirs = sphere_points(n, 8)
     nt = max(2, int(math.sqrt(samples / 2)))
     ns = max(2, (samples + nt - 1) // nt)
-    worst = 0.0
-    used = 0
-    for i in range(nt):
-        t = -t_halfwidth + 2 * t_halfwidth * i / (nt - 1)
-        for j in range(ns):
-            s = -sigma_max + 2 * sigma_max * j / (ns - 1)
-            u = dirs[(i * ns + j) % len(dirs)]
-            p = chart_point(chart, t, s, u)
-            z0 = p.z[0]
-            kmax = max(range(n), key=lambda k: abs(u[k]))
-            zeta = p.z[1 + kmax] / u[kmax]
-            f1 = sum(abs(zk) ** 2 for zk in p.z[1:]) - n * (abs(z0) ** 2 - 1.0)
-            f2 = (z0 * zeta ** n).real
-            worst = max(worst, abs(f1), abs(f2))
-            used += 1
-    return _result(f"unit-circle locus n={n}", worst, used, tolerance)
+    T, S = np.meshgrid(
+        [-t_halfwidth + 2 * t_halfwidth * i / (nt - 1) for i in range(nt)],
+        [-sigma_max + 2 * sigma_max * j / (ns - 1) for j in range(ns)],
+        indexing="ij")
+    # sample (i, j) uses direction (i * ns + j) mod 8
+    which = np.arange(T.size) % len(dirs)
+    residuals = []
+    for d, u in enumerate(dirs):
+        pick = which == d
+        if not pick.any():
+            continue
+        p = chart_point(chart, T.ravel()[pick], S.ravel()[pick], u)
+        z0 = p.z[0]
+        kmax = max(range(n), key=lambda k: abs(u[k]))
+        zeta = p.z[1 + kmax] / u[kmax]
+        f1 = (sum(np.abs(zk) ** 2 for zk in p.z[1:])
+              - n * (np.abs(z0) ** 2 - 1.0))
+        f2 = (z0 * zeta ** n).real
+        residuals.append(np.max(np.abs(f1)))
+        residuals.append(np.max(np.abs(f2)))
+    return _result(f"unit-circle locus n={n}", np.max(residuals), T.size,
+                   tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +247,9 @@ def branch_separation(arc: ArcSpec, n: int, K: int, sigma_steps: int = 5,
     sigmas = np.linspace(0.01, 0.05, sigma_steps)
 
     def cloud(chart, s):
-        return [np.array(chart_point(chart, float(t), float(s), u).z)
-                for t in ts]
+        """The ambient points over ts at sigma = s, one row per t."""
+        p = chart_point(chart, ts, np.full_like(ts, s), u)
+        return list(np.stack(p.z, axis=-1))
 
     # each branch's cloud once per sigma, and once on the arc
     clouds = [[cloud(ch, s) for s in sigmas] for ch in charts]
@@ -289,19 +297,19 @@ def chart_residual_report(chart: Chart, sigma_max: float, nt: int = 9,
     param = chart_parametrization(chart)
     n = chart.n
     angles0 = [0.7] * (n - 1)
-    omega = upsilon = momentum = 0.0
+    omega = upsilon = 0.0
     for t in ts[:: max(1, nt // 4)]:
         for s in sig[:: max(1, ns // 3)]:
             rec = slag_residual(param, [t, s] + angles0, h=1e-5)
             omega = max(omega, rec.omega_res)
             upsilon = max(upsilon, rec.upsilon_res)
-    dirs = sphere_points(n, 6)
-    for t in ts:
-        for s in sig:
-            w, zeta = chart.reduced_map.point(t, s)
-            for u in dirs:
-                p = phi_map(w, zeta, u)
-                momentum = max(momentum, float(np.max(np.abs(momentum_so_n(p)))))
+    # momentum over the whole grid: one point evaluation, one array
+    # expression per direction
+    T, S = np.meshgrid(ts, sig, indexing="ij")
+    w, zeta = chart.reduced_map.point(T, S)
+    momentum = float(np.max([
+        np.max(np.abs(momentum_so_n(phi_map(w, zeta, u))))
+        for u in sphere_points(n, 6)]))
     return {
         "n": chart.n,
         "K": chart.K,

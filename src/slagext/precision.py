@@ -9,7 +9,9 @@ A context converts external representations (ints, floats, decimal strings)
 into its scalar type and supplies the few transcendental functions the
 geometry needs. Complex scalars are built with ``make_complex`` and follow
 the native ``.real`` / ``.imag`` / ``.conjugate()`` protocol, which float,
-complex, mpf and mpc all share.
+complex, mpf and mpc all share. On float64 arrays, ``complex_array`` and
+``complex_product`` give each element bit for bit what ``complex(re, im)``
+and ``a * b`` give on Python scalars.
 
 The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
@@ -45,7 +47,7 @@ class FloatContext:
     def make_complex(self, re, im) -> complex:
         """``complex(re, im)``; elementwise over numpy float64 arrays."""
         if isinstance(re, np.ndarray):
-            return re + 1j * im
+            return complex_array(re, im)
         return complex(re, im)
 
     def pi(self) -> float:
@@ -111,6 +113,31 @@ class MPContext:
 
 
 Context = Union[FloatContext, MPContext]
+
+
+def complex_array(re, im) -> np.ndarray:
+    """The complex128 array re + i im, with the sign of every zero part
+    kept: ``re + 1j * im`` turns a -0.0 real part into +0.0."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def complex_product(a, b):
+    """``a * b``, and on numpy arrays the same product element by element,
+    bit for bit.
+
+    numpy's complex128 multiply may use fused multiply-adds, which round
+    differently from Python's ``complex.__mul__``. So on arrays the product
+    is written out on the real and imaginary parts with CPython's formula,
+    a real factor x counting as complex(x, 0.0) as CPython's does.
+    """
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return a * b
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    return complex_array(ar * br - ai * bi, ar * bi + ai * br)
+
 
 FLOAT64 = FloatContext()
 

@@ -1,0 +1,255 @@
+"""Array evaluation equals the per-point code it replaces.
+
+``ReducedChartMap.point`` and ``chart_point`` take (t, sigma) arrays, and
+the mesh export, the cloud export, the momentum check, the unit-circle
+oracle and the branch-separation oracle evaluate whole grids with them.
+Each element must equal the scalar call bit for bit, zero signs included,
+so that exported files stay byte-identical. The per-point reference loops
+below are the code the array calls replaced.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slagext import oracles
+from slagext.ambient import (
+    AmbientPoint,
+    chart_point,
+    momentum_so_n,
+    phi_map,
+    sphere_points,
+)
+from slagext.arcs import graph_arc, unit_circle_arc
+from slagext.chartio import _grid, embedded_cloud_rows, reduced_mesh_text
+from slagext.engine import extend_arc
+from slagext.oracles import (
+    branch_separation,
+    chart_residual_report,
+    unit_circle_residual,
+)
+
+
+def _same(a: complex, b: complex) -> bool:
+    """Equal values and equal signs of every zero part."""
+    return all(x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def _chart(n, circle, s0, tail, branch):
+    arc = (unit_circle_arc() if circle
+           else graph_arc(["0", "0"] + [repr(c) for c in tail]))
+    return extend_arc(arc, s0, n=n, K=4, D=16, branch=branch % n,
+                      with_radius=False)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    circle=st.booleans(),
+    s0=st.floats(-0.3, 0.3, **finite),
+    tail=st.lists(st.floats(-1.0, 1.0, **finite), min_size=1, max_size=4),
+    branch=st.integers(0, 3),
+    ts=st.lists(st.floats(-0.2, 0.2, **finite), min_size=1, max_size=5),
+    sigmas=st.lists(st.floats(-0.1, 0.1, **finite), min_size=1, max_size=4),
+)
+def test_array_point_equals_scalar_calls(n, circle, s0, tail, branch, ts,
+                                         sigmas):
+    chart = _chart(n, circle, s0, tail, branch)
+    T, S = np.meshgrid([0.0, -0.0] + ts, [0.0, -0.0] + sigmas,
+                       indexing="ij")
+    w, z = chart.reduced_map.point(T, S)
+    assert w.shape == z.shape == T.shape
+    for idx in np.ndindex(T.shape):
+        ws, zs = chart.reduced_map.point(float(T[idx]), float(S[idx]))
+        assert _same(complex(w[idx]), ws) and _same(complex(z[idx]), zs)
+    u = sphere_points(n, 7)[-1]
+    p = chart_point(chart, T, S, u)
+    assert all(c.shape == T.shape and c.dtype == np.complex128
+               for c in p.z)
+    for idx in np.ndindex(T.shape):
+        q = chart_point(chart, float(T[idx]), float(S[idx]), u)
+        assert all(_same(complex(a[idx]), b) for a, b in zip(p.z, q.z))
+
+
+def test_phi_map_on_arrays_matches_scalars():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    z[:4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    u = sphere_points(3, 9)[-1]
+    p = phi_map(w, z, u)
+    for i in range(50):
+        q = phi_map(complex(w[i]), complex(z[i]), u)
+        assert all(_same(complex(a[i]), b) for a, b in zip(p.z, q.z))
+
+
+def test_momentum_of_array_point_stacks_the_scalar_matrices():
+    ch = _chart(3, False, 0.1, [0.4, -0.2], 1)
+    T, S = np.meshgrid([-0.05, 0.0, 0.05], [0.0, 0.02], indexing="ij")
+    u = sphere_points(3, 5)[-1]
+    mu = momentum_so_n(chart_point(ch, T, S, u))
+    assert mu.shape == (3, 3) + T.shape
+    for idx in np.ndindex(T.shape):
+        one = momentum_so_n(chart_point(ch, float(T[idx]), float(S[idx]), u))
+        assert np.array_equal(mu[(slice(None), slice(None)) + idx], one)
+
+
+# ---------------------------------------------------------------------------
+# the per-point loops the array calls replaced
+
+
+def _reduced_mesh_per_point(charts, resolution, sigma_max):
+    w = float(2 * sigma_max)
+    lines = ["# reduced chart mesh: Re w, Im w, Re zeta / Im zeta"]
+    faces = []
+    base = 1
+    for chart in charts:
+        for t in _grid(-w, w, resolution):
+            for s in _grid(0.0, float(sigma_max), resolution):
+                wv, zv = chart.reduced_map.point(t, s)
+                lines.append(
+                    "v "
+                    f"{wv.real:.17g} {wv.imag:.17g} "
+                    f"{zv.real:.17g} {zv.imag:.17g}"
+                )
+        for i in range(resolution - 1):
+            for j in range(resolution - 1):
+                v00 = base + i * resolution + j
+                v01 = v00 + 1
+                v10 = v00 + resolution
+                v11 = v10 + 1
+                faces.append(f"f {v00} {v10} {v11} {v01}")
+        base += resolution * resolution
+    return "\n".join(lines + faces) + "\n"
+
+
+def _cloud_rows_per_point(charts, resolution, sigma_max, directions):
+    n = charts[0].n
+    w = float(2 * sigma_max)
+    header = []
+    for k in range(n + 1):
+        header += [f"x{k}", f"y{k}"]
+    rows = [header]
+    dirs = sphere_points(n, directions)
+    for chart in charts:
+        for t in _grid(-w, w, resolution):
+            for s in _grid(0.0, float(sigma_max), resolution):
+                for u in dirs:
+                    p = chart_point(chart, t, s, u)
+                    row = []
+                    for z in p.z:
+                        row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+                    rows.append(row)
+    return rows
+
+
+def _momentum_per_point(chart, sigma_max, nt=9, ns=7):
+    ts = [(-0.1 + 0.2 * i / (nt - 1)) for i in range(nt)]
+    sig = [sigma_max * (j + 1) / ns for j in range(ns)]
+    momentum = 0.0
+    for t in ts:
+        for s in sig:
+            w, zeta = chart.reduced_map.point(t, s)
+            for u in sphere_points(chart.n, 6):
+                p = phi_map(w, zeta, u)
+                momentum = max(momentum,
+                               float(np.max(np.abs(momentum_so_n(p)))))
+    return momentum
+
+
+def _locus_per_point(n, chart, sigma_max, t_halfwidth, samples):
+    dirs = sphere_points(n, 8)
+    nt = max(2, int(math.sqrt(samples / 2)))
+    ns = max(2, (samples + nt - 1) // nt)
+    worst = 0.0
+    for i in range(nt):
+        t = -t_halfwidth + 2 * t_halfwidth * i / (nt - 1)
+        for j in range(ns):
+            s = -sigma_max + 2 * sigma_max * j / (ns - 1)
+            u = dirs[(i * ns + j) % len(dirs)]
+            p = chart_point(chart, t, s, u)
+            z0 = p.z[0]
+            kmax = max(range(n), key=lambda k: abs(u[k]))
+            zeta = p.z[1 + kmax] / u[kmax]
+            f1 = sum(abs(zk) ** 2 for zk in p.z[1:]) - n * (abs(z0) ** 2 - 1.0)
+            f2 = (z0 * zeta ** n).real
+            worst = max(worst, abs(f1), abs(f2))
+    return worst, nt * ns
+
+
+CHARTS = [
+    (2, False, 0.0, [0.5], 0),
+    (3, False, 0.17, [0.3, -0.6, 0.2], 2),
+    (4, False, -0.2, [-0.8, 0.1], 1),
+    (2, True, 1.3, [], 1),
+    (4, True, 5.0, [], 3),
+]
+
+
+@pytest.mark.parametrize("spec", CHARTS)
+def test_exports_equal_the_per_point_loops(spec):
+    n = spec[0]
+    charts = [_chart(*spec), _chart(n, False, 0.05, [0.2, 0.7], 0)]
+    assert (reduced_mesh_text(charts, 7, 0.05)
+            == _reduced_mesh_per_point(charts, 7, 0.05))
+    # sigma = 0 rows carry -0 parts, so the zero signs are compared too
+    for res, dirs in ((8, 6), (5, 9)):
+        assert (embedded_cloud_rows(charts, res, 0.1, directions=dirs)
+                == _cloud_rows_per_point(charts, res, 0.1, dirs))
+
+
+@pytest.mark.parametrize("spec", CHARTS)
+def test_momentum_equals_the_per_point_loop(spec):
+    chart = _chart(*spec)
+    rep = chart_residual_report(chart, 0.1)
+    assert rep["max_momentum"] == _momentum_per_point(chart, 0.1)
+
+
+@pytest.mark.parametrize("n, s0, samples", [(2, 0.0, 500), (3, 2.0, 120),
+                                            (4, 4.1, 77)])
+def test_unit_circle_locus_agrees_with_the_per_point_loop(n, s0, samples):
+    chart = _chart(n, True, s0, [], 0)
+    r = unit_circle_residual(n, chart, 0.05, t_halfwidth=0.05,
+                             samples=samples)
+    worst, used = _locus_per_point(n, chart, 0.05, 0.05, samples)
+    assert r.samples == used
+    # numpy's abs, ** and complex multiply round some last bits
+    # differently from Python's
+    assert abs(r.max_residual - worst) <= 1e-14
+
+
+def test_unit_circle_locus_fails_on_a_non_finite_chart(monkeypatch):
+    chart = _chart(2, True, 0.0, [], 0)
+
+    def poisoned(ch, t, s, u):
+        p = chart_point(ch, t, s, u)
+        return AmbientPoint((p.z[0] * np.nan,) + p.z[1:])
+
+    monkeypatch.setattr(oracles, "chart_point", poisoned)
+    r = unit_circle_residual(2, chart, 0.05, t_halfwidth=0.05)
+    assert not r.passed
+
+
+def _chart_point_per_point(chart, t, sigma, u):
+    pts = [chart_point(chart, float(a), float(b), u)
+           for a, b in zip(t, sigma)]
+    return AmbientPoint(tuple(np.array([p.z[k] for p in pts])
+                              for k in range(len(pts[0].z))))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_branch_separation_equals_per_point_clouds(monkeypatch, n):
+    arc = graph_arc(["0", "0", "0.5", "-0.3"])
+    batched = branch_separation(arc, n, K=3)
+    monkeypatch.setattr(oracles, "chart_point", _chart_point_per_point)
+    looped = branch_separation(arc, n, K=3)
+    assert batched.max_residual == looped.max_residual
+    assert batched.details == looped.details

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from slagext import arcs
 from slagext.cli import main
 
 
@@ -123,6 +124,22 @@ def test_atlas_gate_obstruction(tmp_path):
     doc = _read(rep)
     assert doc["passed"] is False
     assert doc["gate"]["ok"] is False
+
+
+@pytest.mark.parametrize("n, rc", [(2, 0), (3, 2)])
+def test_atlas_computes_the_gate_once(monkeypatch, tmp_path, n, rc):
+    calls = []
+    real = arcs.rotation_number
+
+    def counted(arc):
+        calls.append(arc)
+        return real(arc)
+
+    monkeypatch.setattr(arcs, "rotation_number", counted)
+    assert main(["atlas", "--arc", "circle", "--n", str(n), "--K", "4",
+                 "--D", "24", "--spacing", "0.5", "--sigma-max", "0.04",
+                 "--out", str(tmp_path / "atlas.json")]) == rc
+    assert len(calls) == 1
 
 
 def test_mesh_outputs(parabola, tmp_path, capsys):
