@@ -43,7 +43,7 @@ from .engine import (
 )
 from .ambient import (
     AmbientPoint,
-    chart_parametrization,
+    chart_frame,
     chart_point,
     chart_tangent_plane,
     group_motion,
@@ -82,7 +82,7 @@ __all__ = [
     "TaylorPoly",
     "branch_separation",
     "build_atlas",
-    "chart_parametrization",
+    "chart_frame",
     "chart_point",
     "chart_residual_report",
     "chart_tangent_plane",

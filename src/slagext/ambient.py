@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -37,30 +37,33 @@ class AmbientPoint:
         return len(self.z) - 1
 
 
-def _unit_check(u: Sequence[float]) -> Tuple[float, ...]:
-    uu = tuple(float(x) for x in u)
-    r = math.sqrt(sum(x * x for x in uu))
-    if abs(r - 1.0) > 1e-12:
-        raise ValueError("u must be a unit vector (|u| within 1e-12 of 1)")
-    return uu
-
-
-def phi_map(w: complex, zeta: complex, u: Sequence[float]) -> AmbientPoint:
+def phi_map(w: complex, zeta: complex, u) -> AmbientPoint:
     """(w, zeta, u) -> (w, zeta u_1, ..., zeta u_n); 2-to-1 under
-    (zeta, u) -> (-zeta, -u). w and zeta may be arrays of one shape; each
-    element of the result then equals the scalar map bit for bit."""
-    uu = _unit_check(u)
+    (zeta, u) -> (-zeta, -u). w and zeta may be arrays of one shape, and u
+    one unit vector or an (m, n) stack of them, which appends an axis of
+    length m to the coordinates. Each element of the result equals the
+    scalar map at its (w, zeta, u) bit for bit."""
+    uu = np.array(u, dtype=float)
+    if not np.all(np.abs(np.sqrt(np.sum(uu * uu, axis=-1)) - 1.0) <= 1e-12):
+        raise ValueError("u must be a unit vector (|u| within 1e-12 of 1)")
+    if uu.ndim == 2:
+        zeta = np.asarray(zeta)[..., None]
+        w = np.broadcast_to(np.asarray(w)[..., None], zeta.shape[:-1]
+                            + (len(uu),))
+        return AmbientPoint((w,) + tuple(complex_product(zeta, x)
+                                         for x in uu.T))
     if not isinstance(zeta, np.ndarray):
         w, zeta = complex(w), complex(zeta)
-    return AmbientPoint((w,) + tuple(complex_product(zeta, x) for x in uu))
+    return AmbientPoint((w,) + tuple(complex_product(zeta, x)
+                                     for x in uu.tolist()))
 
 
-def chart_point(chart: Chart, t: float, sigma: float,
-                u: Sequence[float]) -> AmbientPoint:
+def chart_point(chart: Chart, t: float, sigma: float, u) -> AmbientPoint:
     """Ambient point of the chart surface at (t, sigma, u): graph lift,
     branch twist, then the inverse of the normalizing motion. t and sigma
-    may be float64 arrays of one shape, which give one point per element
-    from one jet evaluation."""
+    may be float64 arrays of one shape, and u an (m, n) stack of unit
+    vectors (see ``phi_map``); all the points come from one jet
+    evaluation."""
     w, zeta = chart.reduced_map.point(t, sigma)
     return phi_map(w, zeta, u)
 
@@ -115,92 +118,71 @@ class SlagResidual:
     phase: float
 
 
-def _tangent_frame(param: Callable[[Sequence[float]], AmbientPoint],
-                   at: Sequence[float], h: float,
-                   richardson: bool) -> np.ndarray:
-    at = [float(s) for s in at]
-    dim = len(at)
-    cols = []
-    for i in range(dim):
-        def diff(step):
-            hi = list(at)
-            lo = list(at)
-            hi[i] += step
-            lo[i] -= step
-            zp = param(hi).z
-            zm = param(lo).z
-            return np.array([(a - b) / (2 * step) for a, b in zip(zp, zm)],
-                            dtype=complex)
+def slag_residual(frame) -> SlagResidual:
+    """Symplectic and volume-form residuals of a tangent frame.
 
-        v = diff(h)
-        if richardson:
-            v = (4.0 * diff(h / 2) - v) / 3.0
-        cols.append(v)
-    return np.column_stack(cols)
-
-
-def slag_residual(param: Callable[[Sequence[float]], AmbientPoint],
-                  at: Sequence[float], h: float = 1e-5,
-                  richardson: bool = False) -> SlagResidual:
-    """Symplectic and volume-form residuals of a parametrized sheet.
-
-    Builds tangent vectors v_0..v_m by centered differences, then
+    The columns of ``frame`` are tangent vectors v_0..v_m of a sheet at
+    one point, so the frame must be square, (n+1) x (n+1), and
 
         omega_res   = max_{i<j} |Im <v_i, v_j>|  (Hermitian pairing)
         upsilon_res = |Im det [v_0 ... v_m]|
         phase       = Re det / |det|
 
-    A genuinely calibrated sheet has both residuals 0 and phase +-1.
-    The parameter count must match the ambient dimension n+1, so the
-    frame matrix is square.
+    A genuinely calibrated sheet has both residuals 0 and phase +-1. A
+    non-finite frame gives non-finite residuals.
     """
-    m = _tangent_frame(param, at, h, richardson)
+    m = np.asarray(frame, dtype=complex)
     rows, cols = m.shape
     if rows != cols:
         raise RankError(
             f"need {rows} parameters for a frame in C^{rows}, got {cols}"
         )
-    norms = [float(np.linalg.norm(m[:, i])) for i in range(cols)]
-    scale = 1.0
-    for v in norms:
-        scale *= v
+    scale = float(np.prod(np.linalg.norm(m, axis=0)))
     det = complex(np.linalg.det(m))
     if scale == 0.0 or abs(det) < 1e-12 * scale:
         raise RankError("degenerate tangent frame (det ~ 0)")
-    worst = 0.0
-    for i in range(cols):
-        for j in range(i + 1, cols):
-            pair = complex(np.vdot(m[:, i], m[:, j]))
-            worst = max(worst, abs(pair.imag))
+    pairs = (m.conj().T @ m).imag[np.triu_indices(cols, 1)]
     return SlagResidual(
-        omega_res=worst,
+        omega_res=float(np.max(np.abs(pairs), initial=0.0)),
         upsilon_res=abs(det.imag),
         phase=det.real / abs(det),
     )
 
 
-def chart_parametrization(chart: Chart) -> Callable[[Sequence[float]], AmbientPoint]:
-    """Map (t, sigma, angles...) -> ambient chart point, with the sphere
-    factor in hyperspherical angles so the parameter space is flat."""
-    n = chart.n
-
-    def run(params: Sequence[float]) -> AmbientPoint:
-        t, sigma = float(params[0]), float(params[1])
-        angles = [float(a) for a in params[2:]]
-        if len(angles) != n - 1:
-            raise ValueError("expected n-1 sphere angles")
-        return chart_point(chart, t, sigma, _sphere_from_angles(angles))
-
-    return run
-
-
-def _sphere_from_angles(angles: Sequence[float]) -> Tuple[float, ...]:
-    """Hyperspherical parametrization of S^(n-1); empty angles give (1,)."""
-    u = [1.0]
+def _sphere_from_angles(angles: Sequence[float]):
+    """Hyperspherical parametrization of S^(n-1): the point u, and the
+    rows du/da_i of its derivatives in the angles. Empty angles give
+    u = (1,) and no rows."""
+    u, du = np.ones(1), np.zeros((0, 1))
     for a in angles:
         c, s = math.cos(a), math.sin(a)
-        u = [x * c for x in u] + [s]
-    return tuple(u)
+        du = np.vstack([np.hstack([du * c, np.zeros((len(du), 1))]),
+                        np.append(-s * u, c)])
+        u = np.append(u * c, s)
+    return u, du
+
+
+def chart_frame(chart: Chart, t: float, sigma: float,
+                angles: Sequence[float]) -> np.ndarray:
+    """Tangent frame of the chart sheet at (t, sigma, u(angles)), u in
+    hyperspherical angles: the columns d/dt = (w_t, zeta_t u), d/dsigma =
+    (w_sigma, zeta_sigma u) and d/da_i = (0, zeta du/da_i).
+
+    t and sigma may be float64 arrays of one shape; the frames then stack
+    on leading axes of that shape, from one jet evaluation.
+    """
+    if len(angles) != chart.n - 1:
+        raise ValueError("expected n-1 sphere angles")
+    u, du = _sphere_from_angles(angles)
+    (_, zeta), (w_t, w_s, z_t, z_s) = chart.reduced_map.point_and_jacobian(
+        t, sigma)
+    # per parameter: its w-derivative, and the factors zeta' and u' of
+    # its zeta u derivative
+    dw = np.stack(np.broadcast_arrays(w_t, w_s, *[0j] * len(du)), axis=-1)
+    dz = np.stack(np.broadcast_arrays(z_t, z_s, *[zeta] * len(du)), axis=-1)
+    dirs = np.vstack([u, u, du]).T
+    return np.concatenate([dw[..., None, :], dz[..., None, :] * dirs],
+                          axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +220,6 @@ def plane_P(psi: float, n: int) -> PlaneP:
         v[k] = ak
         basis.append(tuple(v))
     return PlaneP(psi=psi, n=n, basis=tuple(basis))
-
-
-def plane_parametrization(plane: PlaneP) -> Callable[[Sequence[float]], AmbientPoint]:
-    def run(params: Sequence[float]) -> AmbientPoint:
-        z = [0j] * (plane.n + 1)
-        for s, b in zip(params, plane.basis):
-            for k in range(plane.n + 1):
-                z[k] += float(s) * b[k]
-        return AmbientPoint(tuple(z))
-
-    return run
 
 
 def planes_through_line(beta: float, n: int) -> list:

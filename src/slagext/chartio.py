@@ -248,10 +248,10 @@ def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
     T, S = _mesh_grid(resolution, sigma_max)
     dirs = sphere_points(n, directions)
     for chart in charts:
-        # one array call per direction; rows run over t, then sigma, then u
-        per_dir = [_text_rows(chart_point(chart, T, S, u).z) for u in dirs]
-        for point_rows in zip(*per_dir):
-            rows += point_rows
+        # one array call per chart; the trailing direction axis makes the
+        # ravel order t, then sigma, then u
+        p = chart_point(chart, T, S, dirs)
+        rows += _text_rows(z.ravel() for z in p.z)
     return rows
 
 

@@ -415,20 +415,17 @@ def pde_lhs_value(exp: SigmaExpansion, t, sigma, evaluator=None):
 
 
 def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
-    """Max |PDE left side| over the tensor grid of the given values."""
+    """Max |PDE left side| over the tensor grid of the given values; NaN
+    when the left side is NaN anywhere."""
     ev = SigmaJetEvaluator(exp)
-    worst = 0.0
-    count = 0
-    for t in t_values:
-        for s in sigma_values:
-            val = abs(float(pde_lhs_value(exp, t, s, evaluator=ev)))
-            worst = max(worst, val)
-            count += 1
+    vals = [abs(float(pde_lhs_value(exp, t, s, evaluator=ev)))
+            for t in t_values for s in sigma_values]
     grid = (
         f"t[{float(min(t_values)):.4g},{float(max(t_values)):.4g}]x"
         f"sigma[{float(min(sigma_values)):.4g},{float(max(sigma_values)):.4g}]"
     )
-    return ResidualReport(max_pde=worst, samples=count, grid=grid)
+    return ResidualReport(max_pde=float(np.max(vals)), samples=len(vals),
+                          grid=grid)
 
 
 # ---------------------------------------------------------------------------

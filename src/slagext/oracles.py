@@ -15,12 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .ambient import (
-    AmbientPoint,
     _sphere_from_angles,
     _van_der_corput,
+    chart_frame,
     chart_point,
+    momentum_so_n,
     plane_P,
-    plane_parametrization,
     planes_same,
     planes_through_line,
     slag_residual,
@@ -57,13 +57,16 @@ def _result(name: str, max_residual: float, samples: int, tolerance: float,
 # rotation-invariant cones in C^m
 
 
-def harvey_lawson_sample(m: int, c: float, count: int = 200, h: float = 1e-5,
+def harvey_lawson_sample(m: int, c: float, count: int = 200,
                          tolerance: float = 1e-9) -> OracleResult:
     """Residuals of the cone family {zeta u : Im(zeta^m) = c} in C^m.
 
     c = 0 gives the union of m flat sheets (rays at angles k pi/m); for
     c != 0 the radius solves in closed form per angular sector where
-    sin(m theta) carries the sign of c, r = (c/sin(m theta))^(1/m).
+    sin(m theta) carries the sign of c, r = (c/sin(m theta))^(1/m). The
+    tangent frames are exact: d/dr = e^(i beta) u on a ray, d/dtheta =
+    (r' + i r) e^(i theta) u with r' = -r cot(m theta) on an arc, and
+    d/da_i = zeta du/da_i on both.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -87,25 +90,16 @@ def harvey_lawson_sample(m: int, c: float, count: int = 200, h: float = 1e-5,
             angles = [0.3 + (math.pi - 0.6) * _van_der_corput(idx, p)
                       for p in (3, 5, 7, 11, 13)[: m - 1]]
             idx += 1
-
             if kind == "ray":
-                def param(ps):
-                    r = float(ps[0])
-                    u = _sphere_from_angles([float(a) for a in ps[1:]])
-                    zeta = r * cmath.exp(1j * base_angle)
-                    return AmbientPoint(tuple(zeta * x for x in u))
-
-                at = [0.5 + frac] + angles
+                dzeta = cmath.exp(1j * base_angle)
+                zeta = (0.5 + frac) * dzeta
             else:
-                def param(ps):
-                    th = float(ps[0])
-                    u = _sphere_from_angles([float(a) for a in ps[1:]])
-                    r = (c / math.sin(m * th)) ** (1.0 / m)
-                    zeta = r * cmath.exp(1j * th)
-                    return AmbientPoint(tuple(zeta * x for x in u))
-
-                at = [base_angle + (0.12 + 0.76 * frac) * math.pi / m] + angles
-            rec = slag_residual(param, at, h=h)
+                th = base_angle + (0.12 + 0.76 * frac) * math.pi / m
+                r = (c / math.sin(m * th)) ** (1.0 / m)
+                zeta = r * cmath.exp(1j * th)
+                dzeta = complex(-r / math.tan(m * th), r) * cmath.exp(1j * th)
+            u, du = _sphere_from_angles(angles)
+            rec = slag_residual(np.column_stack([dzeta * u, *(zeta * du)]))
             worst = max(worst, rec.omega_res, rec.upsilon_res)
             used += 1
     return _result(
@@ -178,8 +172,7 @@ def plane_oracle(n: int, trials: int = 20, tolerance: float = 1e-12,
     line_counts = []
     for _ in range(trials):
         psi = rng.uniform(0.0, math.pi)
-        rec = slag_residual(plane_parametrization(plane_P(psi, n)),
-                            [0.0] * (n + 1), h=1e-5)
+        rec = slag_residual(np.transpose(plane_P(psi, n).basis))
         worst = max(worst, rec.omega_res, rec.upsilon_res)
 
         beta = rng.uniform(0.0, math.pi)
@@ -287,29 +280,27 @@ def chart_residual_report(chart: Chart, sigma_max: float, nt: int = 9,
                           ns: int = 7) -> dict:
     """PDE, symplectic, volume, and momentum residuals of one chart over an
     nt x ns grid of |t| <= 0.1, 0 < sigma <= sigma_max, as a plain dict
-    ready for serialization."""
-    from .ambient import chart_parametrization, momentum_so_n, phi_map
-
+    ready for serialization. A NaN residual anywhere makes its maximum
+    NaN."""
+    if not sigma_max > 0:
+        raise ValueError(f"sigma_max must be positive, got {sigma_max}")
+    if nt < 2:
+        raise ValueError(f"nt must be >= 2, got {nt}")
+    if ns < 1:
+        raise ValueError(f"ns must be >= 1, got {ns}")
     t_halfwidth = 0.1
     ts = [(-t_halfwidth + 2 * t_halfwidth * i / (nt - 1)) for i in range(nt)]
     sig = [sigma_max * (j + 1) / ns for j in range(ns)]
     pde = pde_residual(chart.phi, ts, sig)
-    param = chart_parametrization(chart)
     n = chart.n
-    angles0 = [0.7] * (n - 1)
-    omega = upsilon = 0.0
-    for t in ts[:: max(1, nt // 4)]:
-        for s in sig[:: max(1, ns // 3)]:
-            rec = slag_residual(param, [t, s] + angles0, h=1e-5)
-            omega = max(omega, rec.omega_res)
-            upsilon = max(upsilon, rec.upsilon_res)
-    # momentum over the whole grid: one point evaluation, one array
-    # expression per direction
+    # the forms on a coarser grid, all frames from one jet evaluation
+    T, S = np.meshgrid(ts[:: max(1, nt // 4)], sig[:: max(1, ns // 3)],
+                       indexing="ij")
+    frames = chart_frame(chart, T, S, [0.7] * (n - 1))
+    recs = [slag_residual(f) for f in frames.reshape(-1, n + 1, n + 1)]
+    # momentum over the whole grid and 6 directions, lifted in one call
     T, S = np.meshgrid(ts, sig, indexing="ij")
-    w, zeta = chart.reduced_map.point(T, S)
-    momentum = float(np.max([
-        np.max(np.abs(momentum_so_n(phi_map(w, zeta, u))))
-        for u in sphere_points(n, 6)]))
+    mu = momentum_so_n(chart_point(chart, T, S, sphere_points(n, 6)))
     return {
         "n": chart.n,
         "K": chart.K,
@@ -318,8 +309,8 @@ def chart_residual_report(chart: Chart, sigma_max: float, nt: int = 9,
         "sigma_max": sigma_max,
         "grid": pde.grid,
         "max_pde": pde.max_pde,
-        "max_omega": omega,
-        "max_upsilon": upsilon,
-        "max_momentum": momentum,
+        "max_omega": float(np.max([r.omega_res for r in recs])),
+        "max_upsilon": float(np.max([r.upsilon_res for r in recs])),
+        "max_momentum": float(np.max(np.abs(mu))),
         "pde_samples": pde.samples,
     }

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
-from slagext.series import TaylorPoly, poly_from
+from slagext.arcs import graph_arc
+from slagext.engine import extend_arc
+from slagext.series import SigmaExpansion, TaylorPoly, poly_from
 
 
 def random_flat_potential(rng: random.Random, cap: int, scale: float = 0.2) -> TaylorPoly:
@@ -16,3 +20,15 @@ def random_flat_potential(rng: random.Random, cap: int, scale: float = 0.2) -> T
         damp *= scale
         coeffs.append(rng.uniform(-1.0, 1.0) * damp)
     return poly_from(coeffs, cap)
+
+
+def chart_with_nan_in_f3():
+    """A graph-arc chart (n=3, K=4, D=16) with one NaN coefficient in f_3."""
+    ch = extend_arc(graph_arc(["0", "0", "0.5", "0.1"]), 0.0, n=3, K=4,
+                    D=16, with_radius=False)
+    terms = list(ch.phi.terms)
+    coeffs = list(terms[3].coeffs)
+    coeffs[2] = math.nan
+    terms[3] = TaylorPoly(tuple(coeffs))
+    return dataclasses.replace(
+        ch, phi=SigmaExpansion(n=ch.n, terms=tuple(terms)))

@@ -8,11 +8,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_flat_potential
 from slagext.ambient import (
     AmbientPoint,
     apply_motion_F,
-    chart_parametrization,
+    chart_frame,
     chart_point,
     chart_tangent_plane,
     eta_coframe,
@@ -23,7 +26,6 @@ from slagext.ambient import (
     momentum_so_n,
     phi_map,
     plane_P,
-    plane_parametrization,
     planes_same,
     planes_through_line,
     pullback,
@@ -31,9 +33,9 @@ from slagext.ambient import (
     sphere_points,
     twist_C,
 )
-from slagext.arcs import graph_arc, unit_circle_arc
+from slagext.arcs import Frame, graph_arc, unit_circle_arc
 from slagext.chartio import deserialize_chart, serialize_chart
-from slagext.engine import ReducedChartMap, extend_arc
+from slagext.engine import Chart, ReducedChartMap, extend_arc, extend_series
 from slagext.errors import RankError, SingularLocusError
 
 
@@ -177,42 +179,102 @@ def test_branch_shift_by_n_matches_antipode():
 def test_slag_residual_planes():
     for n in (2, 3):
         plane = plane_P(0.0, n)
-        rec = slag_residual(plane_parametrization(plane),
-                            [0.0] * (n + 1), h=1e-5)
+        rec = slag_residual(np.transpose(plane.basis))
         assert rec.omega_res == 0.0
         assert rec.upsilon_res == 0.0
         assert rec.phase == 1.0
-    tilted = plane_parametrization(plane_P(0.7, 3))
-    rec = slag_residual(tilted, [0.0] * 4, h=1e-5)
-    assert rec.omega_res <= 1e-15 and rec.upsilon_res <= 1e-15
-    # away from the origin the centered differences carry cancellation noise
-    rec = slag_residual(tilted, [0.1, -0.2, 0.3, 0.05], h=1e-5)
-    assert rec.omega_res <= 1e-11
-    assert rec.upsilon_res <= 1e-11
-    assert abs(abs(rec.phase) - 1.0) <= 1e-12
+    # a plane's frame is its basis at every point, so tilted planes are
+    # held to rounding too
+    for psi in (0.7, 1.3, 2.9):
+        rec = slag_residual(np.transpose(plane_P(psi, 3).basis))
+        assert rec.omega_res <= 1e-15 and rec.upsilon_res <= 1e-15
+        assert abs(abs(rec.phase) - 1.0) <= 1e-15
 
 
 def test_slag_residual_degenerate_frame():
-    def collapsed(params):
-        s = float(params[0])
-        return AmbientPoint((s + 0j, s + 0j, 0j))
-
+    collapsed = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
     with pytest.raises(RankError):
-        slag_residual(collapsed, [0.1, 0.2, 0.3])
+        slag_residual(collapsed)
+    with pytest.raises(RankError):
+        slag_residual(np.eye(3, 2, dtype=complex))
+
+
+def _moved(frame, theta, n):
+    """The frame pushed forward by a group motion: its linear part, which
+    is the motion with a = 0, applied to each column."""
+    return np.column_stack([group_motion(AmbientPoint(tuple(v)), 0, theta,
+                                         n).z for v in frame.T])
 
 
 def test_slag_residual_motion_invariance():
     ch = extend_arc(unit_circle_arc(), 0.0, n=2, K=6, D=24)
-    param = chart_parametrization(ch)
-
-    def moved(params):
-        return group_motion(param(params), 0.3 - 0.7j, 0.9, 2)
-
     for at in ([0.05, 0.03, 0.4], [-0.1, 0.02, 2.0]):
-        r1 = slag_residual(param, at, h=1e-5)
-        r2 = slag_residual(moved, at, h=1e-5)
+        frame = chart_frame(ch, at[0], at[1], at[2:])
+        r1 = slag_residual(frame)
+        r2 = slag_residual(_moved(frame, 0.9, 2))
         assert abs(r1.omega_res - r2.omega_res) <= 1e-12
         assert abs(r1.upsilon_res - r2.upsilon_res) <= 1e-12
+
+
+def _sphere(angles):
+    """Hyperspherical point of S^(n-1), written out independently."""
+    u = [1.0]
+    for a in angles:
+        u = [x * math.cos(a) for x in u] + [math.sin(a)]
+    return tuple(u)
+
+
+def _difference_column(chart, at, i, step=1e-3):
+    """d/d(at[i]) of the chart point by centered differences at two steps,
+    Richardson-extrapolated (error O(step^4))."""
+    def point(params):
+        return np.array(chart_point(chart, params[0], params[1],
+                                    _sphere(params[2:])).z)
+
+    def centered(d):
+        hi, lo = list(at), list(at)
+        hi[i] += d
+        lo[i] -= d
+        return (point(hi) - point(lo)) / (2 * d)
+
+    return (4.0 * centered(step / 2) - centered(step)) / 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       K=st.integers(1, 4), branch=st.integers(0, 3),
+       t=st.floats(-0.1, 0.1), sigma=st.floats(0.02, 0.1),
+       angles=st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3))
+def test_chart_frame_matches_differences_of_chart_point(seed, n, K, branch,
+                                                        t, sigma, angles):
+    rng = random.Random(seed)
+    chart = Chart(
+        n=n, branch=branch % n,
+        frame=Frame(a=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    theta=rng.uniform(0, 2 * math.pi)),
+        phi=extend_series(random_flat_potential(rng, 2 * K + 8), n, K))
+    at = [t, sigma] + angles[: n - 1]
+    frame = chart_frame(chart, t, sigma, at[2:])
+    assert frame.shape == (n + 1, n + 1)
+    for i in range(n + 1):
+        want = _difference_column(chart, at, i)
+        assert (np.linalg.norm(frame[:, i] - want)
+                <= 1e-8 * np.linalg.norm(want))
+    # a gradient graph: omega vanishes up to rounding
+    assert slag_residual(frame).omega_res <= 1e-15
+
+
+def test_chart_frame_on_arrays_stacks_the_scalar_frames():
+    ch = extend_arc(graph_arc(["0", "0", "0.5", "0.1"]), 0.1, n=3, K=4,
+                    D=16, branch=2, with_radius=False)
+    T, S = np.meshgrid([-0.1, 0.0, 0.05], [0.02, 0.1], indexing="ij")
+    frames = chart_frame(ch, T, S, [0.7, -0.3])
+    assert frames.shape == T.shape + (4, 4)
+    for idx in np.ndindex(T.shape):
+        one = chart_frame(ch, float(T[idx]), float(S[idx]), [0.7, -0.3])
+        assert np.allclose(frames[idx], one, rtol=1e-15, atol=1e-17)
+    with pytest.raises(ValueError):
+        chart_frame(ch, 0.0, 0.05, [0.7])
 
 
 def test_chart_residuals_shrink_with_order():
@@ -220,10 +282,9 @@ def test_chart_residuals_shrink_with_order():
     vals = {}
     for K in (1, 4, 10):
         ch = extend_arc(arc, 0.0, n=2, K=K, D=max(4 * K, 12), with_radius=False)
-        param = chart_parametrization(ch)
         worst = 0.0
         for at in ([0.05, 0.05, 0.3], [-0.08, 0.04, 1.2]):
-            rec = slag_residual(param, at, h=1e-4, richardson=True)
+            rec = slag_residual(chart_frame(ch, at[0], at[1], at[2:]))
             worst = max(worst, rec.omega_res, rec.upsilon_res)
         vals[K] = worst
     assert vals[1] > vals[4]

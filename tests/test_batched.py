@@ -1,8 +1,9 @@
 """Array evaluation equals the per-point code it replaces.
 
-``ReducedChartMap.point`` and ``chart_point`` take (t, sigma) arrays, and
-the mesh export, the cloud export, the momentum check, the unit-circle
-oracle and the branch-separation oracle evaluate whole grids with them.
+``ReducedChartMap.point`` and ``chart_point`` take (t, sigma) arrays,
+``chart_point`` also a stack of sphere directions, and the mesh export,
+the cloud export, the momentum check, the unit-circle oracle and the
+branch-separation oracle evaluate whole grids with them.
 Each element must equal the scalar call bit for bit, zero signs included,
 so that exported files stay byte-identical. The per-point reference loops
 below are the code the array calls replaced.
@@ -77,6 +78,19 @@ def test_array_point_equals_scalar_calls(n, circle, s0, tail, branch, ts,
     for idx in np.ndindex(T.shape):
         q = chart_point(chart, float(T[idx]), float(S[idx]), u)
         assert all(_same(complex(a[idx]), b) for a, b in zip(p.z, q.z))
+    # a stack of directions adds a trailing axis, one element per direction
+    dirs = sphere_points(n, 7)
+    stacked = chart_point(chart, T, S, dirs)
+    one = chart_point(chart, 0.05, -0.0, dirs)
+    assert all(c.shape == T.shape + (7,) for c in stacked.z)
+    assert all(c.shape == (7,) for c in one.z)
+    for d, v in enumerate(dirs):
+        q = chart_point(chart, T, S, v)
+        assert all(_same(complex(a[idx + (d,)]), complex(b[idx]))
+                   for a, b in zip(stacked.z, q.z)
+                   for idx in np.ndindex(T.shape))
+        q = chart_point(chart, 0.05, -0.0, v)
+        assert all(_same(complex(a[d]), b) for a, b in zip(one.z, q.z))
 
 
 def test_phi_map_on_arrays_matches_scalars():

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from conftest import chart_with_nan_in_f3
 from slagext import arcs
+from slagext.chartio import dump_chart
 from slagext.cli import main
 
 
@@ -207,12 +210,29 @@ def test_extend_and_atlas_take_no_seed(parabola, tmp_path, capsys):
                  id="atlas-circle-n3-K0"),
     pytest.param(["atlas", "--arc", "circle", "--n", "3", "--K", "4", "--D",
                   "5"], id="atlas-circle-n3-K4-D5"),
+    pytest.param(["residual", "--nt", "1"], id="residual-nt1"),
+    pytest.param(["residual", "--ns", "0"], id="residual-ns0"),
+    pytest.param(["residual", "--sigma-max", "0"], id="residual-sigma0"),
+    pytest.param(["residual", "--sigma-max", "-0.05"],
+                 id="residual-sigma-negative"),
+    pytest.param(["residual", "--sigma-max", "nan"], id="residual-sigma-nan"),
 ])
-def test_bad_run_settings_are_errors(parabola, capsys, argv):
-    arc = [] if "--arc" in argv else ["--arc", parabola]
-    rc = main(argv + arc)
+def test_bad_run_settings_are_errors(parabola, tmp_path, capsys, argv):
+    if argv[0] == "residual":
+        # a good chart, so that only the grid settings can be at fault
+        chart = str(tmp_path / "c.json")
+        main(["extend", "--arc", parabola, "--n", "3", "--K", "4",
+              "--branch", "0", "--out", chart])
+        extra = ["--chart", chart]
+    else:
+        extra = [] if "--arc" in argv else ["--arc", parabola]
+    capsys.readouterr()
+    rc = main(argv + extra)
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if argv[0] == "residual":
+        assert argv[1].lstrip("-").replace("-", "_") in err
 
 
 @pytest.mark.parametrize("branch", ["7", "-1"])
@@ -237,3 +257,15 @@ def test_precision_env_round_trip(parabola, tmp_path, monkeypatch):
                "--branch", "0", "--out", str(out)])
     assert rc == 0
     assert _read(out)["precision"] == "mp25"
+
+
+def test_residual_of_a_nan_chart_fails(tmp_path, capsys):
+    path = str(tmp_path / "nan.json")
+    dump_chart(chart_with_nan_in_f3(), path)
+    rc = main(["residual", "--chart", path])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    check = doc["checks"][0]
+    for key in ("max_pde", "max_omega", "max_upsilon", "max_momentum"):
+        assert math.isnan(float(check[key])), key

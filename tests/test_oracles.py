@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import chart_with_nan_in_f3
 from slagext import oracles
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.engine import extend_arc
@@ -140,3 +141,24 @@ def test_chart_residual_report_fields():
     assert rep["max_pde"] > 0.0
     assert rep["max_momentum"] <= 1e-14
     assert rep["max_omega"] <= 1e-6
+
+
+@pytest.mark.parametrize("n, arc, s0, branch", [
+    (2, graph_arc(["0", "0", "0.5"]), 0.0, 0),
+    (3, graph_arc(["0", "0", "0.5", "0.1"]), 0.1, 2),
+    (4, graph_arc(["0", "0", "-0.3", "0.7"]), -0.2, 1),
+    (2, unit_circle_arc(), 1.3, 1),
+])
+def test_chart_report_symplectic_residual_is_rounding(n, arc, s0, branch):
+    # the sheet is a gradient graph, so omega vanishes on it identically;
+    # exact tangent frames leave only rounding at every sampled point
+    ch = extend_arc(arc, s0, n=n, K=4, D=16, branch=branch,
+                    with_radius=False)
+    assert chart_residual_report(ch, 0.1)["max_omega"] <= 1e-15
+
+
+def test_chart_report_keeps_nan_in_every_maximum():
+    rep = chart_residual_report(chart_with_nan_in_f3(), 0.1)
+    for key in ("max_pde", "max_omega", "max_upsilon", "max_momentum"):
+        assert math.isnan(rep[key]), key
+
