@@ -129,7 +129,7 @@ def slag_residual(frame) -> SlagResidual:
         phase       = Re det / |det|
 
     A genuinely calibrated sheet has both residuals 0 and phase +-1. A
-    non-finite frame gives non-finite residuals.
+    non-finite frame gives NaN residuals and phase, without calling det.
     """
     m = np.asarray(frame, dtype=complex)
     rows, cols = m.shape
@@ -137,6 +137,8 @@ def slag_residual(frame) -> SlagResidual:
         raise RankError(
             f"need {rows} parameters for a frame in C^{rows}, got {cols}"
         )
+    if not np.all(np.isfinite(m)):
+        return SlagResidual(math.nan, math.nan, math.nan)
     scale = float(np.prod(np.linalg.norm(m, axis=0)))
     det = complex(np.linalg.det(m))
     if scale == 0.0 or abs(det) < 1e-12 * scale:

@@ -12,13 +12,14 @@ phi(t, sigma) = sum f_k(t) sigma^(2k)/(2k)! determined order by order:
 
 The recursion is online, in the sense of relaxed power series (van der
 Hoeven, "Relax, but don't be too lazy", JSC 2002): ``PDESlots`` keeps the
-regularized PDE series E = P I, P = (1 + i q)^(n-1), as running slot
-lists, and step k computes slot k only. P_k comes from J.C.P. Miller's
-power recurrence k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j) with
-W = 1 + i q, I_k and E_k from one convolution row each, and two rank-one
-corrections finish slot k once f_{k+1} is solved. A step is O(k)
-truncated products at cap D - 2k - 2, so O(k (D - 2k)^2) coefficient
-operations, instead of rebuilding all k + 1 slots.
+factors of the regularized PDE series E = P I, P = (1 + i q)^(n-1), as
+running slot lists; step k computes slot k only and returns Im E_k, and E
+is not stored. P_k comes from J.C.P. Miller's power recurrence
+k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j) with W = 1 + i q, I_k and
+Im E_k from one convolution row each, and two rank-one corrections finish
+P_k and I_k once f_{k+1} is solved. A step is O(k) truncated products at
+cap D - 2k - 2, so O(k (D - 2k)^2) coefficient operations, instead of
+rebuilding all k + 1 slots.
 
 Each recursion step consumes two t-degrees (it differentiates f_k twice),
 so a degree-D potential supports K <= D/2 sigma-orders; the engine tracks
@@ -57,7 +58,6 @@ from .errors import (
 from .precision import FLOAT64, Context, complex_product
 from .series import (
     ComplexSeries,
-    EvenSeries,
     SigmaExpansion,
     SigmaJetEvaluator,
     TaylorPoly,
@@ -142,7 +142,7 @@ def _one_scalar(p: TaylorPoly):
 
 
 class PDESlots:
-    """Running slot lists of the regularized PDE series, one slot at a time.
+    """Running slot lists of the factors of the regularized PDE series.
 
     The series is E = P I with W = 1 + i q (q = phi_sigma/sigma),
     P = W^(n-1) and
@@ -151,8 +151,8 @@ class PDESlots:
     only through W_k = i f_(k+1)/(2k+1)! and (phi_ss)_k = f_(k+1)/(2k)!.
     A slot k >= 1 is therefore built without those two parts and closed
     once f_(k+1) is known, by two rank-one corrections,
-    P_k += (n-1) W_k W_0^(n-2) and I_k += (1 + i phi_tt)_0 (i phi_ss)_k,
-    after which E_k is summed again.
+    P_k += (n-1) W_k W_0^(n-2) and I_k += (1 + i phi_tt)_0 (i phi_ss)_k.
+    E is not stored; each step sums Im E_k from the P and I slots.
 
     P_k follows J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2,
     4.7): W dP = (n-1) P dW in sigma^2 gives
@@ -165,32 +165,30 @@ class PDESlots:
         self.cap = None
         self.open = None  # first slot still missing its f_(k+1)
 
-    def advance(self, terms: Sequence[TaylorPoly], slots: int,
-                cap: int) -> EvenSeries:
-        """Slots 0..slots-1 at ``cap`` for ``terms``, which must extend the
-        terms of the previous call. Built slots are kept unless the cap
-        grew or a new term reaches past the one open slot; then all are
-        built again."""
-        k = self.open
-        grown = k is not None and len(terms) > k + 1
+    def advance(self, terms: Sequence[TaylorPoly], k: int,
+                cap: int) -> TaylorPoly:
+        """Im E_k at ``cap`` for ``terms``, which extend the previous
+        call's terms. Built slots are kept unless the cap grew or a new
+        term reaches past the one open slot; then all are built again."""
+        j = self.open
+        grown = j is not None and len(terms) > j + 1
         if (self.cap is None or cap > self.cap
-                or (grown and (k == 0 or len(self.e) > k + 1))):
+                or (grown and (j == 0 or len(self.p) > j + 1))):
             self._reset(terms, cap)
         else:
             self._truncate(cap)
             if grown:
-                self._close(k, terms[k + 1])
-                self.e[k] = self._e(k)
-        for j in range(len(self.e), slots):
+                self._close(j, terms[j + 1])
+        for j in range(len(self.p), k + 1):
             self._slot(j, terms)
-        return EvenSeries(tuple(self.e[:slots]))
+        return self._e(k)
 
     def _reset(self, terms, cap: int):
         self.cap = cap
         self.zero = terms[0].coeffs[0] * 0
         self.open = None
         self.t, self.o, self.q, self.b = [], [], [], []
-        self.p, self.i, self.e = [], [], []
+        self.p, self.i = [], []
 
     def _truncate(self, cap: int):
         if cap == self.cap:
@@ -199,9 +197,8 @@ class PDESlots:
             [poly_truncate(x, cap) for x in xs]
             for xs in (self.t, self.o, self.q, self.b)
         )
-        self.p, self.i, self.e = (
-            [cs_truncate(x, cap) for x in xs]
-            for xs in (self.p, self.i, self.e)
+        self.p, self.i = (
+            [cs_truncate(x, cap) for x in xs] for xs in (self.p, self.i)
         )
         self.w0_inv = cs_truncate(self.w0_inv, cap)
         self.w0_pow = cs_truncate(self.w0_pow, cap)
@@ -263,15 +260,15 @@ class PDESlots:
                 self.open = k
         elif k:
             self._close(k, fk1)
-        self.e.append(self._e(k))
 
-    def _e(self, k: int) -> ComplexSeries:
+    def _e(self, k: int) -> TaylorPoly:
         # summed afresh from finished P and I slots: adding the rank-one
         # parts to E_k instead doubles the rounding in its cancelling
-        # imaginary part
-        ek = cs_mul(self.p[0], self.i[k])
+        # imaginary part. Im only, in the order of cs_mul and cs_add.
+        p, i = self.p, self.i
+        ek = p[0].re * i[k].im + p[0].im * i[k].re
         for j in range(1, k + 1):
-            ek = cs_add(ek, cs_mul(self.p[j], self.i[k - j]))
+            ek = ek + (p[j].re * i[k - j].im + p[j].im * i[k - j].re)
         return ek
 
     def _close(self, k: int, f: TaylorPoly):
@@ -287,26 +284,28 @@ class PDESlots:
         self.open = None
 
 
-def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, slots: int,
+def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, k: int,
                             cap: int, state: Optional[PDESlots] = None
-                            ) -> EvenSeries:
-    """The regularized PDE left side as an even sigma-series.
+                            ) -> TaylorPoly:
+    """Im E_k, slot k of the regularized PDE left side as an even
+    sigma-series.
 
-    Returns slots 0..slots-1 of (1 + i q)^(n-1) *
-    ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2) with q = phi_sigma/sigma,
-    built from the bare terms f_0..f_J (missing terms are treated as zero).
-    All slot polynomials live at ``cap``; the f_j supplied must have caps
-    >= cap + 2 for every differentiated term actually used. A ``state``
-    from an earlier call whose terms were a prefix of these keeps its
-    finished slots, so only the new ones are computed.
+    E = (1 + i q)^(n-1) ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2) with
+    q = phi_sigma/sigma, built from the bare terms f_0..f_J; every f_j
+    beyond J is taken as 0. Only Im E_k, the sigma^(2k) coefficient that
+    the recursion solves for f_(k+1), is formed, at ``cap``; the f_j
+    supplied must have caps >= cap + 2 for every differentiated term
+    actually used. A ``state`` from an earlier call whose terms were a
+    prefix of these keeps its finished P and I slots, so only the new ones
+    are computed.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if state is None:
         state = PDESlots(n)
     elif state.n != n:
         raise ValueError("state was built for another n")
-    return state.advance(terms, slots, cap)
+    return state.advance(terms, k, cap)
 
 
 def extend_series(f0: TaylorPoly, n: int, K: int) -> SigmaExpansion:
@@ -342,8 +341,8 @@ def _solve(f0: TaylorPoly, n: int, K: int) -> list:
     state = PDESlots(n)
     for k in range(1, K):
         cap_k = D - 2 * (k + 1)
-        ev = regular_pde_even_series(terms, n, k + 1, cap_k, state)
-        step = poly_mul(ev.slots[k].im, poly_truncate(pref, cap_k))
+        e_k = regular_pde_even_series(terms, n, k, cap_k, state)
+        step = poly_mul(e_k, poly_truncate(pref, cap_k))
         terms.append(
             poly_neg(_scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n))
         )
@@ -366,22 +365,14 @@ def linearity_probe(f0: TaylorPoly, n: int, k: int) -> float:
     f1 = terms[1]
     r = compute_R(f0, n, f1=f1)
     dconst = _const(delta, D, like=f0.coeffs[0])
-    base = regular_pde_even_series(terms, n, k + 1, cap_k)
-    bumped = regular_pde_even_series(terms + [dconst], n, k + 1, cap_k)
-    diff = poly_add(bumped.slots[k].im, poly_neg(base.slots[k].im))
+    base = regular_pde_even_series(terms, n, k, cap_k)
+    bumped = regular_pde_even_series(terms + [dconst], n, k, cap_k)
     one = poly_one(f1.cap, like=_one_scalar(f0))
-    slope = poly_mul(
-        poly_truncate(r, cap_k),
-        poly_reciprocal(
-            poly_truncate(poly_add(one, poly_mul(f1, f1)), cap_k)
-        ),
-    )
-    predicted = _scale_ratio(
-        slope, 2 * k + n, math.factorial(2 * k + 1)
-    )
+    slope = poly_mul(poly_truncate(r, cap_k),
+                     poly_reciprocal(poly_truncate(one + f1 * f1, cap_k)))
+    predicted = _scale_ratio(slope, 2 * k + n, math.factorial(2 * k + 1))
     predicted = TaylorPoly(tuple(c * delta for c in predicted.coeffs))
-    dev = poly_add(diff, poly_neg(predicted))
-    return _max_abs(dev)
+    return _max_abs((bumped - base) - predicted)
 
 
 def _const(c, cap, like):

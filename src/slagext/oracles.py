@@ -71,6 +71,8 @@ def harvey_lawson_sample(m: int, c: float, count: int = 200,
     if m < 2:
         raise ValueError("m must be >= 2")
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"level c must be finite, got {c}")
     sectors = []
     if c == 0.0:
         sectors = [("ray", k * math.pi / m) for k in range(m)]
@@ -100,7 +102,7 @@ def harvey_lawson_sample(m: int, c: float, count: int = 200,
                 dzeta = complex(-r / math.tan(m * th), r) * cmath.exp(1j * th)
             u, du = _sphere_from_angles(angles)
             rec = slag_residual(np.column_stack([dzeta * u, *(zeta * du)]))
-            worst = max(worst, rec.omega_res, rec.upsilon_res)
+            worst = np.max([worst, rec.omega_res, rec.upsilon_res])
             used += 1
     return _result(
         f"rotation-cone m={m} c={c:g}", worst, used, tolerance,
@@ -173,13 +175,13 @@ def plane_oracle(n: int, trials: int = 20, tolerance: float = 1e-12,
     for _ in range(trials):
         psi = rng.uniform(0.0, math.pi)
         rec = slag_residual(np.transpose(plane_P(psi, n).basis))
-        worst = max(worst, rec.omega_res, rec.upsilon_res)
+        worst = np.max([worst, rec.omega_res, rec.upsilon_res])
 
         beta = rng.uniform(0.0, math.pi)
         fam = planes_through_line(beta, n)
         v = np.array([math.cos(beta), math.sin(beta)] + [0.0] * (2 * n))
         for pl in fam:
-            worst = max(worst, float(np.max(np.abs(pl.projector() @ v - v))))
+            worst = np.max([worst, np.max(np.abs(pl.projector() @ v - v))])
         for i in range(n):
             for j in range(i + 1, n):
                 if planes_same(fam[i], fam[j], tol=1e-9):

@@ -216,6 +216,10 @@ def test_extend_and_atlas_take_no_seed(parabola, tmp_path, capsys):
     pytest.param(["residual", "--sigma-max", "-0.05"],
                  id="residual-sigma-negative"),
     pytest.param(["residual", "--sigma-max", "nan"], id="residual-sigma-nan"),
+    pytest.param(["oracle", "harvey-lawson", "--m", "3", "--c", "nan"],
+                 id="harvey-lawson-c-nan"),
+    pytest.param(["oracle", "harvey-lawson", "--m", "2", "--c", "inf"],
+                 id="harvey-lawson-c-inf"),
 ])
 def test_bad_run_settings_are_errors(parabola, tmp_path, capsys, argv):
     if argv[0] == "residual":
@@ -224,8 +228,10 @@ def test_bad_run_settings_are_errors(parabola, tmp_path, capsys, argv):
         main(["extend", "--arc", parabola, "--n", "3", "--K", "4",
               "--branch", "0", "--out", chart])
         extra = ["--chart", chart]
+    elif argv[0] in ("extend", "atlas") and "--arc" not in argv:
+        extra = ["--arc", parabola]
     else:
-        extra = [] if "--arc" in argv else ["--arc", parabola]
+        extra = []
     capsys.readouterr()
     rc = main(argv + extra)
     assert rc == 1
@@ -259,6 +265,7 @@ def test_precision_env_round_trip(parabola, tmp_path, monkeypatch):
     assert _read(out)["precision"] == "mp25"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_residual_of_a_nan_chart_fails(tmp_path, capsys):
     path = str(tmp_path / "nan.json")
     dump_chart(chart_with_nan_in_f3(), path)

@@ -126,10 +126,20 @@ def test_solved_slots_vanish():
     for n in (2, 3, 5):
         f0 = random_flat_potential(rng, 18)
         exp = extend_series(f0, n=n, K=4)
-        ev = regular_pde_even_series(exp.terms, n, slots=exp.K, cap=exp.cap - 2)
+        state = PDESlots(n)
         for k in range(exp.K):
-            worst = max(abs(c) for c in ev.slots[k].im.coeffs)
-            assert worst <= 1e-13
+            e_k = regular_pde_even_series(exp.terms, n, k, exp.cap - 2, state)
+            assert max(abs(c) for c in e_k.coeffs) <= 1e-13
+
+
+@pytest.mark.parametrize("k, state, message", [
+    pytest.param(-1, None, "k must be >= 0", id="negative-k"),
+    pytest.param(0, PDESlots(3), "another n", id="state-for-other-n"),
+])
+def test_pde_slot_rejects_bad_requests(k, state, message):
+    exp = extend_series(PARABOLA_F0, n=2, K=2)
+    with pytest.raises(ValueError, match=message):
+        regular_pde_even_series(exp.terms, 2, k, exp.cap - 2, state)
 
 
 def test_flat_potential_stays_flat():
@@ -140,9 +150,10 @@ def test_flat_potential_stays_flat():
     assert pde_lhs_value(exp, 0.2, 0.3) == 0.0
 
 
-def _whole_pde_series(terms, n, slots, cap):
-    """Reference PDE series built whole by even_mul and repeated squaring:
-    (1 + i q)^(n-1) ((1 + i phi_tt)(1 + i phi_ss) + phi_st^2)."""
+def _whole_pde_factors(terms, n, slots, cap):
+    """Reference factors of the PDE series built whole by even_mul and
+    repeated squaring: W = 1 + i q and
+    I = (1 + i phi_tt)(1 + i phi_ss) + phi_st^2."""
     zp = poly_zero(cap, like=terms[0].coeffs[0] * 0)
     one = poly_one(cap, like=terms[0].coeffs[0] * 0 + 1)
 
@@ -164,7 +175,12 @@ def _whole_pde_series(terms, n, slots, cap):
     pt = even(unit, [part(j, 2, fac(2 * j)) for j in range(slots)])
     pb = even(unit, [part(j + 1, 0, fac(2 * j)) for j in range(slots)])
     o = even([part(j + 1, 1, fac(2 * j + 1)) for j in range(slots)], zeros)
-    inner = even_add(even_mul(pt, pb), even_shift(even_mul(o, o)))
+    return w, even_add(even_mul(pt, pb), even_shift(even_mul(o, o)))
+
+
+def _whole_pde_series(terms, n, slots, cap):
+    """Reference PDE series (1 + i q)^(n-1) I, built whole."""
+    w, inner = _whole_pde_factors(terms, n, slots, cap)
     return even_mul(even_int_pow(w, n - 1), inner)
 
 
@@ -235,13 +251,15 @@ def test_mp_residual_ignores_other_contexts():
 
 def _online_pde(terms, n, cap):
     """Feed the terms to one PDESlots as the recursion does: every call
-    brings the next term and asks for one slot it cannot close yet."""
+    brings the next term and asks for the one slot it cannot close yet,
+    and the last call closes slot K - 1. Returns the state and
+    Im E_0..E_(K-1), read back from its finished P and I slots."""
     K = len(terms) - 1
     state = PDESlots(n)
     for k in range(1, K + 1):
-        ev = regular_pde_even_series(terms[:k + 1], n, min(k + 1, K), cap,
-                                     state)
-    return state, ev
+        regular_pde_even_series(terms[:k + 1], n, min(k, K - 1), cap, state)
+    return state, [regular_pde_even_series(terms, n, k, cap, state)
+                   for k in range(K)]
 
 
 @given(st.integers(2, 7), st.integers(1, 6),
@@ -254,7 +272,7 @@ def test_online_slots_exact_over_rationals(n, K, nums):
     ], D)
     exp = extend_series(f0, n, K)
     cap = exp.cap - 2
-    state, ev = _online_pde(exp.terms, n, cap)
+    state, online = _online_pde(exp.terms, n, cap)
     # Miller's recurrence reproduces the repeated-squaring power exactly
     one = poly_one(cap, like=Fraction(1))
     zp = poly_zero(cap, like=Fraction(0))
@@ -264,11 +282,14 @@ def test_online_slots_exact_over_rationals(n, K, nums):
     w = EvenSeries((ComplexSeries(one, q[0]),)
                    + tuple(ComplexSeries(zp, x) for x in q[1:]))
     assert tuple(state.p) == even_int_pow(w, n - 1).slots
+    # the closed I slots are the whole-series factor exactly
+    assert tuple(state.i) == _whole_pde_factors(exp.terms, n, K, cap)[1].slots
     # reusing the running slots changes nothing, and every solved slot
     # vanishes exactly
-    assert ev == regular_pde_even_series(exp.terms, n, K, cap)
-    assert ev == _whole_pde_series(exp.terms, n, K, cap)
-    assert all(c == 0 for s in ev.slots for c in s.im.coeffs)
+    fresh = [regular_pde_even_series(exp.terms, n, k, cap) for k in range(K)]
+    whole = [s.im for s in _whole_pde_series(exp.terms, n, K, cap).slots]
+    assert online == fresh == whole
+    assert all(c == 0 for e_k in online for c in e_k.coeffs)
 
 
 @given(st.integers(2, 7), st.integers(1, 6),
@@ -279,10 +300,11 @@ def test_solved_slots_vanish_property(n, K, us):
     f0 = poly_from([0.0] * 3 + [u * 0.2 ** j for j, u in
                                 enumerate(us[:D - 2], start=1)], D)
     exp = extend_series(f0, n, K)
-    ev = regular_pde_even_series(exp.terms, n, K, exp.cap - 2)
+    state = PDESlots(n)
     scale = max(1.0, max(abs(c) for f in exp.terms for c in f.coeffs))
-    for s in ev.slots:
-        assert max(abs(c) for c in s.im.coeffs) <= 1e-13 * scale
+    for k in range(K):
+        e_k = regular_pde_even_series(exp.terms, n, k, exp.cap - 2, state)
+        assert max(abs(c) for c in e_k.coeffs) <= 1e-13 * scale
 
 
 def test_linearity_of_order_k_equation():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import chart_with_nan_in_f3
 from slagext import oracles
+from slagext.ambient import SlagResidual
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.engine import extend_arc
 from slagext.errors import GateObstructionError
@@ -90,6 +91,15 @@ def test_plane_oracle_counts_and_residuals():
         assert all(c == n for c in r.details["line_plane_counts"])
 
 
+def test_nan_residual_fails_cone_and_plane_oracles(monkeypatch):
+    # a NaN residual wins the maximum instead of being dropped by max()
+    nan = SlagResidual(math.nan, math.nan, math.nan)
+    monkeypatch.setattr(oracles, "slag_residual", lambda frame: nan)
+    for r in (harvey_lawson_sample(2, 1.0, count=8),
+              plane_oracle(2, trials=2)):
+        assert math.isnan(r.max_residual) and not r.passed, r.name
+
+
 def test_branch_separation_parabola():
     r = branch_separation(graph_arc(["0", "0", "0.5"]), 3, K=3)
     assert r.passed
@@ -157,6 +167,7 @@ def test_chart_report_symplectic_residual_is_rounding(n, arc, s0, branch):
     assert chart_residual_report(ch, 0.1)["max_omega"] <= 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chart_report_keeps_nan_in_every_maximum():
     rep = chart_residual_report(chart_with_nan_in_f3(), 0.1)
     for key in ("max_pde", "max_omega", "max_upsilon", "max_momentum"):
