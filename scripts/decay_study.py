@@ -3,15 +3,19 @@
 Reproduces the truncation-order scaling table. The expected exponent of
 the max residual in sigma_max is 2K + n - 1; float64 resolves it up to
 K ~ 4, beyond that run with SLAG_PRECISION=mp40 (the default here).
+
+Exits 1 when a fitted slope is NaN or below 2K - 1, the decay bound of
+acceptance criterion 6, so a broken decay law fails the run.
 """
 import argparse
 import math
+import sys
 
 import numpy as np
 
 from slagext.arcs import graph_arc, normalize_at
 from slagext.engine import extend_series, pde_residual
-from slagext.precision import FLOAT64, context_named
+from slagext.precision import context_named
 
 
 def main():
@@ -33,6 +37,7 @@ def main():
           f"t window +-{args.t_halfwidth}")
     print("K  " + "  ".join(f"res({sm:g})" for sm in args.sigma_max)
           + "  slope  expected")
+    failed = []
     for K in args.orders:
         na = normalize_at(arc, ctx.real(0), args.n,
                           cap=2 * K + args.extra_cap, ctx=ctx)
@@ -43,10 +48,18 @@ def main():
                   for j in range(7)]
             ss = [ctx.real(sm * (j + 1) / 4) for j in range(4)]
             vals.append(pde_residual(exp, ts, ss).max_pde)
-        slope = np.polyfit(np.log(args.sigma_max), np.log(vals), 1)[0]
+        # a zero, infinite or NaN residual has no logarithm to fit
+        slope = (np.polyfit(np.log(args.sigma_max), np.log(vals), 1)[0]
+                 if all(0 < v < math.inf for v in vals) else math.nan)
         print(f"{K}  " + "  ".join(f"{v:.3e}" for v in vals)
               + f"  {slope:.2f}  {2 * K + args.n - 1}")
+        if not slope >= 2 * K - 1:
+            failed.append(K)
+    if failed:
+        print(f"error: slope below 2K - 1 at K = {failed}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

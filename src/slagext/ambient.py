@@ -119,7 +119,8 @@ class SlagResidual:
 
 
 def slag_residual(frame) -> SlagResidual:
-    """Symplectic and volume-form residuals of a tangent frame.
+    """Symplectic and volume-form residuals of a tangent frame, or of each
+    frame of a stack.
 
     The columns of ``frame`` are tangent vectors v_0..v_m of a sheet at
     one point, so the frame must be square, (n+1) x (n+1), and
@@ -129,26 +130,34 @@ def slag_residual(frame) -> SlagResidual:
         phase       = Re det / |det|
 
     A genuinely calibrated sheet has both residuals 0 and phase +-1. A
-    non-finite frame gives NaN residuals and phase, without calling det.
+    non-finite frame gives NaN residuals and phase, without entering det;
+    a degenerate finite frame raises ``RankError``. A stack of frames,
+    shape (..., n+1, n+1), gives arrays of its leading shape, one element
+    per frame; a single frame gives floats.
     """
     m = np.asarray(frame, dtype=complex)
-    rows, cols = m.shape
+    rows, cols = m.shape[-2:]
     if rows != cols:
         raise RankError(
             f"need {rows} parameters for a frame in C^{rows}, got {cols}"
         )
-    if not np.all(np.isfinite(m)):
-        return SlagResidual(math.nan, math.nan, math.nan)
-    scale = float(np.prod(np.linalg.norm(m, axis=0)))
-    det = complex(np.linalg.det(m))
-    if scale == 0.0 or abs(det) < 1e-12 * scale:
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    # a non-finite frame is scored as the identity, then reads NaN
+    m = np.where(finite[..., None, None], m, np.eye(cols))
+    scale = np.prod(np.linalg.norm(m, axis=-2), axis=-1)
+    det = np.linalg.det(m)
+    if np.any((scale == 0.0) | (np.abs(det) < 1e-12 * scale)):
         raise RankError("degenerate tangent frame (det ~ 0)")
-    pairs = (m.conj().T @ m).imag[np.triu_indices(cols, 1)]
-    return SlagResidual(
-        omega_res=float(np.max(np.abs(pairs), initial=0.0)),
-        upsilon_res=abs(det.imag),
-        phase=det.real / abs(det),
-    )
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    pairs = gram.imag[(..., *np.triu_indices(cols, 1))]
+    fields = [np.where(finite, v, math.nan) for v in (
+        np.max(np.abs(pairs), axis=-1, initial=0.0),
+        np.abs(det.imag),
+        det.real / np.abs(det),
+    )]
+    if m.ndim == 2:
+        fields = map(float, fields)
+    return SlagResidual(*fields)
 
 
 def _sphere_from_angles(angles: Sequence[float]):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +55,7 @@ from .errors import (
     NormalizationError,
     SeriesShapeError,
 )
-from .precision import FLOAT64, Context, complex_product
+from .precision import FLOAT64, Context, complex_power, complex_product
 from .series import (
     ComplexSeries,
     SigmaExpansion,
@@ -391,31 +391,55 @@ class ResidualReport:
     grid: str
 
 
-def pde_lhs_value(exp: SigmaExpansion, t, sigma, evaluator=None):
+def pde_lhs_value(exp: SigmaExpansion, t, sigma):
     """Pointwise singular PDE left side
     Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)]."""
-    jet = (evaluator or SigmaJetEvaluator(exp)).jet(t, sigma)
-    # x + 1j * y is exact for float and mpf alike; complex() would round
+    jet = SigmaJetEvaluator(exp).jet(t, sigma)
+    return _pde_lhs(exp.n, sigma, jet.phi_sigma, jet.phi_tt,
+                    jet.phi_sigmasigma, jet.phi_sigmat)
+
+
+def _pde_lhs(n, sigma, phi_sigma, phi_tt, phi_ss, phi_st):
+    """The PDE left side from the jet, on scalars or, element by element
+    and bit for bit, on float64 arrays."""
+    # i * x is exact for float and mpf alike; complex() would round
     # mpf scalars through float
-    a = sigma + 1j * jet.phi_sigma
-    b = 1 + 1j * jet.phi_tt
-    c = 1 + 1j * jet.phi_sigmasigma
-    st = jet.phi_sigmat
-    val = (a ** (exp.n - 1)) * (b * c + st * st)
+    a = sigma + complex_product(1j, phi_sigma)
+    b = 1 + complex_product(1j, phi_tt)
+    c = 1 + complex_product(1j, phi_ss)
+    val = complex_product(complex_power(a, n - 1),
+                          complex_product(b, c) + phi_st * phi_st)
     return val.imag
 
 
 def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
     """Max |PDE left side| over the tensor grid of the given values; NaN
-    when the left side is NaN anywhere."""
-    ev = SigmaJetEvaluator(exp)
-    vals = [abs(float(pde_lhs_value(exp, t, s, evaluator=ev)))
-            for t in t_values for s in sigma_values]
+    when the left side is NaN anywhere.
+
+    One jet call evaluates the grid, a t column against a sigma row, so
+    each f_k is evaluated once per t. float64 jets give the left side in
+    one array expression, equal to ``pde_lhs_value`` at every point. mp
+    jets come back as object arrays, whose complex left side is taken
+    point by point: numpy's ``.imag`` of an object array of mpc reads 0.
+    """
+    T = np.asarray(t_values)[:, None]
+    S = np.asarray(sigma_values)[None, :]
+    # IEEE semantics, as on Python floats: an infinite or NaN jet gives an
+    # infinite or NaN residual, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = SigmaJetEvaluator(exp).jet(T, S)
+        parts = (S, jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,
+                 jet.phi_sigmat)
+        if jet.phi.dtype == object:
+            lhs = np.frompyfunc(partial(_pde_lhs, exp.n), 5, 1)(*parts)
+            vals = [abs(float(v)) for v in lhs.flat]
+        else:
+            vals = np.abs(_pde_lhs(exp.n, *parts))
     grid = (
         f"t[{float(min(t_values)):.4g},{float(max(t_values)):.4g}]x"
         f"sigma[{float(min(sigma_values)):.4g},{float(max(sigma_values)):.4g}]"
     )
-    return ResidualReport(max_pde=float(np.max(vals)), samples=len(vals),
+    return ResidualReport(max_pde=float(np.max(vals)), samples=T.size * S.size,
                           grid=grid)
 
 

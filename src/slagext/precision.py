@@ -19,13 +19,15 @@ The CLI picks its context from the SLAG_PRECISION environment variable:
 ``truncated_product`` is the one multiplication kernel per scalar type
 behind ``series.poly_mul``: a numpy convolution for Python floats, an exact
 big-integer (Kronecker) product rounded once per coefficient for mpf, and
-the generic loop for every other scalar.
+the generic loop for every other scalar. ``polynomial_values`` is its
+counterpart for evaluation, behind ``series.SigmaJetEvaluator``: one exact
+dot product per polynomial for mpf, Horner's rule for everything else.
 """
 from __future__ import annotations
 
 import math
 import os
-from typing import Any, Union
+from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
@@ -139,6 +141,22 @@ def complex_product(a, b):
     return complex_array(ar * br - ai * bi, ar * bi + ai * br)
 
 
+def complex_power(a, k: int):
+    """``a ** k`` for an integer k >= 1, and on numpy arrays the same power
+    element by element, bit for bit: CPython's binary powering, starting
+    from 1 + 0j, with each product by ``complex_product``."""
+    if not isinstance(a, np.ndarray):
+        return a ** k
+    out, bit = complex(1.0, 0.0), 1
+    while bit <= k:
+        if k & bit:
+            out = complex_product(out, a)
+        bit <<= 1
+        if bit <= k:
+            a = complex_product(a, a)
+    return out
+
+
 FLOAT64 = FloatContext()
 
 
@@ -184,17 +202,70 @@ def truncated_product(ca: tuple, cb: tuple) -> list:
     (Fraction, int, mixed scalars, and mpf holding NaN or an infinity)
     takes the generic loop, which is exact over an exact field.
     """
-    kinds = {*map(type, ca), *map(type, cb)}
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if kind is float:
-            return np.convolve(ca, cb)[:len(ca)].tolist()
-        mp = getattr(kind, "context", None)
-        if mp is not None and kind is mp.mpf:
-            out = _mpf_product(ca, cb, mp)
-            if out is not None:
-                return out
+    kind = _one_kind((ca, cb))
+    if kind is float:
+        return np.convolve(ca, cb)[:len(ca)].tolist()
+    mp = _mpf_context(kind)
+    if mp is not None:
+        out = _mpf_product(ca, cb, mp)
+        if out is not None:
+            return out
     return _loop_product(ca, cb)
+
+
+def polynomial_values(polys: Sequence[tuple]) -> Callable:
+    """The function taking t to the values at t of the polynomials whose
+    coefficient sequences (c_0, c_1, ...) are ``polys``, by the kernel of
+    their scalar type, chosen once here for repeated evaluation.
+
+    t is a scalar or a numpy array; on an array each value is an array of
+    its shape, one element per element of t, except that Horner's rule
+    leaves a constant polynomial a scalar. mpf of one mpmath context
+    take the powers of each t once, each rounded at the context's
+    precision, then one ``fdot`` of that context per polynomial: the dot
+    product is summed exactly and rounded once, where Horner's rule rounds
+    at every step. Everything else takes Horner's rule, which numpy applies
+    element by element, so each element of a float64 array value equals
+    the value at that scalar t bit for bit.
+    """
+    mp = _mpf_context(_one_kind(polys))
+    if mp is None:
+        return lambda t: [horner(cs, t) for cs in polys]
+    return lambda t: _mpf_values(polys, mp, t)
+
+
+def _one_kind(seqs):
+    """The type of every scalar in the sequences, or None when they mix."""
+    kinds = {type(x) for seq in seqs for x in seq}
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _mpf_context(kind):
+    """The mpmath context whose mpf type ``kind`` is, else None."""
+    mp = getattr(kind, "context", None)
+    return mp if mp is not None and kind is mp.mpf else None
+
+
+def horner(cs: Sequence, t):
+    """sum_j cs[j] t^j by Horner's rule, elementwise over numpy arrays."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def _mpf_values(polys, mp, t) -> list:
+    if isinstance(t, np.ndarray):
+        out = [np.empty(t.shape, dtype=object) for _ in polys]
+        for idx in np.ndindex(t.shape):
+            for arr, v in zip(out, _mpf_values(polys, mp, t[idx])):
+                arr[idx] = v
+        return out
+    x = mp.convert(t)
+    powers = [mp.one]
+    for _ in range(max(map(len, polys)) - 1):
+        powers.append(powers[-1] * x)
+    return [mp.fdot(cs, powers) for cs in polys]
 
 
 def _loop_product(ca, cb) -> list:

@@ -24,7 +24,9 @@ are dtype-generic and exact over whichever field the inputs carry.
 ``poly_mul``, which nearly all of the recursion's time goes through, uses
 one multiplication kernel per scalar type (``precision.truncated_product``):
 a numpy convolution for floats, one exact big-integer product rounded once
-per coefficient for mpf, and the plain Cauchy loop for anything else.
+per coefficient for mpf, and the plain Cauchy loop for anything else. Jets
+evaluate the f_k the same way, by one evaluation kernel per scalar type
+(``precision.polynomial_values``).
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from .precision import truncated_product
+from .precision import horner, polynomial_values, truncated_product
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,7 @@ def poly_antiderivative(a: TaylorPoly) -> TaylorPoly:
 
 
 def poly_eval(a: TaylorPoly, t):
-    acc = a.coeffs[-1]
-    for c in reversed(a.coeffs[:-1]):
-        acc = acc * t + c
-    return acc
+    return horner(a.coeffs, t)
 
 
 def poly_reciprocal(a: TaylorPoly) -> TaylorPoly:
@@ -461,7 +460,8 @@ class SigmaExpansion:
 
 @dataclass(frozen=True)
 class PhiJet:
-    """Value and the second-order partials of phi at one (t, sigma)."""
+    """Value and the second-order partials of phi at one (t, sigma), or
+    arrays of them over a grid of points."""
 
     phi: object
     phi_t: object
@@ -477,34 +477,41 @@ class SigmaJetEvaluator:
 
     def __init__(self, exp: SigmaExpansion):
         self.exp = exp
-        self._f = list(exp.terms)
-        self._fp = [poly_derivative(f) for f in self._f]
-        self._fpp = [poly_derivative(fp) for fp in self._fp]
-        self._fact = [math.factorial(2 * k) for k in range(len(self._f))]
-        self._fact_odd = [math.factorial(2 * k + 1) for k in range(len(self._f))]
+        f = list(exp.terms)
+        fp = [poly_derivative(p) for p in f]
+        fpp = [poly_derivative(p) for p in fp]
+        # f_k, f_k' and f_k'' in one list, evaluated by the kernel of
+        # their scalar type
+        self._values = polynomial_values([p.coeffs for p in f + fp + fpp])
+        self._fact = [math.factorial(2 * k) for k in range(len(f))]
+        self._fact_odd = [math.factorial(2 * k + 1) for k in range(len(f))]
 
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
+
+        t and sigma are scalars or numpy arrays that broadcast against each
+        other. Each f_k, f_k' and f_k'' is evaluated once per element of t,
+        then Horner in sigma^2 runs over the broadcast shape: a t column
+        against a sigma row evaluates a tensor grid with the f_k once per
+        t, and arrays of one shape evaluate element by element.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
         odd factorials while phi_sigmasigma uses (2k-2)!.
         """
-        f = [poly_eval(p, t) for p in self._f]
-        fp = [poly_eval(p, t) for p in self._fp]
-        fpp = [poly_eval(p, t) for p in self._fpp]
+        m = len(self._fact)
+        vals = self._values(t)
+        f, fp, fpp = vals[:m], vals[m:2 * m], vals[2 * m:]
         s2 = sigma * sigma
         z = t * 0
         phi = z
         phi_t = z
         phi_tt = z
-        phi_s = z
         phi_st = z
         phi_ss = z
         q = z  # phi_sigma / sigma, regular at sigma = 0
         # Horner in s2, highest k first
-        K = len(f) - 1
-        for k in range(K, -1, -1):
+        for k in range(m - 1, -1, -1):
             phi = phi * s2 + f[k] / self._fact[k]
             phi_t = phi_t * s2 + fp[k] / self._fact[k]
             phi_tt = phi_tt * s2 + fpp[k] / self._fact[k]
@@ -512,15 +519,12 @@ class SigmaJetEvaluator:
                 q = q * s2 + f[k] / self._fact_odd[k - 1]
                 phi_ss = phi_ss * s2 + f[k] / self._fact[k - 1]
                 phi_st = phi_st * s2 + fp[k] / self._fact_odd[k - 1]
-        phi = phi
-        phi_s = q * sigma
-        phi_st = phi_st * sigma
         return PhiJet(
             phi=phi,
             phi_t=phi_t,
-            phi_sigma=phi_s,
+            phi_sigma=q * sigma,
             phi_tt=phi_tt,
-            phi_sigmat=phi_st,
+            phi_sigmat=phi_st * sigma,
             phi_sigmasigma=phi_ss,
             phi_sigma_over_sigma=q,
         )

@@ -199,6 +199,28 @@ def test_slag_residual_degenerate_frame():
         slag_residual(np.eye(3, 2, dtype=complex))
 
 
+def test_slag_residual_on_a_stack_equals_each_frame():
+    ch = extend_arc(unit_circle_arc(), 0.3, n=3, K=4, D=16, with_radius=False)
+    T, S = np.meshgrid([-0.1, 0.0, 0.05], [0.02, 0.1], indexing="ij")
+    frames = chart_frame(ch, T, S, [0.7, -0.3])
+    frames[1, 0, 2, 1] = complex(math.nan, 0.0)
+    rec = slag_residual(frames)
+    for field in ("omega_res", "upsilon_res", "phase"):
+        arr = getattr(rec, field)
+        assert arr.shape == T.shape
+        for idx in np.ndindex(T.shape):
+            one = getattr(slag_residual(frames[idx]), field)
+            assert type(one) is float
+            assert (arr[idx] == one) or (math.isnan(one) and idx == (1, 0))
+        assert np.isnan(arr[1, 0])
+    # one degenerate frame in the stack fails the whole call
+    frames[2, 1] = np.array([[1, 0, 0, 0]] * 4, dtype=complex)
+    with pytest.raises(RankError):
+        slag_residual(frames)
+    with pytest.raises(RankError):
+        slag_residual(np.ones((2, 4, 3), dtype=complex))
+
+
 def _moved(frame, theta, n):
     """The frame pushed forward by a group motion: its linear part, which
     is the motion with a = 0, applied to each column."""

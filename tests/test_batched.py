@@ -1,6 +1,9 @@
 """Array evaluation equals the per-point code it replaces.
 
-``ReducedChartMap.point`` and ``chart_point`` take (t, sigma) arrays,
+``SigmaJetEvaluator.jet`` takes a t column against a sigma row (a tensor
+grid) or arrays of one shape, and ``pde_residual`` evaluates its whole grid
+in one jet call. ``ReducedChartMap.point`` and ``chart_point`` take
+(t, sigma) arrays,
 ``chart_point`` also a stack of sphere directions, and the mesh export,
 the cloud export, the momentum check, the unit-circle oracle and the
 branch-separation oracle evaluate whole grids with them.
@@ -10,6 +13,7 @@ below are the code the array calls replaced.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,12 +31,13 @@ from slagext.ambient import (
 )
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import _grid, embedded_cloud_rows, reduced_mesh_text
-from slagext.engine import extend_arc
+from slagext.engine import _pde_lhs, extend_arc, pde_lhs_value, pde_residual
 from slagext.oracles import (
     branch_separation,
     chart_residual_report,
     unit_circle_residual,
 )
+from slagext.series import SigmaJetEvaluator
 
 
 def _same(a: complex, b: complex) -> bool:
@@ -91,6 +96,46 @@ def test_array_point_equals_scalar_calls(n, circle, s0, tail, branch, ts,
                    for idx in np.ndindex(T.shape))
         q = chart_point(chart, 0.05, -0.0, v)
         assert all(_same(complex(a[d]), b) for a, b in zip(one.z, q.z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    circle=st.booleans(),
+    K=st.integers(1, 12),
+    s0=st.floats(-0.3, 0.3, **finite),
+    tail=st.lists(st.floats(-1.0, 1.0, **finite), min_size=1, max_size=4),
+    ts=st.lists(st.floats(-0.2, 0.2, **finite), min_size=1, max_size=5),
+    sigmas=st.lists(st.floats(-0.1, 0.1, **finite), min_size=1, max_size=4),
+)
+def test_grid_jet_equals_scalar_jets(n, circle, K, s0, tail, ts, sigmas):
+    # K up to 12 puts (2k)! past 2^53, where the divisors round
+    arc = (unit_circle_arc() if circle
+           else graph_arc(["0", "0"] + [repr(c) for c in tail]))
+    chart = extend_arc(arc, s0, n=n, K=K, D=2 * K + 6, with_radius=False)
+    ev = SigmaJetEvaluator(chart.phi)
+    tv, sv = [0.0, -0.0] + ts, [0.0, -0.0] + sigmas
+    T, S = np.array(tv)[:, None], np.array(sv)[None, :]
+    grid = ev.jet(T, S)
+    fields = [f.name for f in dataclasses.fields(grid)]
+    assert all(getattr(grid, f).shape == (len(tv), len(sv)) for f in fields)
+    lhs = _pde_lhs(n, S, grid.phi_sigma, grid.phi_tt, grid.phi_sigmasigma,
+                   grid.phi_sigmat)
+    for i, t in enumerate(tv):
+        for j, s in enumerate(sv):
+            one = ev.jet(t, s)
+            assert all(_same(complex(getattr(grid, f)[i, j]),
+                             complex(getattr(one, f))) for f in fields)
+            assert _same(complex(lhs[i, j]),
+                         complex(pde_lhs_value(chart.phi, t, s)))
+    # arrays of one shape evaluate element by element
+    flat = ev.jet(np.broadcast_to(T, lhs.shape).ravel(),
+                  np.broadcast_to(S, lhs.shape).ravel())
+    assert all(np.array_equal(getattr(flat, f),
+                              getattr(grid, f).ravel()) for f in fields)
+    want = max(abs(pde_lhs_value(chart.phi, t, s)) for t in tv for s in sv)
+    rep = pde_residual(chart.phi, tv, sv)
+    assert rep.max_pde == want and rep.samples == len(tv) * len(sv)
 
 
 def test_phi_map_on_arrays_matches_scalars():

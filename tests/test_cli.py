@@ -1,8 +1,10 @@
 """CLI subcommands, exercised through main(argv)."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import chart_with_nan_in_f3
 from slagext import arcs
 from slagext.chartio import dump_chart
 from slagext.cli import main
+from slagext.engine import ResidualReport
 
 
 @pytest.fixture
@@ -276,3 +279,29 @@ def test_residual_of_a_nan_chart_fails(tmp_path, capsys):
     check = doc["checks"][0]
     for key in ("max_pde", "max_omega", "max_upsilon", "max_momentum"):
         assert math.isnan(float(check[key])), key
+
+
+def _decay_study():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "decay_study.py"
+    spec = importlib.util.spec_from_file_location("decay_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("residual", [None, 1e-9, math.nan, 0.0])
+def test_decay_study_exits_1_below_the_decay_bound(monkeypatch, capsys,
+                                                   residual):
+    # float64 resolves the slopes 3 and 5 of K = 1, 2; a flat, NaN or
+    # zero residual has no slope of 2K - 1
+    study = _decay_study()
+    monkeypatch.setattr("sys.argv", ["decay_study.py", "--precision",
+                                     "float64", "--orders", "1", "2"])
+    if residual is not None:
+        monkeypatch.setattr(study, "pde_residual", lambda exp, ts, ss:
+                            ResidualReport(residual, len(ts) * len(ss), ""))
+    rc = study.main()
+    out = capsys.readouterr()
+    assert rc == (0 if residual is None else 1)
+    assert ("error:" in out.err) is (residual is not None)
+    assert len(out.out.splitlines()) == 4

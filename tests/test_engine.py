@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -606,3 +607,62 @@ def test_extension_in_high_precision_matches_float():
     exp = extend_series(f0, n=2, K=2)
     for got, want in zip(exp.terms[2].coeffs, F2_PARABOLA):
         assert abs(float(got) - want) < 1e-14
+
+
+def _mp_chart_terms(ctx):
+    ch = extend_arc(graph_arc(["0", "0", "0.5", "0.1"], ctx=ctx),
+                    ctx.real("0.05"), n=3, K=4, D=20, ctx=ctx,
+                    with_radius=False)
+    return ch.phi
+
+
+def test_mp_residual_is_nan_when_a_coefficient_is_nan():
+    # numpy's .imag of an object array of mpc reads 0, which would hide
+    # the NaN the left side carries
+    ctx = MPContext(40)
+    phi = _mp_chart_terms(ctx)
+    terms = list(phi.terms)
+    coeffs = list(terms[2].coeffs)
+    coeffs[3] = ctx.real("nan")
+    terms[2] = TaylorPoly(tuple(coeffs))
+    bad = SigmaExpansion(n=phi.n, terms=tuple(terms))
+    ts = [ctx.real(-0.1 + 0.2 * j / 6) for j in range(7)]
+    ss = [ctx.real("0.05") * (j + 1) / 4 for j in range(4)]
+    assert math.isnan(pde_residual(bad, ts, ss).max_pde)
+    assert math.isnan(pde_residual(bad, [0.05], [0.02]).max_pde)
+    assert pde_residual(phi, ts, ss).max_pde < 1e-12
+
+
+def test_mp_residual_equals_the_per_point_left_side():
+    # the grid evaluates each f_k once per t; the left side is still taken
+    # point by point on mpc scalars of the chart's context
+    ctx = MPContext(40)
+    phi = _mp_chart_terms(ctx)
+    ts = [ctx.real(-0.1 + 0.2 * j / 4) for j in range(5)]
+    ss = [ctx.real("0.04") * (j + 1) / 3 for j in range(3)]
+    vals = [pde_lhs_value(phi, t, s) for t in ts for s in ss]
+    assert all(v.context is ts[0].context for v in vals)
+    rep = pde_residual(phi, ts, ss)
+    assert rep.max_pde == max(abs(float(v)) for v in vals)
+    assert rep.samples == 15
+    before = rep.max_pde
+    dps = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = 15
+        assert pde_residual(phi, ts, ss).max_pde == before
+    finally:
+        mpmath.mp.dps = dps
+
+
+def test_float_residual_keeps_ieee_semantics_without_warnings():
+    # an infinite coefficient overflows the left side; the array path
+    # reports it in max_pde rather than in a numpy warning
+    ch = extend_arc(graph_arc(["0", "0", "0.5"]), 0.0, n=2, K=3, D=12,
+                    with_radius=False)
+    terms = list(ch.phi.terms)
+    terms[2] = TaylorPoly((math.inf,) + terms[2].coeffs[1:])
+    bad = SigmaExpansion(n=2, terms=tuple(terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pde_residual(bad, [0.0, 0.1], [0.01, 0.02])
+    assert not math.isfinite(rep.max_pde)

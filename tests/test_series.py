@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from slagext.precision import MPContext
+from slagext.precision import MPContext, polynomial_values
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -198,6 +199,67 @@ def test_mp_kernel_ignores_other_contexts():
         mpmath.mp.dps = dps
     assert [x._mpf_ for x in after] == [x._mpf_ for x in before]
     assert all(x.context is xs[0].context for x in before + after)
+
+
+@given(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=40),
+       st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       st.floats(-1.5, 1.5, allow_nan=False))
+@settings(max_examples=60, deadline=None)
+def test_mp_values_within_term_bound_of_exact(base, lengths, tf):
+    # one exact dot product per polynomial over powers t^j that are each
+    # rounded j - 1 times, then one rounding: the error is at most
+    # (cap + 2) u sum_j |c_j t^j|, u the unit roundoff, from the term
+    # magnitudes of the exact value
+    ctx = MPContext(40)
+    x = ctx.real(tf) / 3  # a full-precision t
+    polys = [tuple(ctx.real(c) / (j + 1)
+                   for j, c in enumerate((base * 40)[:m])) for m in lengths]
+    got = polynomial_values(polys)(x)
+    u = Fraction(1, 2 ** x.context.prec)
+    xe = _exact(x)
+    for cs, g in zip(polys, got):
+        assert g.context is x.context
+        terms = [_exact(c) * xe ** j for j, c in enumerate(cs)]
+        bound = (len(cs) + 1) * u * sum(abs(v) for v in terms)
+        assert abs(_exact(g) - sum(terms)) <= bound
+
+
+def test_mp_values_follow_the_scalars_context_not_mpmath_mp():
+    import mpmath
+
+    ctx = MPContext(40)
+    rng = random.Random(11)
+    polys = [tuple(ctx.real(rng.uniform(-1, 1)) for _ in range(33))
+             for _ in range(5)]
+    values = polynomial_values(polys)
+    x = ctx.real(1) / 7
+    before = values(x)
+    dps = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = 15
+        after = values(x)
+        on_float = values(0.125)
+    finally:
+        mpmath.mp.dps = dps
+    assert [v._mpf_ for v in after] == [v._mpf_ for v in before]
+    assert all(v.context is x.context for v in before + after + on_float)
+    # a float t enters exactly, as it does in Horner's rule
+    assert on_float == values(ctx.real(0.125))
+
+
+def test_values_on_arrays_are_the_scalar_values():
+    ctx = MPContext(30)
+    rng = random.Random(4)
+    polys = [tuple(ctx.real(rng.uniform(-1, 1)) for _ in range(m))
+             for m in (1, 6, 12)]
+    floats = [tuple(float(c) for c in cs) for cs in polys]
+    ts = np.array([[-0.3], [0.0], [0.7]])
+    for ps in (polys, floats):
+        values = polynomial_values(ps)
+        # under Horner's rule a constant stays a scalar; it broadcasts
+        arrays = [np.broadcast_to(a, ts.shape) for a in values(ts)]
+        for idx in np.ndindex(ts.shape):
+            assert [a[idx] for a in arrays] == values(float(ts[idx]))
 
 
 def test_reciprocal_geometric_series():
