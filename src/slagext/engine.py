@@ -55,7 +55,13 @@ from .errors import (
     NormalizationError,
     SeriesShapeError,
 )
-from .precision import FLOAT64, Context, complex_power, complex_product
+from .precision import (
+    FLOAT64,
+    Context,
+    abs_squared,
+    complex_power,
+    complex_product,
+)
 from .series import (
     ComplexSeries,
     SigmaExpansion,
@@ -731,10 +737,11 @@ class ReducedChartMap:
 
     The chart's coefficients and frame are cast into ``ctx`` when the map
     is built, so the map computes in ``ctx`` whatever the chart's own
-    precision. ``point`` takes scalars of that context or, on a float64
-    map, numpy float64 arrays of equal shape, which it evaluates in one
-    pass since the jet evaluator works elementwise; each element equals
-    the scalar call at that (t, sigma) bit for bit, zero signs included.
+    precision. ``point`` takes scalars of that context or numpy arrays of
+    equal shape (float64 on a float64 map, object arrays of mpf on an mp
+    map), which it evaluates in one pass since the jet evaluator works
+    elementwise; each element equals the scalar call at that (t, sigma)
+    bit for bit, zero signs included.
     """
 
     def __init__(self, chart: Chart, ctx: Context = FLOAT64):
@@ -758,17 +765,18 @@ class ReducedChartMap:
                 complex_product(self.z_phase, z_g))
 
     def point_and_jacobian(self, t, sigma):
+        """``point`` and its partials in t and sigma, (dw_dt, dw_ds,
+        dz_dt, dz_ds), on scalars or arrays as ``point`` takes them."""
         jet = self.ev.jet(t, sigma)
-        one = (t * 0) + 1
-        w_g = self.ctx.make_complex(t, jet.phi_t)
-        z_g = self.ctx.make_complex(sigma, jet.phi_sigma)
-        w = self.w_phase * (w_g - self.a)
-        z = self.z_phase * z_g
-        dw_dt = self.w_phase * self.ctx.make_complex(one, jet.phi_tt)
-        dw_ds = self.w_phase * self.ctx.make_complex(t * 0, jet.phi_sigmat)
-        dz_dt = self.z_phase * self.ctx.make_complex(t * 0, jet.phi_sigmat)
-        dz_ds = self.z_phase * self.ctx.make_complex(one, jet.phi_sigmasigma)
-        return (w, z), (dw_dt, dw_ds, dz_dt, dz_ds)
+        zero = t * 0
+        one = zero + 1
+        c = self.ctx.make_complex
+        return ((complex_product(self.w_phase, c(t, jet.phi_t) - self.a),
+                 complex_product(self.z_phase, c(sigma, jet.phi_sigma))),
+                (complex_product(self.w_phase, c(one, jet.phi_tt)),
+                 complex_product(self.w_phase, c(zero, jet.phi_sigmat)),
+                 complex_product(self.z_phase, c(zero, jet.phi_sigmat)),
+                 complex_product(self.z_phase, c(one, jet.phi_sigmasigma))))
 
 
 def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
@@ -781,12 +789,14 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     SO(n)-orbit surfaces). Each projection starts from the nearest point of
     a 21 x 11 (t, sigma) seed grid on chart 2; the grid is evaluated once
     per pair with chart 2's float64 ``reduced_map`` whatever ``ctx``, and
-    only the samples and Gauss-Newton run in ``ctx``. Points whose
-    projection leaves chart 2's window are not in the overlap and are
-    skipped, as are those whose foot is not finite; if no sample projects
-    into chart 2 the domains are disjoint, which is an error. A non-finite
-    sample point, or a non-finite distance at a counted sample, raises
-    ``NonFiniteError`` rather than passing as a sup.
+    only the samples and Gauss-Newton run in ``ctx``. The samples are
+    evaluated, seeded and projected together, as arrays (object arrays
+    of mp scalars in an mp ``ctx``). Points whose projection leaves chart
+    2's window are not in the overlap and are skipped, as are those whose
+    foot is not finite; if no sample projects into chart 2 the domains are
+    disjoint, which is an error. A non-finite sample point, or a non-finite
+    distance at a counted sample, raises ``NonFiniteError`` rather than
+    passing as a sup; of several, the first in t-outer, sigma-inner order.
     """
     if not float(sigma_max) > 0:
         raise ValueError("sigma_max must be positive")
@@ -799,6 +809,8 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     ns = max(2, int(math.ceil(samples / nt)))
     map1, map2 = (c.reduced_map if ctx.name == FLOAT64.name
                   else ReducedChartMap(c, ctx) for c in (c1, c2))
+    lanes = partial(np.array, dtype=float if ctx.name == FLOAT64.name
+                    else object)
     seed_t = [
         -float(w2) + 2 * float(w2) * j / 20 for j in range(21)
     ]
@@ -808,65 +820,103 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     # flattened t-outer, sigma-inner; argmin keeps the first of equal minima
     T, S = np.meshgrid(seed_t, seed_s, indexing="ij")
     grid_w, grid_z = c2.reduced_map.point(T.ravel(), S.ravel())
-    worst = None
-    hit = 0
-    for it in range(nt):
-        for js in range(ns):
-            t1 = -w1 + 2 * w1 * it / (nt - 1)
-            s1 = -sigma_max + 2 * sigma_max * js / (ns - 1)
-            p1 = map1.point(t1, s1)
-            p1f = (complex(p1[0]), complex(p1[1]))
-            if not np.all(np.isfinite(p1f)):
-                raise NonFiniteError(
-                    f"chart 1 is not finite at (t, sigma) = "
-                    f"({float(t1):.6g}, {float(s1):.6g})"
-                )
-            nearest = int(np.argmin(np.abs(grid_w - p1f[0]) ** 2
-                                    + np.abs(grid_z - p1f[1]) ** 2))
-            i, j = divmod(nearest, len(seed_s))
-            t2, s2 = ctx.real(seed_t[i]), ctx.real(seed_s[j])
-            t2, s2, dist = _gauss_newton_project(map2, p1, t2, s2,
-                                                 gn_iterations)
-            # written so that a NaN foot fails the window test
-            if not (float(abs(t2)) <= 1.05 * float(w2)
-                    and float(abs(s2)) <= 1.2 * float(sigma_max)):
-                continue
-            hit += 1
-            d = float(dist)
-            if not math.isfinite(d):
-                raise NonFiniteError(
-                    f"overlap distance {d} at chart-1 sample "
-                    f"(t, sigma) = ({float(t1):.6g}, {float(s1):.6g})"
-                )
-            if worst is None or d > worst:
-                worst = d
-    if hit == 0:
+    # the samples, flattened t-outer, sigma-inner
+    t1 = lanes([-w1 + 2 * w1 * it / (nt - 1)
+                for it in range(nt) for _ in range(ns)])
+    s1 = lanes([-sigma_max + 2 * sigma_max * js / (ns - 1)
+                for _ in range(nt) for js in range(ns)])
+    p1 = map1.point(t1, s1)
+    p1w, p1z = (np.asarray(p, dtype=complex) for p in p1)
+    finite = np.isfinite(p1w) & np.isfinite(p1z)
+    live = np.flatnonzero(finite)
+    nearest = np.argmin(np.abs(grid_w - p1w[live, None]) ** 2
+                        + np.abs(grid_z - p1z[live, None]) ** 2, axis=1)
+    i, j = np.divmod(nearest, len(seed_s))
+    t2, s2, dist = _gauss_newton_project(
+        map2, (p1[0][live], p1[1][live]),
+        lanes([ctx.real(seed_t[k]) for k in i]),
+        lanes([ctx.real(seed_s[k]) for k in j]), gn_iterations)
+    # written so that a NaN foot fails the window test
+    inside = ((np.asarray(abs(t2), dtype=float) <= 1.05 * float(w2))
+              & (np.asarray(abs(s2), dtype=float)
+                 <= 1.2 * float(sigma_max)))
+    counted = np.zeros(t1.size, dtype=bool)
+    counted[live] = inside
+    d = np.full(t1.size, math.nan)
+    d[live] = np.asarray(dist, dtype=float)
+    bad = np.flatnonzero(~finite | (counted & ~np.isfinite(d)))
+    if bad.size:
+        k = bad[0]
+        at = f"(t, sigma) = ({float(t1[k]):.6g}, {float(s1[k]):.6g})"
+        if not finite[k]:
+            raise NonFiniteError(f"chart 1 is not finite at {at}")
+        raise NonFiniteError(f"overlap distance {d[k]} at chart-1 sample "
+                             f"{at}")
+    if not counted.any():
         raise CoverageError("charts have disjoint domains; no overlap")
-    return worst
+    return float(np.max(d[counted]))
 
 
 def _gauss_newton_project(cmap: ReducedChartMap, target, t, s,
                           iterations: int):
+    """Project the points target = (w, zeta), arrays of one lane per
+    point, onto the chart of ``cmap`` by Gauss-Newton from the seeds
+    (t, s); returns the feet (t, s) and their distances.
+
+    Each lane takes the steps a projection of its point alone would take,
+    with the same rounding, and stops where that would: when the normal
+    matrix is singular or not finite, keeping its foot, or after a step
+    below 100 eps. Later iterations evaluate the running lanes only.
+    """
     ctx = cmap.ctx
-    tiny = ctx.real(ctx.eps) * 100
-    for _ in range(iterations):
-        (w, z), (dw_dt, dw_ds, dz_dt, dz_ds) = cmap.point_and_jacobian(t, s)
-        rw = w - target[0]
-        rz = z - target[1]
-        a11 = (abs(dw_dt) ** 2 + abs(dz_dt) ** 2)
-        a22 = (abs(dw_ds) ** 2 + abs(dz_ds) ** 2)
-        a12 = (dw_dt.conjugate() * dw_ds + dz_dt.conjugate() * dz_ds).real
-        b1 = -(dw_dt.conjugate() * rw + dz_dt.conjugate() * rz).real
-        b2 = -(dw_ds.conjugate() * rw + dz_ds.conjugate() * rz).real
-        det = a11 * a22 - a12 * a12
-        if not float(abs(det)) > 0:
-            break
-        dt = (b1 * a22 - b2 * a12) / det
-        ds = (b2 * a11 - b1 * a12) / det
-        t = t + dt
-        s = s + ds
-        if float(abs(dt)) + float(abs(ds)) < float(tiny):
-            break
-    w, z = cmap.point(t, s)
-    dist = ctx.sqrt(abs(w - target[0]) ** 2 + abs(z - target[1]) ** 2)
+    tiny = float(ctx.real(ctx.eps) * 100)
+    t, s = t.copy(), s.copy()
+    live = np.arange(t.size)
+    # IEEE semantics, as on Python floats: a diverging lane overflows to
+    # infinity or NaN, without a numpy warning, and then stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            if not live.size:
+                break
+            (w, z), jac = cmap.point_and_jacobian(t[live], s[live])
+            a11, a22, a12, b1, b2 = _lanewise(
+                _normal_equations, 5, *jac, w - target[0][live],
+                z - target[1][live])
+            det = a11 * a22 - a12 * a12
+            ok = np.asarray(abs(det), dtype=float) > 0
+            live, a11, a22, a12, b1, b2, det = (
+                x[ok] for x in (live, a11, a22, a12, b1, b2, det))
+            dt = (b1 * a22 - b2 * a12) / det
+            ds = (b2 * a11 - b1 * a12) / det
+            t[live] = t[live] + dt
+            s[live] = s[live] + ds
+            step = (np.asarray(abs(dt), dtype=float)
+                    + np.asarray(abs(ds), dtype=float))
+            live = live[~(step < tiny)]
+        w, z = cmap.point(t, s)
+        dist = _lanewise(lambda rw, rz: ctx.sqrt(abs_squared(rw)
+                                                 + abs_squared(rz)),
+                         1, w - target[0], z - target[1])
     return t, s, dist
+
+
+def _normal_equations(dw_dt, dw_ds, dz_dt, dz_ds, rw, rz):
+    """The Gauss-Newton normal equations [[a11, a12], [a12, a22]] (dt, ds)
+    = (b1, b2) from the Jacobian and the residual (rw, rz)."""
+    a11 = abs_squared(dw_dt) + abs_squared(dz_dt)
+    a22 = abs_squared(dw_ds) + abs_squared(dz_ds)
+    a12 = (complex_product(dw_dt.conjugate(), dw_ds)
+           + complex_product(dz_dt.conjugate(), dz_ds)).real
+    b1 = -(complex_product(dw_dt.conjugate(), rw)
+           + complex_product(dz_dt.conjugate(), rz)).real
+    b2 = -(complex_product(dw_ds.conjugate(), rw)
+           + complex_product(dz_ds.conjugate(), rz)).real
+    return a11, a22, a12, b1, b2
+
+
+def _lanewise(fn, nout: int, *lanes):
+    """fn on float64 lanes, which it takes as arrays, or applied lane by
+    lane to object (mp) lanes, whose ``.real`` numpy cannot take."""
+    if lanes[0].dtype == object:
+        return np.frompyfunc(fn, len(lanes), nout)(*lanes)
+    return fn(*lanes)

@@ -21,7 +21,9 @@ behind ``series.poly_mul``: a numpy convolution for Python floats, an exact
 big-integer (Kronecker) product rounded once per coefficient for mpf, and
 the generic loop for every other scalar. ``polynomial_values`` is its
 counterpart for evaluation, behind ``series.SigmaJetEvaluator``: one exact
-dot product per polynomial for mpf, Horner's rule for everything else.
+dot product per polynomial for mpf, one Horner loop over all the
+polynomials stacked for Python floats at a float64 array, and Horner's
+rule polynomial by polynomial for everything else.
 """
 from __future__ import annotations
 
@@ -56,6 +58,9 @@ class FloatContext:
         return math.pi
 
     def sqrt(self, x):
+        """``math.sqrt``; elementwise over numpy float64 arrays."""
+        if isinstance(x, np.ndarray):
+            return np.sqrt(x)
         return math.sqrt(x)
 
     def sin(self, x):
@@ -93,6 +98,9 @@ class MPContext:
         return self._mp.mpf(x)
 
     def make_complex(self, re, im):
+        """An mpc; elementwise over numpy object arrays of mpf."""
+        if isinstance(re, np.ndarray) or isinstance(im, np.ndarray):
+            return np.frompyfunc(self._mp.mpc, 2, 1)(re, im)
         return self._mp.mpc(re, im)
 
     def pi(self):
@@ -126,26 +134,35 @@ def complex_array(re, im) -> np.ndarray:
     return out
 
 
+def _numeric_array(x) -> bool:
+    """Whether x is a numpy array of machine numbers, not of objects."""
+    return isinstance(x, np.ndarray) and x.dtype != object
+
+
 def complex_product(a, b):
-    """``a * b``, and on numpy arrays the same product element by element,
-    bit for bit.
+    """``a * b``, and on float or complex numpy arrays the same product
+    element by element, bit for bit.
 
     numpy's complex128 multiply may use fused multiply-adds, which round
-    differently from Python's ``complex.__mul__``. So on arrays the product
-    is written out on the real and imaginary parts with CPython's formula,
-    a real factor x counting as complex(x, 0.0) as CPython's does.
+    differently from Python's ``complex.__mul__``. So on such arrays the
+    product is written out on the real and imaginary parts with CPython's
+    formula, a real factor x counting as complex(x, 0.0) as CPython's does.
+    Object arrays (of mpc) multiply element by element with ``*``.
     """
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+    if not _numeric_array(a) and not _numeric_array(b):
         return a * b
-    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return complex_array(ar * br - ai * bi, ar * bi + ai * br)
 
 
 def complex_power(a, k: int):
-    """``a ** k`` for an integer k >= 1, and on numpy arrays the same power
-    element by element, bit for bit: CPython's binary powering, starting
-    from 1 + 0j, with each product by ``complex_product``."""
-    if not isinstance(a, np.ndarray):
+    """``a ** k`` for an integer k >= 1, and on Python complex scalars and
+    numpy arrays the same power, element by element and bit for bit:
+    CPython's binary powering, starting from 1 + 0j, with each product by
+    ``complex_product``. Unlike ``**`` on a Python complex, it returns an
+    infinite or NaN power instead of raising ``OverflowError``, as numpy
+    does. Everything else (mpc) takes ``**``."""
+    if not isinstance(a, (complex, np.ndarray)):
         return a ** k
     out, bit = complex(1.0, 0.0), 1
     while bit <= k:
@@ -155,6 +172,17 @@ def complex_power(a, k: int):
         if bit <= k:
             a = complex_product(a, a)
     return out
+
+
+def abs_squared(z):
+    """``abs(z) ** 2``, and on complex128 arrays the same element by
+    element, bit for bit. numpy's complex ``abs`` differs from Python's in
+    the last bit for about a third of all values and ``x ** 2`` is ``x * x``
+    to numpy, so arrays take ``hypot``, as Python's complex ``abs`` does,
+    and the C ``pow``, as Python's float ``**`` does."""
+    if not isinstance(z, np.ndarray):
+        return abs(z) ** 2
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 FLOAT64 = FloatContext()
@@ -224,14 +252,64 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
     take the powers of each t once, each rounded at the context's
     precision, then one ``fdot`` of that context per polynomial: the dot
     product is summed exactly and rounded once, where Horner's rule rounds
-    at every step. Everything else takes Horner's rule, which numpy applies
-    element by element, so each element of a float64 array value equals
-    the value at that scalar t bit for bit.
+    at every step. Python floats at a float64 array t take Horner's rule on
+    all the polynomials at once (``_StackedHorner``), and return one array
+    of shape (len(polys),) + t.shape. Everything else takes Horner's rule
+    polynomial by polynomial, which numpy applies element by element. Each
+    element of a float64 array value equals the value at that scalar t bit
+    for bit.
     """
-    mp = _mpf_context(_one_kind(polys))
+    kind = _one_kind(polys)
+    if kind is float:
+        stacked = _StackedHorner(polys)
+        return lambda t: (stacked(t) if isinstance(t, np.ndarray)
+                          and t.dtype == np.float64
+                          else [horner(cs, t) for cs in polys])
+    mp = _mpf_context(kind)
     if mp is None:
         return lambda t: [horner(cs, t) for cs in polys]
     return lambda t: _mpf_values(polys, mp, t)
+
+
+class _StackedHorner:
+    """Horner's rule for float polynomials of any lengths at a float64
+    array t, one loop for all of them.
+
+    The coefficients sit in one matrix, rows sorted longest first and
+    ragged ends unused, so the polynomials still running at each degree
+    are a leading block of rows. A polynomial joins the loop at its top
+    coefficient, so every row takes exactly the operations of the scalar
+    Horner's rule, whatever t holds: no padding zero is multiplied by t.
+    """
+
+    def __init__(self, polys):
+        self.order = sorted(range(len(polys)), key=lambda i: -len(polys[i]))
+        self.size = len(polys[self.order[0]])
+        # degree-major, so that each degree's column is contiguous
+        self.coeffs = np.zeros((self.size, len(polys), 1))
+        for row, i in enumerate(self.order):
+            self.coeffs[:len(polys[i]), row, 0] = polys[i]
+        # rows running at degree j: those of length > j
+        self.running = [sum(len(cs) > j for cs in polys)
+                        for j in range(self.size)]
+        self.unsort = np.argsort(self.order)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        rows = len(self.order)
+        # t once per row, so that each step runs over contiguous memory
+        x = np.broadcast_to(t.reshape(-1), (rows, t.size)).copy()
+        acc = np.empty_like(x)
+        top = self.size - 1
+        live = self.running[top]
+        acc[:live] = self.coeffs[top, :live]
+        for j in range(top - 1, -1, -1):
+            acc[:live] *= x[:live]
+            acc[:live] += self.coeffs[j, :live]
+            if self.running[j] > live:
+                joining = self.running[j]
+                acc[live:joining] = self.coeffs[j, live:joining]
+                live = joining
+        return acc[self.unsort].reshape((rows,) + t.shape)
 
 
 def _one_kind(seqs):

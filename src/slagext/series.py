@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     CompositionDomainError,
@@ -486,6 +489,19 @@ class SigmaJetEvaluator:
         self._fact = [math.factorial(2 * k) for k in range(len(f))]
         self._fact_odd = [math.factorial(2 * k + 1) for k in range(len(f))]
 
+    @cached_property
+    def _stack(self):
+        """For ``_stacked_jet``: per k, the rows of f_k, f_k' and f_k''
+        that feed (phi, phi_t, phi_tt) and (q, phi_ss, phi_st), and their
+        divisors; the second triple is unused at k = 0."""
+        m, fact, odd = len(self._fact), self._fact, self._fact_odd
+        rows = np.array([[k, m + k, 2 * m + k, k, k, m + k]
+                         for k in range(m)])
+        divisors = np.array([[fact[k]] * 3 + ([odd[k - 1], fact[k - 1],
+                                               odd[k - 1]] if k else [1] * 3)
+                             for k in range(m)], dtype=float)
+        return rows, divisors
+
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
 
@@ -493,7 +509,10 @@ class SigmaJetEvaluator:
         other. Each f_k, f_k' and f_k'' is evaluated once per element of t,
         then Horner in sigma^2 runs over the broadcast shape: a t column
         against a sigma row evaluates a tensor grid with the f_k once per
-        t, and arrays of one shape evaluate element by element.
+        t, and arrays of one shape evaluate element by element. On a
+        float64 t with float coefficients the six accumulators run as one
+        stacked array (``_stacked_jet``), with the same operations on each
+        element.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
@@ -501,6 +520,8 @@ class SigmaJetEvaluator:
         """
         m = len(self._fact)
         vals = self._values(t)
+        if isinstance(vals, np.ndarray):
+            return self._stacked_jet(vals, t, sigma)
         f, fp, fpp = vals[:m], vals[m:2 * m], vals[2 * m:]
         s2 = sigma * sigma
         z = t * 0
@@ -519,12 +540,34 @@ class SigmaJetEvaluator:
                 q = q * s2 + f[k] / self._fact_odd[k - 1]
                 phi_ss = phi_ss * s2 + f[k] / self._fact[k - 1]
                 phi_st = phi_st * s2 + fp[k] / self._fact_odd[k - 1]
-        return PhiJet(
-            phi=phi,
-            phi_t=phi_t,
-            phi_sigma=q * sigma,
-            phi_tt=phi_tt,
-            phi_sigmat=phi_st * sigma,
-            phi_sigmasigma=phi_ss,
-            phi_sigma_over_sigma=q,
-        )
+        return _jet(phi, phi_t, phi_tt, q, phi_ss, phi_st, sigma)
+
+    def _stacked_jet(self, vals, t, sigma) -> PhiJet:
+        """The loop of ``jet`` on the stacked values of the float64 kernel:
+        the accumulators (phi, phi_t, phi_tt, q, phi_ss, phi_st) are the
+        rows of one array, so each Horner step is one multiply and one
+        add."""
+        rows, divisors = self._stack
+        # t's axes, behind the leading ones that sigma may add
+        shape = (1,) * max(0, np.ndim(sigma) - t.ndim) + t.shape
+        terms = (vals.reshape(vals.shape[:1] + shape)[rows]
+                 / divisors.reshape(divisors.shape + (1,) * len(shape)))
+        s2 = sigma * sigma
+        acc = np.broadcast_to((t * 0).reshape(shape), (6,) + shape)
+        for k in range(len(self._fact) - 1, 0, -1):
+            acc = acc * s2 + terms[k]
+        # k = 0 has no odd terms
+        even = acc[:3] * s2 + terms[0, :3]
+        return _jet(*even, *acc[3:], sigma)
+
+
+def _jet(phi, phi_t, phi_tt, q, phi_ss, phi_st, sigma) -> PhiJet:
+    return PhiJet(
+        phi=phi,
+        phi_t=phi_t,
+        phi_sigma=q * sigma,
+        phi_tt=phi_tt,
+        phi_sigmat=phi_st * sigma,
+        phi_sigmasigma=phi_ss,
+        phi_sigma_over_sigma=q,
+    )

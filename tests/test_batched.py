@@ -37,7 +37,13 @@ from slagext.oracles import (
     chart_residual_report,
     unit_circle_residual,
 )
-from slagext.series import SigmaJetEvaluator
+from slagext.precision import (
+    abs_squared,
+    complex_array,
+    complex_power,
+    polynomial_values,
+)
+from slagext.series import SigmaExpansion, SigmaJetEvaluator, TaylorPoly
 
 
 def _same(a: complex, b: complex) -> bool:
@@ -73,9 +79,15 @@ def test_array_point_equals_scalar_calls(n, circle, s0, tail, branch, ts,
                        indexing="ij")
     w, z = chart.reduced_map.point(T, S)
     assert w.shape == z.shape == T.shape
+    wz, jac = chart.reduced_map.point_and_jacobian(T, S)
     for idx in np.ndindex(T.shape):
         ws, zs = chart.reduced_map.point(float(T[idx]), float(S[idx]))
         assert _same(complex(w[idx]), ws) and _same(complex(z[idx]), zs)
+        one = chart.reduced_map.point_and_jacobian(float(T[idx]),
+                                                    float(S[idx]))
+        assert one[0] == (ws, zs)
+        assert all(_same(complex(a[idx]), b)
+                   for a, b in zip(wz + jac, one[0] + one[1]))
     u = sphere_points(n, 7)[-1]
     p = chart_point(chart, T, S, u)
     assert all(c.shape == T.shape and c.dtype == np.complex128
@@ -136,6 +148,114 @@ def test_grid_jet_equals_scalar_jets(n, circle, K, s0, tail, ts, sigmas):
     want = max(abs(pde_lhs_value(chart.phi, t, s)) for t in tv for s in sv)
     rep = pde_residual(chart.phi, tv, sv)
     assert rep.max_pde == want and rep.samples == len(tv) * len(sv)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Both NaN, or equal values with equal signs of zero."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return _same(complex(a, 0.0), complex(b, 0.0))
+
+
+def _same_parts(a: complex, b: complex) -> bool:
+    return _same_float(a.real, b.real) and _same_float(a.imag, b.imag)
+
+
+# coefficients with exact zeros of both signs, which make the zero signs of
+# the values depend on the order of every operation
+coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                        st.floats(-2.0, 2.0, **finite))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys=st.lists(st.lists(st.one_of(coefficient,
+                                      st.sampled_from([math.inf, math.nan])),
+                            min_size=1, max_size=9),
+                   min_size=1, max_size=7),
+    ts=st.lists(st.one_of(st.floats(-3.0, 3.0, **finite),
+                          st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                           math.nan])),
+                min_size=1, max_size=6),
+)
+def test_stacked_float_values_equal_scalar_horner(polys, ts):
+    # polynomials of unequal lengths, evaluated at once on a float64 array,
+    # are each the scalar Horner value, whatever t and the top coefficient
+    values = polynomial_values([tuple(cs) for cs in polys])
+    T = np.array(ts).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = values(T)
+    assert got.shape == (len(polys),) + T.shape
+    for i, t in enumerate(ts):
+        want = values(t)
+        assert all(_same_float(float(got[r, i, 0]), want[r])
+                   for r in range(len(polys)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    K=st.integers(1, 7),
+    cap=st.integers(2, 8),
+    data=st.data(),
+    ts=st.lists(st.floats(-0.5, 0.5, **finite), min_size=1, max_size=4),
+    sigmas=st.lists(st.floats(-0.2, 0.2, **finite), min_size=1, max_size=4),
+)
+def test_stacked_float_jet_equals_scalar_jets(n, K, cap, data, ts, sigmas):
+    # f_k, f_k' and f_k'' have unequal lengths; +-0.0 in t and sigma
+    terms = [data.draw(st.lists(coefficient, min_size=cap + 1,
+                                max_size=cap + 1)) for _ in range(K + 1)]
+    terms[0][:3] = [0.0, 0.0, 0.0]
+    terms[1][0] = 0.0
+    ev = SigmaJetEvaluator(SigmaExpansion(
+        n=n, terms=tuple(TaylorPoly(tuple(cs)) for cs in terms)))
+    tv, sv = [0.0, -0.0] + ts, [0.0, -0.0] + sigmas
+    T, S = np.array(tv)[:, None], np.array(sv)[None, :]
+    grid = ev.jet(T, S)
+    fields = [f.name for f in dataclasses.fields(grid)]
+    for i, t in enumerate(tv):
+        for j, s in enumerate(sv):
+            one = ev.jet(t, s)
+            assert all(_same(complex(getattr(grid, f)[i, j]),
+                             complex(getattr(one, f))) for f in fields)
+    # arrays of one shape, and a t row against a sigma column
+    flat = ev.jet(np.broadcast_to(T, (len(tv), len(sv))).ravel(),
+                  np.broadcast_to(S, (len(tv), len(sv))).ravel())
+    swapped = ev.jet(np.array(tv)[None, :], np.array(sv)[:, None])
+    for f in fields:
+        assert np.array_equal(getattr(flat, f), getattr(grid, f).ravel())
+        assert np.array_equal(np.signbit(getattr(flat, f)),
+                              np.signbit(getattr(grid, f).ravel()))
+        assert np.array_equal(getattr(swapped, f), getattr(grid, f).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(coefficient, st.floats(-1e200, 1e200)),
+                          st.one_of(coefficient, st.floats(-1e200, 1e200))),
+                min_size=1, max_size=8),
+       st.integers(1, 6))
+def test_abs_squared_and_complex_power_equal_python(pairs, k):
+    # |z| ** 2 of the first pair is not |z| * |z|, which numpy's ** gives
+    pairs = [(0.0476727312116796, 0.6337011773719937)] + pairs
+    z = complex_array(*(np.array(v) for v in zip(*pairs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = abs_squared(z)
+        pw = complex_power(z, k)
+    for i, (re, im) in enumerate(pairs):
+        c = complex(re, im)
+        try:
+            want = abs(c) ** 2
+        except OverflowError:  # Python's float ** refuses an infinity
+            want = math.inf
+        else:
+            assert _same_float(abs_squared(c), want)
+        assert _same_float(float(sq[i]), want)
+        p = complex_power(c, k)
+        assert _same_parts(complex(pw[i]), p)
+        try:
+            assert _same_parts(p, c ** k)
+        except OverflowError:  # CPython refuses an infinite power
+            assert math.isinf(p.real) or math.isinf(p.imag)
 
 
 def test_phi_map_on_arrays_matches_scalars():

@@ -20,7 +20,6 @@ from slagext.engine import (
     Chart,
     PDESlots,
     ReducedChartMap,
-    _gauss_newton_project,
     build_atlas,
     compute_R,
     compute_f1,
@@ -487,43 +486,133 @@ def test_reduced_map_of_mp_chart_is_float64():
         assert abs(w - complex(we)) <= 1e-15 and abs(z - complex(ze)) <= 1e-15
 
 
+def _scalar_gauss_newton(cmap, target, t, s, iterations):
+    """The per-sample Gauss-Newton projection that ``overlap_agreement``
+    ran before its samples were projected as arrays: the scalar reference
+    of ``engine._gauss_newton_project``, one sample per call."""
+    ctx = cmap.ctx
+    tiny = ctx.real(ctx.eps) * 100
+    for _ in range(iterations):
+        (w, z), (dw_dt, dw_ds, dz_dt, dz_ds) = cmap.point_and_jacobian(t, s)
+        rw = w - target[0]
+        rz = z - target[1]
+        a11 = (abs(dw_dt) ** 2 + abs(dz_dt) ** 2)
+        a22 = (abs(dw_ds) ** 2 + abs(dz_ds) ** 2)
+        a12 = (dw_dt.conjugate() * dw_ds + dz_dt.conjugate() * dz_ds).real
+        b1 = -(dw_dt.conjugate() * rw + dz_dt.conjugate() * rz).real
+        b2 = -(dw_ds.conjugate() * rw + dz_ds.conjugate() * rz).real
+        det = a11 * a22 - a12 * a12
+        if not float(abs(det)) > 0:
+            break
+        dt = (b1 * a22 - b2 * a12) / det
+        ds = (b2 * a11 - b1 * a12) / det
+        t = t + dt
+        s = s + ds
+        if float(abs(dt)) + float(abs(ds)) < float(tiny):
+            break
+    w, z = cmap.point(t, s)
+    dist = ctx.sqrt(abs(w - target[0]) ** 2 + abs(z - target[1]) ** 2)
+    return t, s, dist
+
+
+def _seed_grid(sigma_max, w):
+    ts = [-w + 2 * w * i / 20 for i in range(21)]
+    ss = [-sigma_max + 2 * sigma_max * j / 10 for j in range(11)]
+    return [(t, s) for t in ts for s in ss]
+
+
+def _samples(m1, sigma_max, w):
+    """The points of chart 1 that overlap_agreement samples at samples=24:
+    a 5 x 5 grid, t-outer, sigma-inner."""
+    for it in range(5):
+        for js in range(5):
+            yield m1.point(-w + 2 * w * it / 4,
+                           -sigma_max + 2 * sigma_max * js / 4)
+
+
+def _overlap_scalar(c1, c2, sigma_max, w, iterations):
+    """overlap_agreement at samples=24 for float64 charts as it was before
+    its samples were projected as arrays: the same batched seed grid, then
+    one scalar Gauss-Newton projection per sample."""
+    m1, m2 = ReducedChartMap(c1), ReducedChartMap(c2)
+    seeds = _seed_grid(sigma_max, w)
+    grid_w, grid_z = m2.point(*(np.array(v) for v in zip(*seeds)))
+    worst = None
+    for p1 in _samples(m1, sigma_max, w):
+        k = int(np.argmin(np.abs(grid_w - p1[0]) ** 2
+                          + np.abs(grid_z - p1[1]) ** 2))
+        t2, s2, d = _scalar_gauss_newton(m2, p1, *seeds[k], iterations)
+        if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
+            worst = d if worst is None or d > worst else worst
+    return worst
+
+
 def _overlap_scalar_seed(c1, c2, sigma_max, w, iterations):
     """overlap_agreement at samples=24 for float64 charts, with the seed
     search it had before the grid was batched: a Python min over scalar
     ``point`` values of chart 2 (evaluated once here, not once per sample
     as it was; ``point`` is deterministic, so the seeds are the same)."""
     m1, m2 = ReducedChartMap(c1), ReducedChartMap(c2)
-    grid = [((t, s), m2.point(t, s))
-            for t in [-w + 2 * w * i / 20 for i in range(21)]
-            for s in [-sigma_max + 2 * sigma_max * j / 10 for j in range(11)]]
+    grid = [(ts, m2.point(*ts)) for ts in _seed_grid(sigma_max, w)]
     worst = None
-    for it in range(5):
-        for js in range(5):
-            p1 = m1.point(-w + 2 * w * it / 4,
-                          -sigma_max + 2 * sigma_max * js / 4)
-            (t2, s2), _ = min(grid, key=lambda g: abs(g[1][0] - p1[0]) ** 2
-                              + abs(g[1][1] - p1[1]) ** 2)
-            t2, s2, d = _gauss_newton_project(m2, p1, t2, s2, iterations)
-            if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
-                worst = d if worst is None or d > worst else worst
+    for p1 in _samples(m1, sigma_max, w):
+        (t2, s2), _ = min(grid, key=lambda g: abs(g[1][0] - p1[0]) ** 2
+                          + abs(g[1][1] - p1[1]) ** 2)
+        t2, s2, d = _scalar_gauss_newton(m2, p1, t2, s2, iterations)
+        if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
+            worst = d if worst is None or d > worst else worst
     return worst
 
 
-def test_overlap_seed_grid_matches_scalar_search():
+@pytest.fixture(scope="module")
+def overlap_pairs():
+    """The 12 neighbouring pairs of the K=10 circle atlas and one pair of
+    the n=3 parabola atlas, each with its t half-width."""
     charts = build_atlas(unit_circle_arc(), 2, 10, 40, 2 * math.pi / 12)
     pairs = [(charts[i], charts[(i + 1) % 12], 0.35) for i in range(12)]
     parab = build_atlas(graph_arc(["0", "0", "0.5"]), n=3, K=6, D=24,
                         spacing=0.5)
-    pairs.append((parab[0], parab[1], 0.375))
+    return pairs + [(parab[0], parab[1], 0.375)]
+
+
+def test_overlap_seed_grid_matches_scalar_search(overlap_pairs):
     # Gauss-Newton reaches the same foot from nearly any seed, so the
     # zero-iteration sups, the distances to the seeds, check the seeds
-    for c1, c2, w in pairs:
+    for c1, c2, w in overlap_pairs:
         for iterations in (30, 0):
             got = overlap_agreement(c1, c2, 0.05, t_halfwidth=w,
                                     t_halfwidth_other=w,
                                     gn_iterations=iterations)
             want = _overlap_scalar_seed(c1, c2, 0.05, w, iterations)
             assert abs(got - want) <= 1e-15
+
+
+def test_overlap_projection_equals_scalar_loop(overlap_pairs):
+    # one array projection per pair, bit for bit the per-sample loop:
+    # every lane stops where its scalar projection stops
+    for c1, c2, w in overlap_pairs:
+        for iterations in (30, 1, 0):
+            got = overlap_agreement(c1, c2, 0.05, t_halfwidth=w,
+                                    t_halfwidth_other=w,
+                                    gn_iterations=iterations)
+            want = _overlap_scalar(c1, c2, 0.05, w, iterations)
+            assert repr(got) == repr(want)
+
+
+def test_overlap_projects_each_pair_in_one_call(monkeypatch):
+    calls = []
+    project = engine._gauss_newton_project
+
+    def count(cmap, target, t, s, iterations):
+        calls.append(t.size)
+        return project(cmap, target, t, s, iterations)
+
+    monkeypatch.setattr(engine, "_gauss_newton_project", count)
+    arc = unit_circle_arc()
+    c1, c2 = (extend_arc(arc, s0, n=2, K=4, D=16, with_radius=False)
+              for s0 in (0.0, 0.3))
+    overlap_agreement(c1, c2, 0.05, t_halfwidth=0.3, t_halfwidth_other=0.3)
+    assert calls == [25]
 
 
 @pytest.mark.parametrize("bad_chart", [0, 1])
@@ -543,6 +632,38 @@ def test_overlap_rejects_non_finite_distance(bad_chart):
                           t_halfwidth_other=0.75 * spacing)
 
 
+@pytest.mark.parametrize("bad_lane, message", [
+    (7, r"overlap distance nan at chart-1 sample \(t, sigma\) = \(-0.15, 0\)"),
+    (14, r"chart 1 is not finite at \(t, sigma\) = \(0, 0\)"),
+])
+def test_overlap_reports_the_first_failure_in_sample_order(
+        monkeypatch, bad_lane, message):
+    # sample 12, (t, sigma) = (0, 0), is not finite on chart 1; a NaN
+    # distance at sample 7 comes before it, one at sample 15 (lane 14,
+    # since sample 12 is not projected) after it
+    arc = unit_circle_arc()
+    c1, c2 = (extend_arc(arc, s0, n=2, K=4, D=16, with_radius=False)
+              for s0 in (0.0, 0.3))
+    point, project = ReducedChartMap.point, engine._gauss_newton_project
+
+    def nan_at_sample_12(self, t, sigma):
+        w, z = point(self, t, sigma)
+        if t.size == 25:
+            w[12] = complex(math.nan, 0.0)
+        return w, z
+
+    def nan_distance(cmap, target, t, s, iterations):
+        t, s, dist = project(cmap, target, t, s, iterations)
+        t[bad_lane], s[bad_lane], dist[bad_lane] = 0.0, 0.0, math.nan
+        return t, s, dist
+
+    monkeypatch.setattr(ReducedChartMap, "point", nan_at_sample_12)
+    monkeypatch.setattr(engine, "_gauss_newton_project", nan_distance)
+    with pytest.raises(NonFiniteError, match=message):
+        overlap_agreement(c1, c2, 0.05, t_halfwidth=0.3,
+                          t_halfwidth_other=0.3)
+
+
 def test_overlap_skips_divergent_feet_outside_window(monkeypatch):
     """A projection that runs off chart 2 (an infinite or NaN foot, with a
     distance that is not finite) is not in the overlap: it is skipped, not
@@ -551,23 +672,27 @@ def test_overlap_skips_divergent_feet_outside_window(monkeypatch):
     c1 = extend_arc(arc, 0.0, n=2, K=4, D=16, with_radius=False)
     c2 = extend_arc(arc, 0.3, n=2, K=4, D=16, with_radius=False)
     project = engine._gauss_newton_project
-    calls = []
+    kept = []
 
-    def diverge_on_even_samples(cmap, target, t, s, iterations):
-        calls.append(None)
-        if len(calls) % 2:
-            return project(cmap, target, t, s, iterations)
-        return (math.inf, s, math.nan) if len(calls) % 4 else (
-            math.nan, math.nan, math.inf)
+    def diverge_on_odd_lanes(cmap, target, t, s, iterations):
+        t, s, dist = project(cmap, target, t, s, iterations)
+        t[1::4], dist[1::4] = math.inf, math.nan
+        t[3::4], s[3::4], dist[3::4] = math.nan, math.nan, math.inf
+        inside = (abs(t[::2]) <= 1.05 * 0.3) & (abs(s[::2]) <= 1.2 * 0.05)
+        kept.append(dist[::2][inside])
+        return t, s, dist
 
     kw = dict(t_halfwidth=0.3, t_halfwidth_other=0.3)
     want = overlap_agreement(c1, c2, 0.05, **kw)
     monkeypatch.setattr(engine, "_gauss_newton_project",
-                        diverge_on_even_samples)
+                        diverge_on_odd_lanes)
     got = overlap_agreement(c1, c2, 0.05, **kw)
-    assert math.isfinite(got) and got <= want
-    monkeypatch.setattr(engine, "_gauss_newton_project",
-                        lambda *a: (math.inf, 0.0, math.nan))
+    # the sup over the even lanes whose feet lie in chart 2's window
+    assert got == float(np.max(kept[0])) <= want
+    monkeypatch.setattr(
+        engine, "_gauss_newton_project",
+        lambda cmap, target, t, s, iterations: (
+            np.full(t.shape, math.inf), s, np.full(t.shape, math.nan)))
     with pytest.raises(CoverageError):
         overlap_agreement(c1, c2, 0.05, **kw)
 
@@ -666,3 +791,18 @@ def test_float_residual_keeps_ieee_semantics_without_warnings():
         warnings.simplefilter("error")
         rep = pde_residual(bad, [0.0, 0.1], [0.01, 0.02])
     assert not math.isfinite(rep.max_pde)
+
+
+def test_overflowing_left_side_is_nan_at_a_point_and_on_the_grid():
+    # CPython's complex ** raises OverflowError on an infinite power; the
+    # scalar call powers by the same products as the array path instead
+    ch = extend_arc(graph_arc(["0", "0", "0.5", "0.1"]), 0.0, n=3, K=3,
+                    D=12, with_radius=False)
+    terms = list(ch.phi.terms)
+    terms[1] = TaylorPoly(terms[1].coeffs[:1] + (1e200,)
+                          + terms[1].coeffs[2:])
+    bad = SigmaExpansion(n=3, terms=tuple(terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(pde_lhs_value(bad, 0.1, 0.05))
+        assert math.isnan(pde_residual(bad, [0.1], [0.05]).max_pde)
