@@ -6,8 +6,6 @@ binary values. Files are written atomically (temp file + rename).
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -191,14 +189,12 @@ def _mesh_grid(resolution: int, sigma_max: float):
     return T.ravel(), S.ravel()
 
 
-def _text_rows(coords) -> list:
-    """Per element of the complex arrays in ``coords``, the list of its
-    real and imaginary parts in ``%.17g``, coordinate by coordinate."""
-    cols = []
-    for z in coords:
-        cols.append([f"{x:.17g}" for x in z.real.tolist()])
-        cols.append([f"{x:.17g}" for x in z.imag.tolist()])
-    return [list(row) for row in zip(*cols)]
+def _text_lines(coords, template: str) -> str:
+    """One line per element of the complex arrays in ``coords``: its real
+    and imaginary parts, coordinate by coordinate, through ``template``,
+    which holds one ``%.17g`` per part."""
+    parts = np.stack([p for z in coords for p in (z.real, z.imag)], axis=-1)
+    return ((template + "\n") * len(parts)) % tuple(parts.ravel().tolist())
 
 
 def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
@@ -212,61 +208,55 @@ def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
     if resolution < 2:
         raise ValueError("mesh resolution must be >= 2")
     T, S = _mesh_grid(resolution, sigma_max)
-    lines = ["# reduced chart mesh: Re w, Im w, Re zeta / Im zeta"]
+    parts = ["# reduced chart mesh: Re w, Im w, Re zeta / Im zeta\n"]
     faces = []
-    base = 1
+    base, r = 1, resolution
     for chart in charts:
         wv, zv = chart.reduced_map.point(T, S)
-        lines += ["v " + " ".join(row) for row in _text_rows((wv, zv))]
-        for i in range(resolution - 1):
-            for j in range(resolution - 1):
-                v00 = base + i * resolution + j
-                v01 = v00 + 1
-                v10 = v00 + resolution
-                v11 = v10 + 1
-                faces.append(f"f {v00} {v10} {v11} {v01}")
-        base += resolution * resolution
-    return "\n".join(lines + faces) + "\n"
+        parts.append(_text_lines((wv, zv), "v %.17g %.17g %.17g %.17g"))
+        for i in range(r - 1):
+            # the quad whose corner with the lowest index is vertex v
+            faces += [f"f {v} {v + r} {v + r + 1} {v + 1}\n"
+                      for v in range(base + i * r, base + (i + 1) * r - 1)]
+        base += r * r
+    return "".join(parts + faces)
 
 
-def embedded_cloud_rows(charts: Sequence[Chart], resolution: int,
-                        sigma_max: float, directions: int = 6) -> list:
-    """Point cloud of ambient chart points over a (t, sigma, u) grid with
-    |t| <= 2 sigma_max.
+def embedded_cloud_text(charts: Sequence[Chart], resolution: int,
+                        sigma_max: float, directions: int = 6) -> str:
+    """CSV point cloud of ambient chart points over a (t, sigma, u) grid
+    with |t| <= 2 sigma_max.
 
-    Rows are the 2n+2 real coordinates of each point, header included.
+    After a header line, each line holds the 2n+2 real coordinates of one
+    point.
     """
     if not charts:
         raise ValueError("no charts to export")
     n = charts[0].n
     if any(c.n != n for c in charts):
         raise ValueError("charts mix different n")
-    header = []
-    for k in range(n + 1):
-        header += [f"x{k}", f"y{k}"]
-    rows = [header]
+    parts = [",".join(f"{xy}{k}" for k in range(n + 1) for xy in "xy")
+             + "\n"]
+    template = ",".join(["%.17g"] * (2 * n + 2))
     T, S = _mesh_grid(resolution, sigma_max)
     dirs = sphere_points(n, directions)
     for chart in charts:
         # one array call per chart; the trailing direction axis makes the
         # ravel order t, then sigma, then u
         p = chart_point(chart, T, S, dirs)
-        rows += _text_rows(z.ravel() for z in p.z)
-    return rows
+        parts.append(_text_lines((z.ravel() for z in p.z), template))
+    return "".join(parts)
 
 
 def export_mesh(charts: Sequence[Chart], mode: str, resolution: int,
                 sigma_max: float, path: str, directions: int = 6) -> str:
     """Write the mesh/point-cloud file for the charts; returns the path."""
     if mode == "reduced":
-        atomic_write_text(path, reduced_mesh_text(charts, resolution,
-                                                  sigma_max))
-        return path
-    if mode == "embedded":
-        rows = embedded_cloud_rows(charts, resolution, sigma_max,
+        text = reduced_mesh_text(charts, resolution, sigma_max)
+    elif mode == "embedded":
+        text = embedded_cloud_text(charts, resolution, sigma_max,
                                    directions=directions)
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        atomic_write_text(path, buf.getvalue())
-        return path
-    raise ValueError(f"unknown mesh mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mesh mode {mode!r}")
+    atomic_write_text(path, text)
+    return path

@@ -28,7 +28,7 @@ D - 2K.
 
 The same graded expansion evaluated with all known terms gives the PDE
 residual; the singular second-order normal form behind the recursion is
-checked numerically in ``gt_hypotheses_check``.
+checked in ``gt_hypotheses_check``.
 """
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ from .errors import (
     GateObstructionError,
     NonFiniteError,
     NormalizationError,
-    SeriesShapeError,
 )
 from .precision import (
     FLOAT64,
@@ -75,6 +74,7 @@ from .series import (
     poly_add,
     poly_derivative,
     poly_eval,
+    poly_from,
     poly_mul,
     poly_neg,
     poly_one,
@@ -86,7 +86,7 @@ from .series import (
 
 
 def _scale_ratio(p: TaylorPoly, num: int, den: int) -> TaylorPoly:
-    return TaylorPoly(tuple(c * num / den for c in p.coeffs))
+    return TaylorPoly(p.array * num / den)
 
 
 def _max_abs(p: TaylorPoly) -> float:
@@ -114,7 +114,7 @@ def compute_f1(f0: TaylorPoly, n: int) -> TaylorPoly:
     f0 = _require_flat_base(f0)
     f0pp = poly_derivative(poly_derivative(f0))
     alpha = analytic_compose("arctan", f0pp)
-    alpha_over_n = TaylorPoly(tuple(c / n for c in alpha.coeffs))
+    alpha_over_n = TaylorPoly(alpha.array / n)
     return poly_neg(analytic_compose("tan", alpha_over_n))
 
 
@@ -214,10 +214,6 @@ class PDESlots:
         """f^(derivs)/fact at the slot cap; zero for a missing term."""
         if f is None:
             return poly_zero(self.cap, like=self.zero)
-        if f.cap < self.cap + derivs:
-            raise SeriesShapeError(
-                "term cap too small for the requested slot cap"
-            )
         f = poly_truncate(f, self.cap + derivs)
         for _ in range(derivs):
             f = poly_derivative(f)
@@ -290,6 +286,9 @@ class PDESlots:
         self.open = None
 
 
+# float64 slots give IEEE results without a numpy warning, as Python
+# floats do
+@np.errstate(over="ignore", invalid="ignore")
 def regular_pde_even_series(terms: Sequence[TaylorPoly], n: int, k: int,
                             cap: int, state: Optional[PDESlots] = None
                             ) -> TaylorPoly:
@@ -333,6 +332,7 @@ def _require_order(K: int, D: int) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(f0: TaylorPoly, n: int, K: int) -> list:
     """f_0..f_K with f_j at its native cap D - 2j: slot k of the PDE series
     is affine in f_(k+1), so f_(k+1) = -(2k+1)!/(2k+n) (1+f1^2)/R times
@@ -370,20 +370,15 @@ def linearity_probe(f0: TaylorPoly, n: int, k: int) -> float:
     terms = _solve(f0, n, k)
     f1 = terms[1]
     r = compute_R(f0, n, f1=f1)
-    dconst = _const(delta, D, like=f0.coeffs[0])
+    dconst = poly_from([f0.coeffs[0] * 0 + delta], D)
     base = regular_pde_even_series(terms, n, k, cap_k)
     bumped = regular_pde_even_series(terms + [dconst], n, k, cap_k)
     one = poly_one(f1.cap, like=_one_scalar(f0))
     slope = poly_mul(poly_truncate(r, cap_k),
                      poly_reciprocal(poly_truncate(one + f1 * f1, cap_k)))
-    predicted = _scale_ratio(slope, 2 * k + n, math.factorial(2 * k + 1))
-    predicted = TaylorPoly(tuple(c * delta for c in predicted.coeffs))
+    predicted = poly_scale(
+        _scale_ratio(slope, 2 * k + n, math.factorial(2 * k + 1)), delta)
     return _max_abs((bumped - base) - predicted)
-
-
-def _const(c, cap, like):
-    z = like * 0
-    return TaylorPoly((z + c,) + tuple(z for _ in range(cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +462,26 @@ def gt_g_value(n: int, sigma, z, f0pp, f1, f1p, f1pp):
     return (lead * (quad + fac_t * fac_s)).imag
 
 
+def gt_partials(n: int, sigma, f0pp, f1, f1p, f1pp) -> tuple:
+    """The partials of ``gt_g_value`` in (z00, z01, z10, z02, z11, z20) at
+    z = 0, in closed form: with u = f1 + 2 z00 + z10, the leading factor
+    (1 + i u)^(n-1) has u-derivative (n-1) i (1 + i u)^(n-2), and the rest
+    of G is a polynomial in the z whose linear terms are read off."""
+    s2 = sigma * sigma
+    fac_s = 1 + 1j * f1
+    lead, dlead = fac_s ** (n - 1), (n - 1) * 1j * fac_s ** (n - 2)
+    fac_t = 1 + 1j * (f0pp + 0.5 * f1pp * s2)
+    rest = s2 * f1p * f1p + fac_t * fac_s
+    return tuple(d.imag for d in (
+        2 * dlead * rest + lead * fac_t * 2j,   # z00
+        lead * 4 * s2 * f1p,                    # z01
+        dlead * rest + lead * fac_t * 4j,       # z10
+        lead * fac_s * 0.5j * s2,               # z02
+        lead * 2 * s2 * f1p,                    # z11
+        lead * fac_t * 1j,                      # z20
+    ))
+
+
 @dataclass(frozen=True)
 class GTReport:
     n: int
@@ -487,11 +502,9 @@ def gt_hypotheses_check(f0: TaylorPoly, n: int) -> GTReport:
     point are (1, n+3, 2n), to 1e-7; (4) the indicial polynomial
     k^2 + (n+3)k + 2n has no positive integer roots: its coefficients are
     positive, so its minimum over k >= 1 is 3n + 4, at k = 1.
-    Derivatives are centered differences over the steps 1e-4, 1e-5, 1e-6,
-    Richardson-extrapolated across consecutive steps.
+    The partials are the closed forms of ``gt_partials``.
     """
     t_span, t_points = 0.2, 21
-    steps = (1e-4, 1e-5, 1e-6)
     tol_id, tol_partial = 1e-9, 1e-7
     f0 = _require_flat_base(f0)
     if f0.cap < 6:
@@ -502,12 +515,7 @@ def gt_hypotheses_check(f0: TaylorPoly, n: int) -> GTReport:
     f1pp = poly_derivative(f1p)
 
     def coeffs_at(t: float):
-        return (
-            float(poly_eval(f0pp, t)),
-            float(poly_eval(f1, t)),
-            float(poly_eval(f1p, t)),
-            float(poly_eval(f1pp, t)),
-        )
+        return [float(poly_eval(p, t)) for p in (f0pp, f1, f1p, f1pp)]
 
     t_grid = [
         -t_span + 2 * t_span * j / (t_points - 1) for j in range(t_points)
@@ -516,18 +524,12 @@ def gt_hypotheses_check(f0: TaylorPoly, n: int) -> GTReport:
     cond1 = 0.0
     cond2 = 0.0
     for t in t_grid:
-        c0, c1, c1p, c1pp = coeffs_at(t)
-        cond1 = max(cond1, abs(gt_g_value(n, 0.0, zeros, c0, c1, c1p, c1pp)))
-        for var in (1, 4, 3):  # z01, z11, z02
-            cond2 = max(
-                cond2,
-                abs(_fd_partial(n, 0.0, var, c0, c1, c1p, c1pp, steps)),
-            )
-    c0, c1, c1p, c1pp = coeffs_at(0.0)
-    partials = tuple(
-        _fd_partial(n, 0.0, var, c0, c1, c1p, c1pp, steps)
-        for var in (5, 2, 0)  # z20, z10, z00
-    )
+        c = coeffs_at(t)
+        cond1 = max(cond1, abs(gt_g_value(n, 0.0, zeros, *c)))
+        d = gt_partials(n, 0.0, *c)
+        cond2 = max(cond2, abs(d[1]), abs(d[4]), abs(d[3]))  # z01, z11, z02
+    d = gt_partials(n, 0.0, *coeffs_at(0.0))
+    partials = (d[5], d[2], d[0])  # z20, z10, z00
     expected = (1.0, float(n + 3), float(2 * n))
     cond4_min = 1 + (n + 3) + 2 * n
     ok = (
@@ -542,20 +544,6 @@ def gt_hypotheses_check(f0: TaylorPoly, n: int) -> GTReport:
         n=n, cond1_max=cond1, cond2_max=cond2, partials=partials,
         expected=expected, cond4_min=float(cond4_min), passed=ok,
     )
-
-
-def _fd_partial(n, sigma, var, f0pp, f1, f1p, f1pp, steps):
-    def g_at(h):
-        z = [0.0] * 6
-        z[var] = h
-        return gt_g_value(n, sigma, tuple(z), f0pp, f1, f1p, f1pp)
-
-    ests = [(g_at(h) - g_at(-h)) / (2 * h) for h in steps]
-    best = ests[0]
-    for j in range(1, len(ests)):
-        ratio = (steps[j - 1] / steps[j]) ** 2
-        best = (ratio * ests[j] - ests[j - 1]) / (ratio - 1)
-    return best
 
 
 # ---------------------------------------------------------------------------

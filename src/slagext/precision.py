@@ -16,11 +16,13 @@ and ``a * b`` give on Python scalars.
 The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
 
+Polynomial coefficients live in one numpy array (``coefficient_array``):
+float64 when all are Python floats, object dtype otherwise.
 ``truncated_product`` is the one multiplication kernel per scalar type
-behind ``series.poly_mul``: a numpy convolution for Python floats, an exact
-big-integer (Kronecker) product rounded once per coefficient for mpf, and
-the generic loop for every other scalar. ``polynomial_values`` is its
-counterpart for evaluation, behind ``series.SigmaJetEvaluator``: one exact
+behind ``series.poly_mul``, picked from those arrays: a numpy convolution
+straight on float64, an exact big-integer (Kronecker) product rounded once
+per coefficient for mpf, and the generic loop for every other scalar.
+``polynomial_values`` is its counterpart for evaluation, behind ``series.SigmaJetEvaluator``: one exact
 dot product per polynomial for mpf, one Horner loop over all the
 polynomials stacked for Python floats at a float64 array, and Horner's
 rule polynomial by polynomial for everything else.
@@ -220,25 +222,46 @@ def from_env() -> Context:
     return context_named(spec)
 
 
-def truncated_product(ca: tuple, cb: tuple) -> list:
-    """Coefficients 0..len(ca)-1 of the product of two equal-length
-    coefficient sequences, by the kernel of their scalar type.
+_FLOAT64, _OBJECT = np.dtype(np.float64), np.dtype(object)
 
-    Python floats go through one numpy convolution. mpf of one mpmath
-    context go through one exact big-integer product, each coefficient
-    then rounded once at that context's precision. Everything else
-    (Fraction, int, mixed scalars, and mpf holding NaN or an infinity)
-    takes the generic loop, which is exact over an exact field.
+
+def coefficient_array(cs) -> np.ndarray:
+    """The coefficients ``cs`` as one 1-D array: float64 when every one is
+    a Python float, else object dtype holding the scalars unchanged. A
+    float64 array, or an object array holding more than Python floats, is
+    taken as it is."""
+    if isinstance(cs, np.ndarray):
+        if cs.dtype == _FLOAT64:
+            return cs
+        if cs.dtype != _OBJECT:
+            cs = cs.tolist()
+    floats = all(type(x) is float for x in cs)
+    if isinstance(cs, np.ndarray) and not floats:
+        return cs
+    # not np.array, which probes every scalar for a sequence interface
+    return np.fromiter(cs, dtype=_FLOAT64 if floats else _OBJECT,
+                       count=len(cs))
+
+
+def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Coefficients 0..len(ca)-1 of the product of two equal-length
+    coefficient arrays, by the kernel of their scalar type.
+
+    float64 arrays go straight through one numpy convolution. mpf of one
+    mpmath context go through one exact big-integer product, each
+    coefficient then rounded once at that context's precision. Everything
+    else (Fraction, int, mixed scalars, and mpf holding NaN or an
+    infinity) takes the generic loop, which is exact over an exact field.
     """
-    kind = _one_kind((ca, cb))
-    if kind is float:
-        return np.convolve(ca, cb)[:len(ca)].tolist()
-    mp = _mpf_context(kind)
+    if ca.dtype == _FLOAT64 and cb.dtype == _FLOAT64:
+        return np.convolve(ca, cb)[:len(ca)]
+    ca, cb = ca.tolist(), cb.tolist()
+    mp = _mpf_context(_one_kind((ca, cb)))
     if mp is not None:
         out = _mpf_product(ca, cb, mp)
         if out is not None:
-            return out
-    return _loop_product(ca, cb)
+            return coefficient_array(out)
+    return coefficient_array(_loop_product(ca, cb))
 
 
 def polynomial_values(polys: Sequence[tuple]) -> Callable:

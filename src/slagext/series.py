@@ -7,25 +7,25 @@ lowers the cap by one, antidifferentiation raises it. Mixing caps is a shape
 error so that degree bookkeeping mistakes fail loudly instead of silently
 zero-padding.
 
-Two composite structures are built on top:
-
-* ``ComplexSeries``: a pair (re, im) of equal-cap polynomials, with
-  truncated complex multiplication and integer powers by repeated squaring.
-* ``EvenSeries``: a series in sigma^2 whose coefficients are ComplexSeries
-  in t. The extension recursion and the PDE expansion live entirely in this
-  graded form; odd sigma-powers never appear by construction.
+Two composite structures are built on top: ``ComplexSeries``, a pair
+(re, im) of equal-cap polynomials with truncated complex multiplication
+and integer powers, and ``EvenSeries``, a series in sigma^2 whose
+coefficients are ComplexSeries in t.
 
 ``SigmaExpansion`` is the public container for an extension
 phi(t, sigma) = sum_k f_k(t) sigma^(2k) / (2k)!; the stored terms are the
 bare f_k, the factorials are applied at evaluation time.
 
-Coefficients are plain Python scalars (float or mpmath.mpf); all routines
-are dtype-generic and exact over whichever field the inputs carry.
-``poly_mul``, which nearly all of the recursion's time goes through, uses
-one multiplication kernel per scalar type (``precision.truncated_product``):
-a numpy convolution for floats, one exact big-integer product rounded once
-per coefficient for mpf, and the plain Cauchy loop for anything else. Jets
-evaluate the f_k the same way, by one evaluation kernel per scalar type
+A ``TaylorPoly`` keeps its coefficients in one numpy array: float64 when
+all are Python floats, object dtype (mpf, Fraction, int, mixed) otherwise.
+Sums, negations, scalings and derivatives are array expressions that take
+the same operations as the Python scalars would, so every routine is exact
+over whichever field the inputs carry. ``poly_mul``, which nearly all of
+the recursion's time goes through, uses one multiplication kernel per
+scalar type (``precision.truncated_product``): a numpy convolution on
+float64, one exact big-integer product rounded once per coefficient for
+mpf, and the plain Cauchy loop for anything else. Jets evaluate the f_k the
+same way, by one evaluation kernel per scalar type
 (``precision.polynomial_values``).
 """
 from __future__ import annotations
@@ -42,23 +42,47 @@ from .errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from .precision import horner, polynomial_values, truncated_product
+from .precision import (coefficient_array, horner, polynomial_values,
+                        truncated_product)
 
 
-@dataclass(frozen=True)
 class TaylorPoly:
-    """Coefficients c0..cD of a degree-capped Taylor polynomial."""
+    """Coefficients c0..cD of a degree-capped Taylor polynomial.
 
-    coeffs: tuple
+    ``array`` holds them as ``precision.coefficient_array`` makes them, and
+    the arithmetic runs on it. ``coeffs`` is the same coefficients as a
+    tuple of Python scalars, made once on first read; equality and hashing
+    compare it. Neither is ever modified."""
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    __slots__ = ("array", "_coeffs")
+
+    def __init__(self, coeffs):
+        self._coeffs = None if isinstance(coeffs, np.ndarray) else tuple(coeffs)
+        self.array = coefficient_array(
+            coeffs if self._coeffs is None else self._coeffs)
+        if self.array.ndim != 1 or len(self.array) == 0:
             raise SeriesShapeError("a TaylorPoly needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(self.array.tolist())
+        return self._coeffs
 
     @property
     def cap(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.array) - 1
+
+    def __repr__(self) -> str:
+        return f"TaylorPoly(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
         return poly_add(self, other)
@@ -74,32 +98,21 @@ class TaylorPoly:
             return poly_mul(self, other)
         return poly_scale(self, other)
 
-    def __rmul__(self, other):
-        return poly_scale(self, other)
-
-    def __call__(self, t):
-        return poly_eval(self, t)
-
 
 def poly_from(coeffs: Sequence, cap: int | None = None) -> TaylorPoly:
     cs = list(coeffs)
     if cap is not None:
-        if cap + 1 < len(cs):
-            cs = cs[: cap + 1]
-        else:
-            zero = _zero_like(cs[0]) if cs else 0.0
-            cs = cs + [zero] * (cap + 1 - len(cs))
-    return TaylorPoly(tuple(cs))
+        zero = _zero_like(cs[0]) if cs else 0.0
+        cs = cs[: cap + 1] + [zero] * (cap + 1 - len(cs))
+    return TaylorPoly(cs)
 
 
 def poly_zero(cap: int, like=0.0) -> TaylorPoly:
-    z = _zero_like(like)
-    return TaylorPoly(tuple(z for _ in range(cap + 1)))
+    return TaylorPoly((_zero_like(like),) * (cap + 1))
 
 
 def poly_one(cap: int, like=1.0) -> TaylorPoly:
-    z = _zero_like(like)
-    return TaylorPoly((like * 1,) + tuple(z for _ in range(cap)))
+    return TaylorPoly((like * 1,) + (_zero_like(like),) * cap)
 
 
 def _zero_like(x):
@@ -107,38 +120,36 @@ def _zero_like(x):
 
 
 def _check_same_cap(a: TaylorPoly, b: TaylorPoly, what: str):
-    if a.cap != b.cap:
-        raise SeriesShapeError(
-            f"{what}: degree caps differ ({a.cap} vs {b.cap})"
-        )
+    if len(a.array) != len(b.array):
+        raise SeriesShapeError(f"{what}: degree caps differ "
+                               f"({a.cap} vs {b.cap})")
 
 
 def poly_add(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     _check_same_cap(a, b, "poly_add")
-    return TaylorPoly(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return TaylorPoly(a.array + b.array)
 
 
 def poly_neg(a: TaylorPoly) -> TaylorPoly:
-    return TaylorPoly(tuple(-x for x in a.coeffs))
+    return TaylorPoly(-a.array)
 
 
 def poly_scale(a: TaylorPoly, s) -> TaylorPoly:
-    return TaylorPoly(tuple(x * s for x in a.coeffs))
+    return TaylorPoly(a.array * s)
 
 
 def poly_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     """Cauchy product truncated at the common cap, by the multiplication
     kernel of the coefficients' scalar type (``truncated_product``)."""
     _check_same_cap(a, b, "poly_mul")
-    return TaylorPoly(truncated_product(a.coeffs, b.coeffs))
+    return TaylorPoly(truncated_product(a.array, b.array))
 
 
 def poly_truncate(a: TaylorPoly, cap: int) -> TaylorPoly:
     if cap > a.cap:
-        raise SeriesShapeError(
-            f"poly_truncate: cap {cap} above stored cap {a.cap}"
-        )
-    return TaylorPoly(a.coeffs[: cap + 1])
+        raise SeriesShapeError(f"poly_truncate: cap {cap} above stored "
+                               f"cap {a.cap}")
+    return TaylorPoly(a.array[: cap + 1])
 
 
 def poly_pad(a: TaylorPoly, cap: int) -> TaylorPoly:
@@ -146,24 +157,21 @@ def poly_pad(a: TaylorPoly, cap: int) -> TaylorPoly:
     not a truncation of a longer series."""
     if cap < a.cap:
         raise SeriesShapeError(f"poly_pad: cap {cap} below stored cap {a.cap}")
-    z = _zero_like(a.coeffs[0])
-    return TaylorPoly(a.coeffs + tuple(z for _ in range(cap - a.cap)))
+    return TaylorPoly(a.coeffs + (_zero_like(a.coeffs[0]),) * (cap - a.cap))
 
 
 def poly_derivative(a: TaylorPoly) -> TaylorPoly:
     """d/dt; the cap drops by one (a constant differentiates to cap-0 zero)."""
     if a.cap == 0:
         return TaylorPoly((_zero_like(a.coeffs[0]),))
-    return TaylorPoly(tuple(j * a.coeffs[j] for j in range(1, len(a.coeffs))))
+    return TaylorPoly(np.arange(1, len(a.array)) * a.array[1:])
 
 
 def poly_antiderivative(a: TaylorPoly) -> TaylorPoly:
     """Antiderivative with zero constant term; the cap rises by one."""
-    z = _zero_like(a.coeffs[0])
-    out = [z]
-    for j, c in enumerate(a.coeffs):
-        out.append(c / (j + 1))
-    return TaylorPoly(tuple(out))
+    zero = _zero_like(a.array[:1])
+    return TaylorPoly(np.concatenate(
+        (zero, a.array / np.arange(1, len(a.array) + 1))))
 
 
 def poly_eval(a: TaylorPoly, t):
@@ -172,15 +180,16 @@ def poly_eval(a: TaylorPoly, t):
 
 def poly_reciprocal(a: TaylorPoly) -> TaylorPoly:
     """Series inverse 1/a. Requires a(0) != 0."""
-    a0 = a.coeffs[0]
+    cs = a.coeffs
+    a0 = cs[0]
     if a0 == 0:
         raise SingularDivisionError("poly_reciprocal: constant term is zero")
     inv0 = 1 / a0
     out = [inv0]
-    for d in range(1, len(a.coeffs)):
+    for d in range(1, len(cs)):
         acc = _zero_like(a0)
         for j in range(1, d + 1):
-            acc = acc + a.coeffs[j] * out[d - j]
+            acc = acc + cs[j] * out[d - j]
         out.append(-inv0 * acc)
     return TaylorPoly(tuple(out))
 
@@ -372,12 +381,6 @@ class EvenSeries:
         return self.slots[0].cap
 
 
-def even_add(a: EvenSeries, b: EvenSeries) -> EvenSeries:
-    if a.nslots != b.nslots:
-        raise SeriesShapeError("even_add: slot counts differ")
-    return EvenSeries(tuple(cs_add(x, y) for x, y in zip(a.slots, b.slots)))
-
-
 def even_mul(a: EvenSeries, b: EvenSeries) -> EvenSeries:
     """Convolution in sigma^2, truncated at min(slot counts)."""
     n = min(a.nslots, b.nslots)
@@ -409,12 +412,6 @@ def even_int_pow(a: EvenSeries, k: int) -> EvenSeries:
         if k:
             sq = even_mul(sq, sq)
     return acc
-
-
-def even_shift(a: EvenSeries) -> EvenSeries:
-    """Multiply by sigma^2: prepend a zero slot, keep the slot count."""
-    zero = cs_from_real(poly_zero(a.cap, like=a.slots[0].re.coeffs[0]))
-    return EvenSeries((zero,) + a.slots[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 from slagext.arcs import graph_arc
 from slagext.engine import extend_arc
@@ -20,6 +21,14 @@ def random_flat_potential(rng: random.Random, cap: int, scale: float = 0.2) -> T
         damp *= scale
         coeffs.append(rng.uniform(-1.0, 1.0) * damp)
     return poly_from(coeffs, cap)
+
+
+def exact_value(x) -> Fraction:
+    """The exact rational value of a float or a finite mpf."""
+    if isinstance(x, float):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction((-1) ** sign * int(man)) * Fraction(2) ** int(exp)
 
 
 def chart_with_nan_in_f3():

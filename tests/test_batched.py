@@ -30,7 +30,7 @@ from slagext.ambient import (
     sphere_points,
 )
 from slagext.arcs import graph_arc, unit_circle_arc
-from slagext.chartio import _grid, embedded_cloud_rows, reduced_mesh_text
+from slagext.chartio import _grid, embedded_cloud_text, reduced_mesh_text
 from slagext.engine import _pde_lhs, extend_arc, pde_lhs_value, pde_residual
 from slagext.oracles import (
     branch_separation,
@@ -310,7 +310,7 @@ def _reduced_mesh_per_point(charts, resolution, sigma_max):
     return "\n".join(lines + faces) + "\n"
 
 
-def _cloud_rows_per_point(charts, resolution, sigma_max, directions):
+def _cloud_text_per_point(charts, resolution, sigma_max, directions):
     n = charts[0].n
     w = float(2 * sigma_max)
     header = []
@@ -327,7 +327,7 @@ def _cloud_rows_per_point(charts, resolution, sigma_max, directions):
                     for z in p.z:
                         row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
                     rows.append(row)
-    return rows
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _momentum_per_point(chart, sigma_max, nt=9, ns=7):
@@ -381,8 +381,8 @@ def test_exports_equal_the_per_point_loops(spec):
             == _reduced_mesh_per_point(charts, 7, 0.05))
     # sigma = 0 rows carry -0 parts, so the zero signs are compared too
     for res, dirs in ((8, 6), (5, 9)):
-        assert (embedded_cloud_rows(charts, res, 0.1, directions=dirs)
-                == _cloud_rows_per_point(charts, res, 0.1, dirs))
+        assert (embedded_cloud_text(charts, res, 0.1, directions=dirs)
+                == _cloud_text_per_point(charts, res, 0.1, dirs))
 
 
 @pytest.mark.parametrize("spec", CHARTS)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import (
     deserialize_chart,
-    embedded_cloud_rows,
+    embedded_cloud_text,
     export_mesh,
     load_chart,
     reduced_mesh_text,
@@ -210,7 +210,8 @@ def test_reduced_mesh_branches_share_the_arc():
 
 def test_embedded_cloud_shape():
     ch = extend_arc(graph_arc(["0", "0", "0.5"]), 0.0, n=3, K=2, D=10)
-    rows = embedded_cloud_rows([ch], 4, 0.05, directions=5)
+    rows = [line.split(",") for line in
+            embedded_cloud_text([ch], 4, 0.05, directions=5).splitlines()]
     assert rows[0] == ["x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
     assert len(rows) == 1 + 4 * 4 * 5
     assert all(len(r) == 8 for r in rows)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import warnings
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_flat_potential
+from conftest import exact_value, random_flat_potential
 from slagext import engine
 from slagext.arcs import existence_gate, graph_arc, unit_circle_arc
 from slagext.engine import (
@@ -26,7 +27,9 @@ from slagext.engine import (
     estimate_radius,
     extend_arc,
     extend_series,
+    gt_g_value,
     gt_hypotheses_check,
+    gt_partials,
     linearity_probe,
     overlap_agreement,
     pde_lhs_value,
@@ -46,11 +49,11 @@ from slagext.series import (
     SigmaExpansion,
     TaylorPoly,
     complex_int_pow,
+    cs_add,
+    cs_from_real,
     cs_mul,
-    even_add,
     even_int_pow,
     even_mul,
-    even_shift,
     poly_derivative,
     poly_eval,
     poly_from,
@@ -150,6 +153,17 @@ def test_flat_potential_stays_flat():
     assert pde_lhs_value(exp, 0.2, 0.3) == 0.0
 
 
+def _even_add(a: EvenSeries, b: EvenSeries) -> EvenSeries:
+    assert a.nslots == b.nslots
+    return EvenSeries(tuple(cs_add(x, y) for x, y in zip(a.slots, b.slots)))
+
+
+def _even_shift(a: EvenSeries) -> EvenSeries:
+    """Multiply by sigma^2: prepend a zero slot, keep the slot count."""
+    zero = cs_from_real(poly_zero(a.cap, like=a.slots[0].re.coeffs[0]))
+    return EvenSeries((zero,) + a.slots[:-1])
+
+
 def _whole_pde_factors(terms, n, slots, cap):
     """Reference factors of the PDE series built whole by even_mul and
     repeated squaring: W = 1 + i q and
@@ -175,7 +189,7 @@ def _whole_pde_factors(terms, n, slots, cap):
     pt = even(unit, [part(j, 2, fac(2 * j)) for j in range(slots)])
     pb = even(unit, [part(j + 1, 0, fac(2 * j)) for j in range(slots)])
     o = even([part(j + 1, 1, fac(2 * j + 1)) for j in range(slots)], zeros)
-    return w, even_add(even_mul(pt, pb), even_shift(even_mul(o, o)))
+    return w, _even_add(even_mul(pt, pb), _even_shift(even_mul(o, o)))
 
 
 def _whole_pde_series(terms, n, slots, cap):
@@ -336,6 +350,24 @@ def test_residual_decay_rate_float():
         assert slope == pytest.approx(2 * K + 1, abs=0.3)
 
 
+@pytest.mark.parametrize("n, sigma", [(2, 0.0), (3, 0.37), (5, 0.2)])
+def test_gt_partials_match_centered_differences(n, sigma):
+    """The closed-form partials of G at z = 0 against centered differences
+    of ``gt_g_value``, also at sigma != 0 where every partial is live."""
+    h = 1e-6
+    for coeffs in ((0.0, 0.0, 0.0, 0.0), (0.3, -0.2, 0.7, 0.4),
+                   (-0.8, 0.5, -1.1, 2.0)):
+        got = gt_partials(n, sigma, *coeffs)
+        for var in range(6):
+            z = [0.0] * 6
+            z[var] = h
+            up = gt_g_value(n, sigma, tuple(z), *coeffs)
+            z[var] = -h
+            down = gt_g_value(n, sigma, tuple(z), *coeffs)
+            assert got[var] == pytest.approx((up - down) / (2 * h),
+                                             abs=1e-8)
+
+
 def test_normal_form_hypotheses_small_n():
     for n in (2, 3, 5):
         rep = gt_hypotheses_check(PARABOLA_F0, n)
@@ -348,6 +380,72 @@ def test_normal_form_hypotheses_small_n():
         # k^2 + (n+3)k + 2n is minimized at k = 1
         assert rep.cond4_min == 1 + (n + 3) + 2 * n
         assert rep.passed
+        # closed-form partials: exact at the base point, and the
+        # first-order placeholders enter G only through sigma^2
+        assert rep.partials == rep.expected
+        assert rep.cond2_max == 0.0
+
+
+def _digest(charts) -> str:
+    """SHA-256 of the reprs of every f_k coefficient of the charts, so
+    zero signs and the last digit count."""
+    text = "\n".join(repr(c) for ch in charts for f in ch.phi.terms
+                     for c in f.coeffs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_recursion_output_is_frozen():
+    """Every f_k, bit for bit, as the tuple-backed recursion made them
+    before the coefficients moved into arrays: a deep float64 arc (all
+    three branches), the unit-circle atlas and an mp40 arc."""
+    arc = graph_arc(["0", "0", "0.52", "0.031", "-0.027"])
+    deep = [extend_arc(arc, 0.05, n=3, K=16, D=64, branch=b)
+            for b in range(3)]
+    assert _digest(deep) == (
+        "bdad79cbbda6383015cfab699837c8b272e2e9f1aba8a84d679c8d7456d92369")
+    circle = build_atlas(unit_circle_arc(), 2, 10, 40, 2 * math.pi / 12)
+    assert len(circle) == 12
+    assert _digest(circle) == (
+        "a36dcd39f7b7f9635e984e0b05b07fd2b9c99fafc921a86540fa4b57d1af2dab")
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    mp40 = [extend_arc(arc, ctx.real("0.03"), n=2, K=8, D=48, ctx=ctx)]
+    assert _digest(mp40) == (
+        "3a3471fc62444447c6467f33bd6978c6b57c3c003b592603f7aada711bd7ac12")
+
+
+# worst per-term error of the float64 f_k against the exact ones, measured
+# at n=3, f0 = t^3/6 + t^4/10 - t^5/7, D = 4K (ROADMAP item 3)
+MEASURED_PER_TERM = {4: 1.2e-15, 6: 2.1e-15}
+
+
+@pytest.mark.parametrize("K", sorted(MEASURED_PER_TERM))
+def test_recursion_against_exact_rational_terms(K):
+    """float64 and mp40 f_k against the exact f_k of the same recursion
+    over Fractions. The bound is 4 times the measured worst per-term error
+    (largest coefficient error over max|coefficient| of that f_k), counted
+    in units of each precision's epsilon: headroom for the last bits that
+    another numpy or platform may round differently, far below any change
+    to the recursion itself."""
+    margin, D = 4, 4 * K
+    coeffs = (Fraction(1, 6), Fraction(1, 10), Fraction(-1, 7))
+    exact = extend_series(poly_from([Fraction(0)] * 3 + list(coeffs), D),
+                          3, K).terms
+    ctx = MPContext(40)
+    for f0, eps in (
+        (poly_from([0.0] * 3 + [float(c) for c in coeffs], D), 2.0 ** -52),
+        (poly_from([ctx.real(0)] * 3 + [ctx.real(c.numerator) / c.denominator
+                                        for c in coeffs], D),
+         2.0 ** (1 - mpmath.libmp.dps_to_prec(ctx.dps))),
+    ):
+        bound = margin * MEASURED_PER_TERM[K] / 2.0 ** -52 * eps
+        got = extend_series(f0, 3, K).terms
+        assert len(got) == len(exact) == K + 1
+        for fk, ek in zip(got[1:], exact[1:]):
+            scale = max(abs(c) for c in ek.coeffs)
+            err = max(abs(exact_value(g) - e)
+                      for g, e in zip(fk.coeffs, ek.coeffs))
+            assert err <= bound * scale
 
 
 def test_radius_estimates():

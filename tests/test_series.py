@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_value
+from slagext.engine import _scale_ratio
 from slagext.errors import (
     CompositionDomainError,
     SeriesShapeError,
@@ -40,6 +42,7 @@ from slagext.series import (
     poly_one,
     poly_pad,
     poly_reciprocal,
+    poly_scale,
     poly_shift,
     poly_truncate,
     poly_zero,
@@ -87,6 +90,59 @@ def test_mul_requires_matching_caps():
         poly_mul(frac_poly([1, 2]), frac_poly([1, 2, 3]))
 
 
+_MP40 = MPContext(40)
+_SCALARS = {
+    "float": st.floats(width=64) | st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    "mpf": st.floats(-1e6, 1e6).map(_MP40.real)
+    | st.sampled_from([_MP40.real(0), _MP40.real("-1e-30")]),
+    "Fraction": st.fractions(max_denominator=50),
+}
+
+
+@st.composite
+def _op_case(draw):
+    kind = draw(st.sampled_from(sorted(_SCALARS)))
+    n = draw(st.integers(1, 12))
+    xs, ys = (draw(st.lists(_SCALARS[kind], min_size=n, max_size=n))
+              for _ in range(2))
+    s = draw(_SCALARS[kind] | st.integers(-10 ** 40, 10 ** 40))
+    num = math.factorial(draw(st.integers(0, 40)))
+    return xs, ys, s, num, draw(st.integers(1, 40)), draw(st.integers(0, n - 1))
+
+
+@given(_op_case())
+@settings(max_examples=100, deadline=None)
+def test_array_ops_equal_the_scalar_loops(case):
+    """Each array-backed operation gives, element by element, the scalar
+    and the type that the same operation on the Python scalars gives:
+    zero signs, NaN and infinities on floats, exact mpf and Fraction
+    results, and no int or float zero mixed into mpf."""
+    xs, ys, s, num, den, cap = case
+    a, b = poly_from(xs), poly_from(ys)
+    # numpy reports inf - inf, 0 * inf and overflow on float64 arrays as
+    # warnings, which the recursion's entry points switch off; the values
+    # are compared here
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = [
+            (poly_add(a, b), [x + y for x, y in zip(xs, ys)]),
+            (a - b, [x + -y for x, y in zip(xs, ys)]),
+            (-a, [-x for x in xs]),
+            (poly_scale(a, s), [x * s for x in xs]),
+            (_scale_ratio(a, num, den), [x * num / den for x in xs]),
+            (poly_truncate(a, cap), xs[:cap + 1]),
+            (poly_derivative(a), [j * xs[j] for j in range(1, len(xs))]
+             or [xs[0] * 0]),
+            (poly_antiderivative(a),
+             [xs[0] * 0] + [x / (j + 1) for j, x in enumerate(xs)]),
+        ]
+    for got, want in cases:
+        assert ([(type(c), repr(c)) for c in got.coeffs]
+                == [(type(c), repr(c)) for c in want])
+        floats = all(type(c) is float for c in want)
+        assert got.array.dtype == (np.float64 if floats else object)
+
+
 # poly_mul multiplies floats by a numpy convolution and mpf by an exact
 # big-integer product; this is the plain Cauchy loop they replace, kept as
 # the reference (and still the kernel for every other scalar type)
@@ -98,14 +154,6 @@ def _loop_mul(ca, cb):
             acc = acc + ca[j] * cb[d - j]
         out.append(acc)
     return out
-
-
-def _exact(x) -> Fraction:
-    """The exact rational value of a float or a finite mpf."""
-    if isinstance(x, float):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    return Fraction((-1) ** sign * int(man)) * Fraction(2) ** int(exp)
 
 
 _float_coeff = st.builds(
@@ -163,12 +211,13 @@ def test_mp_kernel_is_correctly_rounded(dps):
         if n > 2:
             xs[n // 2] = ctx.real(0)
         got = poly_mul(poly_from(xs), poly_from(ys)).coeffs
-        exact = _loop_mul([_exact(x) for x in xs], [_exact(y) for y in ys])
+        exact = _loop_mul([exact_value(x) for x in xs],
+                          [exact_value(y) for y in ys])
         prec = xs[0].context.prec
         assert prec >= dps * 3.32
         for g, e in zip(got, exact):
             assert g.context is xs[0].context
-            assert abs(_exact(g) - e) <= abs(e) / 2 ** prec
+            assert abs(exact_value(g) - e) <= abs(e) / 2 ** prec
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -216,12 +265,12 @@ def test_mp_values_within_term_bound_of_exact(base, lengths, tf):
                    for j, c in enumerate((base * 40)[:m])) for m in lengths]
     got = polynomial_values(polys)(x)
     u = Fraction(1, 2 ** x.context.prec)
-    xe = _exact(x)
+    xe = exact_value(x)
     for cs, g in zip(polys, got):
         assert g.context is x.context
-        terms = [_exact(c) * xe ** j for j, c in enumerate(cs)]
+        terms = [exact_value(c) * xe ** j for j, c in enumerate(cs)]
         bound = (len(cs) + 1) * u * sum(abs(v) for v in terms)
-        assert abs(_exact(g) - sum(terms)) <= bound
+        assert abs(exact_value(g) - sum(terms)) <= bound
 
 
 def test_mp_values_follow_the_scalars_context_not_mpmath_mp():
