@@ -58,8 +58,11 @@ from .precision import (
     FLOAT64,
     Context,
     abs_squared,
+    coefficient_array,
     complex_power,
     complex_product,
+    finite_coefficients,
+    truncated_product,
 )
 from .series import (
     ComplexSeries,
@@ -68,9 +71,7 @@ from .series import (
     TaylorPoly,
     analytic_compose,
     complex_int_pow,
-    cs_add,
     cs_mul,
-    cs_truncate,
     poly_add,
     poly_derivative,
     poly_eval,
@@ -164,6 +165,11 @@ class PDESlots:
     4.7): W dP = (n-1) P dW in sigma^2 gives
     k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j), and W_0 = 1 + i f1 is
     invertible because f1(0) = 0.
+
+    Slots are raw coefficient arrays, a complex slot an (re, im) pair;
+    past slot 0 the rows call ``truncated_product`` on them in the order
+    of the ``TaylorPoly`` arithmetic (a - b as a + (-b)), bit for bit. A
+    dropping cap slices each slot to a view; none is updated in place.
     """
 
     def __init__(self, n: int):
@@ -190,100 +196,100 @@ class PDESlots:
         return self._e(k)
 
     def _reset(self, terms, cap: int):
+        """Drop every slot and build slot 0, by the polynomial arithmetic."""
         self.cap = cap
-        self.zero = terms[0].coeffs[0] * 0
-        self.open = None
-        self.t, self.o, self.q, self.b = [], [], [], []
-        self.p, self.i = [], []
+        zero = terms[0].coeffs[0] * 0
+        self.zeros = poly_zero(cap, like=zero).array
+        f1 = terms[1] if len(terms) > 1 else None
+        self.open = 0 if f1 is None else None
+        t0 = TaylorPoly(self._term(terms[0], 2, 1))
+        q0 = TaylorPoly(self._term(f1, 0, 1))
+        one = poly_one(cap, like=zero + 1)
+        w0, inv = ComplexSeries(one, q0), poly_reciprocal(one + q0 * q0)
+        w0_pow = complex_int_pow(w0, self.n - 2)
+        self.w0_inv, self.w0_pow, p0, i0 = (
+            (s.re.array, s.im.array) for s in (
+                ComplexSeries(inv, -(q0 * inv)), w0_pow, cs_mul(w0_pow, w0),
+                ComplexSeries(one - t0 * q0, t0 + q0)))
+        self.t, self.o, self.q, self.b = [t0.array], [], [q0.array], [q0.array]
+        self.p, self.i = [p0], [i0]
 
     def _truncate(self, cap: int):
-        if cap == self.cap:
-            return
+        c = cap + 1
         self.t, self.o, self.q, self.b = (
-            [poly_truncate(x, cap) for x in xs]
-            for xs in (self.t, self.o, self.q, self.b)
-        )
+            [x[:c] for x in xs] for xs in (self.t, self.o, self.q, self.b))
         self.p, self.i = (
-            [cs_truncate(x, cap) for x in xs] for xs in (self.p, self.i)
-        )
-        self.w0_inv = cs_truncate(self.w0_inv, cap)
-        self.w0_pow = cs_truncate(self.w0_pow, cap)
-        self.cap = cap
+            [(re[:c], im[:c]) for re, im in xs] for xs in (self.p, self.i))
+        self.w0_inv, self.w0_pow = (
+            (re[:c], im[:c]) for re, im in (self.w0_inv, self.w0_pow))
+        self.zeros, self.cap = self.zeros[:c], cap
 
     def _term(self, f: Optional[TaylorPoly], derivs: int, fact: int):
         """f^(derivs)/fact at the slot cap; zero for a missing term."""
         if f is None:
-            return poly_zero(self.cap, like=self.zero)
-        f = poly_truncate(f, self.cap + derivs)
+            return self.zeros
+        a = poly_truncate(f, self.cap + derivs).array
         for _ in range(derivs):
-            f = poly_derivative(f)
-        return _scale_ratio(f, 1, fact)
+            a = np.arange(1, len(a)) * a[1:]
+        return coefficient_array(a * 1 / fact)
 
     def _slot(self, k: int, terms):
-        n = self.n
+        """Slot k >= 1 from the slots below it."""
+        n, mul, zp = self.n, truncated_product, self.zeros
         fk = terms[k] if k < len(terms) else None
         fk1 = terms[k + 1] if k + 1 < len(terms) else None
         self.t.append(self._term(fk, 2, math.factorial(2 * k)))
-        if k == 0:
-            q0 = self._term(fk1, 0, 1)
-            one = poly_one(self.cap, like=self.zero + 1)
-            w0 = ComplexSeries(one, q0)
-            inv = poly_reciprocal(one + q0 * q0)
-            self.w0_inv = ComplexSeries(inv, -(q0 * inv))
-            self.w0_pow = complex_int_pow(w0, n - 2)
-            self.q.append(q0)
-            self.b.append(q0)
-            t0 = self.t[0]
-            self.p.append(cs_mul(self.w0_pow, w0))
-            self.i.append(ComplexSeries(one - t0 * q0, t0 + q0))
-        else:
-            zp = poly_zero(self.cap, like=self.zero)
-            self.o.append(self._term(fk, 1, math.factorial(2 * k - 1)))
-            self.q.append(zp)
-            self.b.append(zp)
-            # Miller's recurrence without its j = k term
-            sr = si = zp
-            for j in range(1, k):
-                qj = poly_scale(self.q[j], n * j - k)
-                sr = sr - qj * self.p[k - j].im
-                si = si + qj * self.p[k - j].re
-            pk = cs_mul(self.w0_inv, ComplexSeries(sr, si))
-            self.p.append(ComplexSeries(_scale_ratio(pk.re, 1, k),
-                                        _scale_ratio(pk.im, 1, k)))
-            # phi_tt, phi_ss slots j >= 1 are imaginary, phi_st/sigma real
-            re = zp
-            for j in range(1, k + 1):
-                re = re - self.t[j] * self.b[k - j]
-            for j in range(k):
-                re = re + self.o[j] * self.o[k - 1 - j]
-            self.i.append(ComplexSeries(re, self.t[k]))
-        if fk1 is None:
-            if self.open is None:
-                self.open = k
-        elif k:
+        self.o.append(self._term(fk, 1, math.factorial(2 * k - 1)))
+        self.q.append(zp)
+        self.b.append(zp)
+        # Miller's recurrence without its j = k term
+        sr = si = zp
+        for j in range(1, k):
+            qj = self.q[j] * (n * j - k)
+            pr, pi = self.p[k - j]
+            sr = sr + -mul(qj, pi)
+            si = si + mul(qj, pr)
+        (vr, vi), (sr, si) = self.w0_inv, _slot_pair(sr, si)
+        self.p.append(_slot_pair((mul(vr, sr) + -mul(vi, si)) * 1 / k,
+                                 (mul(vr, si) + mul(vi, sr)) * 1 / k))
+        # phi_tt, phi_ss slots j >= 1 are imaginary, phi_st/sigma real
+        re = zp
+        for j in range(1, k + 1):
+            re = re + -mul(self.t[j], self.b[k - j])
+        for j in range(k):
+            re = re + mul(self.o[j], self.o[k - 1 - j])
+        self.i.append(_slot_pair(re, self.t[k]))
+        if fk1 is not None:
             self._close(k, fk1)
+        elif self.open is None:
+            self.open = k
 
     def _e(self, k: int) -> TaylorPoly:
         # summed afresh from finished P and I slots: adding the rank-one
         # parts to E_k instead doubles the rounding in its cancelling
         # imaginary part. Im only, in the order of cs_mul and cs_add.
-        p, i = self.p, self.i
-        ek = p[0].re * i[k].im + p[0].im * i[k].re
+        p, i, mul = self.p, self.i, truncated_product
+        ek = mul(p[0][0], i[k][1]) + mul(p[0][1], i[k][0])
         for j in range(1, k + 1):
-            ek = ek + (p[j].re * i[k - j].im + p[j].im * i[k - j].re)
-        return ek
+            ek = ek + (mul(p[j][0], i[k - j][1]) + mul(p[j][1], i[k - j][0]))
+        return TaylorPoly(ek)
 
     def _close(self, k: int, f: TaylorPoly):
         """Add the parts of P_k and I_k that f = f_(k+1) contributes."""
+        mul = truncated_product
         q = self._term(f, 0, math.factorial(2 * k + 1))
         b = self._term(f, 0, math.factorial(2 * k))
         self.q[k], self.b[k] = q, b
-        qn = poly_scale(q, self.n - 1)
-        dp = ComplexSeries(-(qn * self.w0_pow.im), qn * self.w0_pow.re)
-        di = ComplexSeries(-(self.t[0] * b), b)
-        self.p[k] = cs_add(self.p[k], dp)
-        self.i[k] = cs_add(self.i[k], di)
+        qn = q * (self.n - 1)
+        (wr, wi), (pr, pi), (ir, ii) = self.w0_pow, self.p[k], self.i[k]
+        self.p[k] = _slot_pair(pr + -mul(qn, wi), pi + mul(qn, wr))
+        self.i[k] = _slot_pair(ir + -mul(self.t[0], b), ii + b)
         self.open = None
+
+
+def _slot_pair(re, im) -> tuple:
+    """(re, im) as ``TaylorPoly`` holds them: Python floats as float64."""
+    return coefficient_array(re), coefficient_array(im)
 
 
 # float64 slots give IEEE results without a numpy warning, as Python
@@ -338,7 +344,7 @@ def _solve(f0: TaylorPoly, n: int, K: int) -> list:
     is affine in f_(k+1), so f_(k+1) = -(2k+1)!/(2k+n) (1+f1^2)/R times
     that slot evaluated with f_(k+1) = 0."""
     D = f0.cap
-    f1 = compute_f1(f0, n)
+    f1 = _finite(compute_f1(f0, n), 1)
     r = compute_R(f0, n, f1=f1)
     one = poly_one(f1.cap, like=_one_scalar(f0))
     one_plus_f1sq = poly_add(one, poly_mul(f1, f1))
@@ -349,10 +355,16 @@ def _solve(f0: TaylorPoly, n: int, K: int) -> list:
         cap_k = D - 2 * (k + 1)
         e_k = regular_pde_even_series(terms, n, k, cap_k, state)
         step = poly_mul(e_k, poly_truncate(pref, cap_k))
-        terms.append(
-            poly_neg(_scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n))
-        )
+        terms.append(_finite(poly_neg(
+            _scale_ratio(step, math.factorial(2 * k + 1), 2 * k + n)), k + 1))
     return terms
+
+
+def _finite(f: TaylorPoly, k: int) -> TaylorPoly:
+    """f = f_k, or NonFiniteError if a coefficient is NaN or infinite."""
+    if not finite_coefficients(f.array):
+        raise NonFiniteError(f"f_{k} has a NaN or infinite coefficient")
+    return f
 
 
 def linearity_probe(f0: TaylorPoly, n: int, k: int) -> float:
@@ -572,26 +584,22 @@ def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     t_radius = 0.15
     ks, amps = [], []
     for k in range(1, exp.K + 1):
-        a = 0.0
-        w = 1.0
+        a, w = 0.0, 1.0
         for c in exp.terms[k].coeffs:
             a += abs(float(c)) * w
             w *= t_radius
+        if not math.isfinite(a):
+            raise NonFiniteError(f"the amplitude of f_{k} is {a} in float")
         if a > 0.0:
             ks.append(float(k))
             amps.append(a)
     if len(ks) < 2:
-        return RadiusEstimate(
-            C=0.0, M=math.inf, rho_sigma=math.inf, fit_quality=1.0
-        )
+        return RadiusEstimate(C=0.0, M=math.inf, rho_sigma=math.inf,
+                              fit_quality=1.0)
     ks_arr = np.asarray(ks)
     log_env = np.log(np.asarray(amps))
-    log_norm = np.asarray(
-        [
-            math.log(a) - math.lgamma(2 * k + 1)
-            for k, a in zip(ks_arr, amps)
-        ]
-    )
+    log_norm = np.asarray([math.log(a) - math.lgamma(2 * k + 1)
+                           for k, a in zip(ks_arr, amps)])
     slope_env, _ = np.polyfit(ks_arr, log_env, 1)
     slope_nrm, icept_nrm = np.polyfit(ks_arr, log_norm, 1)
     fitted = slope_nrm * ks_arr + icept_nrm
@@ -599,9 +607,7 @@ def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     ss_tot = float(np.sum((log_norm - log_norm.mean()) ** 2))
     quality = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     m_env = math.exp(-slope_env)
-    c_env = max(
-        a * m_env**k for k, a in zip(ks_arr, amps)
-    )
+    c_env = max(a * m_env**k for k, a in zip(ks_arr, amps))
     rho = math.exp(-slope_nrm / 2.0)
     return RadiusEstimate(
         C=float(c_env), M=float(m_env), rho_sigma=float(rho),

@@ -243,6 +243,17 @@ def coefficient_array(cs) -> np.ndarray:
                        count=len(cs))
 
 
+def finite_coefficients(cs: np.ndarray) -> bool:
+    """Whether no coefficient of the array is NaN or infinite: one numpy
+    test on float64; on object arrays, mpf by their special values and
+    Python floats by ``math.isfinite`` (Fraction and int are finite)."""
+    if cs.dtype == _FLOAT64:
+        return bool(np.isfinite(cs).all())
+    return not any(_mpf_special(x._mpf_) if hasattr(x, "_mpf_")
+                   else isinstance(x, float) and not math.isfinite(x)
+                   for x in cs.tolist())
+
+
 def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Coefficients 0..len(ca)-1 of the product of two equal-length
     coefficient arrays, by the kernel of their scalar type.
@@ -416,8 +427,14 @@ def _exact_mantissas(cs):
     """Signed integers m_j and one exponent e with c_j == m_j * 2**e
     exactly, or (None, 0) when some c_j is NaN or infinite."""
     raw = [x._mpf_ for x in cs]
-    if any(not man and exp for _, man, exp, _ in raw):
+    if any(map(_mpf_special, raw)):
         return None, 0
     e = min((exp for _, man, exp, _ in raw if man), default=0)
     return [(int(-man if sign else man) << (exp - e)) if man else 0
             for sign, man, exp, _ in raw], e
+
+
+def _mpf_special(raw) -> bool:
+    """Whether a raw mpf tuple is NaN or an infinity: those have no
+    mantissa and a nonzero exponent field, where zero has both zero."""
+    return not raw[1] and raw[2] != 0

@@ -20,12 +20,13 @@ A ``TaylorPoly`` keeps its coefficients in one numpy array: float64 when
 all are Python floats, object dtype (mpf, Fraction, int, mixed) otherwise.
 Sums, negations, scalings and derivatives are array expressions that take
 the same operations as the Python scalars would, so every routine is exact
-over whichever field the inputs carry. ``poly_mul``, which nearly all of
-the recursion's time goes through, uses one multiplication kernel per
-scalar type (``precision.truncated_product``): a numpy convolution on
-float64, one exact big-integer product rounded once per coefficient for
-mpf, and the plain Cauchy loop for anything else. Jets evaluate the f_k the
-same way, by one evaluation kernel per scalar type
+over whichever field the inputs carry. ``poly_mul`` uses one multiplication
+kernel per scalar type (``precision.truncated_product``): a numpy
+convolution on float64, one exact big-integer product rounded once per
+coefficient for mpf, and the plain Cauchy loop for anything else. The
+recursion's slot rows (``engine.PDESlots``), where most products are taken,
+call that kernel on the raw arrays directly. Jets evaluate the f_k the same
+way, by one evaluation kernel per scalar type
 (``precision.polynomial_values``).
 """
 from __future__ import annotations
@@ -331,10 +332,6 @@ def cs_mul(a: ComplexSeries, b: ComplexSeries) -> ComplexSeries:
     re = poly_add(poly_mul(a.re, b.re), poly_neg(poly_mul(a.im, b.im)))
     im = poly_add(poly_mul(a.re, b.im), poly_mul(a.im, b.re))
     return ComplexSeries(re, im)
-
-
-def cs_truncate(a: ComplexSeries, cap: int) -> ComplexSeries:
-    return ComplexSeries(poly_truncate(a.re, cap), poly_truncate(a.im, cap))
 
 
 def complex_int_pow(base: ComplexSeries, k: int) -> ComplexSeries:

@@ -276,6 +276,13 @@ def _online_pde(terms, n, cap):
                    for k in range(K)]
 
 
+def _complex_slots(pairs) -> tuple:
+    """The (re, im) coefficient-array pairs of a PDESlots factor as
+    ComplexSeries, for exact comparison."""
+    return tuple(ComplexSeries(TaylorPoly(re), TaylorPoly(im))
+                 for re, im in pairs)
+
+
 @given(st.integers(2, 7), st.integers(1, 6),
        st.lists(st.integers(-9, 9), min_size=20, max_size=20))
 @settings(max_examples=20, deadline=None)
@@ -295,9 +302,10 @@ def test_online_slots_exact_over_rationals(n, K, nums):
          for j in range(K)]
     w = EvenSeries((ComplexSeries(one, q[0]),)
                    + tuple(ComplexSeries(zp, x) for x in q[1:]))
-    assert tuple(state.p) == even_int_pow(w, n - 1).slots
+    assert _complex_slots(state.p) == even_int_pow(w, n - 1).slots
     # the closed I slots are the whole-series factor exactly
-    assert tuple(state.i) == _whole_pde_factors(exp.terms, n, K, cap)[1].slots
+    assert (_complex_slots(state.i)
+            == _whole_pde_factors(exp.terms, n, K, cap)[1].slots)
     # reusing the running slots changes nothing, and every solved slot
     # vanishes exactly
     fresh = [regular_pde_even_series(exp.terms, n, k, cap) for k in range(K)]
@@ -319,6 +327,141 @@ def test_solved_slots_vanish_property(n, K, us):
     for k in range(K):
         e_k = regular_pde_even_series(exp.terms, n, k, exp.cap - 2, state)
         assert max(abs(c) for c in e_k.coeffs) <= 1e-13 * scale
+
+
+class _PolySlots(PDESlots):
+    """PDESlots on immutable TaylorPoly and ComplexSeries slots, in the
+    operations and order of its array rows: the reference those rows must
+    equal bit for bit. It shares ``advance``, so it keeps, truncates,
+    closes and resets the same slots on the same calls."""
+
+    def _reset(self, terms, cap):
+        self.cap, self.open = cap, None
+        self.zero = terms[0].coeffs[0] * 0
+        self.t, self.o, self.q, self.b, self.p, self.i = [], [], [], [], [], []
+
+    def _truncate(self, cap):
+        self.t, self.o, self.q, self.b = (
+            [poly_truncate(x, cap) for x in xs]
+            for xs in (self.t, self.o, self.q, self.b))
+        self.p, self.i = ([ComplexSeries(poly_truncate(x.re, cap),
+                                         poly_truncate(x.im, cap))
+                           for x in xs] for xs in (self.p, self.i))
+        self.w0_inv, self.w0_pow = (
+            ComplexSeries(poly_truncate(x.re, cap), poly_truncate(x.im, cap))
+            for x in (self.w0_inv, self.w0_pow))
+        self.cap = cap
+
+    def _term(self, f, derivs, fact):
+        if f is None:
+            return poly_zero(self.cap, like=self.zero)
+        f = poly_truncate(f, self.cap + derivs)
+        for _ in range(derivs):
+            f = poly_derivative(f)
+        return TaylorPoly(f.array * 1 / fact)
+
+    def _slot(self, k, terms):
+        n = self.n
+        fk = terms[k] if k < len(terms) else None
+        fk1 = terms[k + 1] if k + 1 < len(terms) else None
+        self.t.append(self._term(fk, 2, math.factorial(2 * k)))
+        if k == 0:
+            q0, t0 = self._term(fk1, 0, 1), self.t[0]
+            one = poly_one(self.cap, like=self.zero + 1)
+            w0, inv = ComplexSeries(one, q0), poly_reciprocal(one + q0 * q0)
+            self.w0_inv = ComplexSeries(inv, -(q0 * inv))
+            self.w0_pow = complex_int_pow(w0, n - 2)
+            self.q, self.b = [q0], [q0]
+            self.p = [cs_mul(self.w0_pow, w0)]
+            self.i = [ComplexSeries(one - t0 * q0, t0 + q0)]
+        else:
+            zp = poly_zero(self.cap, like=self.zero)
+            self.o.append(self._term(fk, 1, math.factorial(2 * k - 1)))
+            self.q.append(zp)
+            self.b.append(zp)
+            sr = si = zp
+            for j in range(1, k):
+                qj = self.q[j] * (n * j - k)
+                sr = sr - qj * self.p[k - j].im
+                si = si + qj * self.p[k - j].re
+            pk = cs_mul(self.w0_inv, ComplexSeries(sr, si))
+            self.p.append(ComplexSeries(TaylorPoly(pk.re.array * 1 / k),
+                                        TaylorPoly(pk.im.array * 1 / k)))
+            re = zp
+            for j in range(1, k + 1):
+                re = re - self.t[j] * self.b[k - j]
+            for j in range(k):
+                re = re + self.o[j] * self.o[k - 1 - j]
+            self.i.append(ComplexSeries(re, self.t[k]))
+        if fk1 is None:
+            if self.open is None:
+                self.open = k
+        elif k:
+            self._close(k, fk1)
+
+    def _e(self, k):
+        p, i = self.p, self.i
+        ek = p[0].re * i[k].im + p[0].im * i[k].re
+        for j in range(1, k + 1):
+            ek = ek + (p[j].re * i[k - j].im + p[j].im * i[k - j].re)
+        return ek
+
+    def _close(self, k, f):
+        q = self._term(f, 0, math.factorial(2 * k + 1))
+        b = self._term(f, 0, math.factorial(2 * k))
+        self.q[k], self.b[k] = q, b
+        qn = q * (self.n - 1)
+        self.p[k] = cs_add(self.p[k], ComplexSeries(
+            -(qn * self.w0_pow.im), qn * self.w0_pow.re))
+        self.i[k] = cs_add(self.i[k], ComplexSeries(-(self.t[0] * b), b))
+        self.open = None
+
+
+_COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+@given(st.integers(2, 6), st.integers(2, 5), st.integers(0, 2),
+       st.booleans(), st.lists(_COEFFICIENT, min_size=120, max_size=120))
+@settings(max_examples=30, deadline=None)
+def test_running_slots_equal_polynomial_and_fresh_ones(n, K, extra, mp,
+                                                        cs):
+    """One state fed through dropping caps, closes, slots built past the
+    open one and a grown-terms reset. At every call its Im E_k equals, by
+    repr, that of the TaylorPoly reference fed the same calls, so no slot
+    array was changed through another that shares its memory (the zero
+    placeholders, f_1 in both q_0 and b_0, t_k in I_k, a slice and the
+    slot it was cut from).
+
+    It also equals the Im E_k of a fresh state: by repr at mp30, whose
+    kernel rounds each coefficient once from the exact sum, so truncating
+    a product commutes with taking it; within 1e-12 of the size of E_k at
+    float64, where np.convolve sums a coefficient in an order that depends
+    on the operands' length, so a slot built at a higher cap and sliced
+    can differ from a fresh one in the last bits."""
+    D = 2 * K + 6 + extra
+    if mp:
+        ctx = MPContext(30)
+        cs = [ctx.real(c) for c in cs]
+    it = iter(cs)
+    terms = [poly_from([next(it) for _ in range(D - 2 * j + 1)])
+             for j in range(K + 1)]
+    # (terms given, k, cap): the recursion's own calls, then slots K and
+    # K + 1 past the open slot K - 1, then f_K arriving resets the state
+    calls = [(k + 1, k, D - 2 * k - 2) for k in range(1, K)]
+    calls += [(K, K + 1, D - 2 * K - 4), (K + 1, K + 1, D - 2 * K - 5)]
+    calls += [(K + 1, k, D - 2 * K - 6) for k in range(K + 2)]
+    state, reference = PDESlots(n), _PolySlots(n)
+    for m, k, cap in calls:
+        got = regular_pde_even_series(terms[:m], n, k, cap, state).coeffs
+        assert repr(got) == repr(reference.advance(terms[:m], k, cap).coeffs)
+        want = regular_pde_even_series(terms[:m], n, k, cap).coeffs
+        if mp:
+            assert repr(got) == repr(want), (m, k, cap)
+        else:
+            tol = 1e-12 * max(1.0, max(map(abs, want)))
+            assert all(abs(g - w) <= tol for g, w in zip(got, want)), (
+                m, k, cap)
 
 
 def test_linearity_of_order_k_equation():
@@ -414,6 +557,17 @@ def test_recursion_output_is_frozen():
         "3a3471fc62444447c6467f33bd6978c6b57c3c003b592603f7aada711bd7ac12")
 
 
+def test_recursion_on_python_int_coefficients_is_frozen():
+    """Python int and float coefficients: the slots sum int zeros with
+    float arrays, which must still take the float64 product kernel. Every
+    f_k, bit for bit, as the TaylorPoly slots made them."""
+    f0 = poly_from([0, 0, 0, 0.3, 3, 3, -0.0, 3, 1, -0.0], 9)
+    text = "\n".join(repr(c) for f in extend_series(f0, 4, 3).terms
+                     for c in f.coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9058224812679dc4e4b03bb54cae3cf5820eececb5143e71f042475cce4bfd41")
+
+
 # worst per-term error of the float64 f_k against the exact ones, measured
 # at n=3, f0 = t^3/6 + t^4/10 - t^5/7, D = 4K (ROADMAP item 3)
 MEASURED_PER_TERM = {4: 1.2e-15, 6: 2.1e-15}
@@ -468,6 +622,33 @@ def test_radius_estimates():
         res[frac] = pde_residual(circle.phi, ts,
                                  [s * j / 6 for j in range(1, 7)]).max_pde
     assert res[0.5] < 1e-4 < res[0.9]
+
+
+@pytest.mark.parametrize("coeffs, k", [
+    pytest.param(["0", "0", "0.5", "1e300"], 1, id="cubic-1e300"),
+    pytest.param(["0", "0", "1e150", "1e150"], 1, id="quadratic-1e150"),
+])
+def test_overflowing_recursion_fails_loudly(coeffs, k):
+    with pytest.raises(NonFiniteError, match=f"f_{k} has a NaN or infinite"):
+        extend_arc(graph_arc(coeffs), 0.0, n=3, K=4, D=16)
+
+
+def test_infinite_mp_coefficient_fails_the_recursion():
+    ctx = MPContext(30)
+    f0 = poly_from([ctx.real(c) for c in ("0", "0", "0", "1", "inf")], 8)
+    with pytest.raises(NonFiniteError, match="f_1 has a NaN or infinite"):
+        extend_series(f0, 2, 3)
+
+
+def test_radius_of_mp_terms_beyond_float_fails_loudly():
+    # finite at mp30, but the amplitude of f_1 (about 1e600) is no float
+    ctx = MPContext(30)
+    arc = graph_arc(["0", "0", "0.5", "1e300"], ctx)
+    ch = extend_arc(arc, ctx.real(0), n=3, K=4, D=16, ctx=ctx,
+                    with_radius=False)
+    assert max(abs(c) for c in ch.phi.terms[1].coeffs) > ctx.real("1e308")
+    with pytest.raises(NonFiniteError, match="amplitude of f_1"):
+        estimate_radius(ch.phi)
 
 
 def test_extend_arc_chart_contents():

@@ -22,7 +22,8 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from slagext.precision import MPContext, polynomial_values
+from slagext.precision import (MPContext, finite_coefficients,
+                                polynomial_values)
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -229,6 +230,22 @@ def test_mp_kernel_propagates_nan_and_inf_like_the_loop(bad):
     want = _loop_mul(xs, ys)
     assert [repr(g) for g in got] == [repr(w) for w in want]
     assert "nan" in repr(got[2]) or "inf" in repr(got[2])
+
+
+@pytest.mark.parametrize("cs, finite", [
+    pytest.param([0.0, -0.0, 1e308, -2.5], True, id="float64"),
+    pytest.param([0.0, math.inf], False, id="float64-inf"),
+    pytest.param([math.nan, 1.0], False, id="float64-nan"),
+    pytest.param(["0", "-1e400", "2"], True, id="mpf"),
+    pytest.param(["1", "-inf"], False, id="mpf-inf"),
+    pytest.param(["nan", "0"], False, id="mpf-nan"),
+    pytest.param([Fraction(1, 3), Fraction(0)], True, id="fraction"),
+    pytest.param([Fraction(1, 3), math.inf], False, id="mixed-inf"),
+])
+def test_finite_coefficients(cs, finite):
+    ctx = MPContext(30)
+    cs = [ctx.real(c) if isinstance(c, str) else c for c in cs]
+    assert finite_coefficients(poly_from(cs).array) is finite
 
 
 def test_mp_kernel_ignores_other_contexts():
