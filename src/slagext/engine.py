@@ -370,7 +370,13 @@ def _finite(f: TaylorPoly, k: int) -> TaylorPoly:
 def linearity_probe(f0: TaylorPoly, n: int, k: int) -> float:
     """Max coefficient deviation of the affine law for the sigma^(2k)
     coefficient: perturbing f_{k+1} by a constant delta = 1e-3 must shift
-    the coefficient by exactly delta * R/(1+f1^2) * (2k+n)/(2k+1)!."""
+    the coefficient by exactly delta * R/(1+f1^2) * (2k+n)/(2k+1)!.
+
+    Both sides take fresh slots, which at float64 may differ from the
+    recursion's reused ones in the last bit: a product truncated after
+    the convolution, ``np.convolve(a, b)[:d]``, is not always the one of
+    the truncated factors. That is far below the 1e-11 the law is held to.
+    """
     delta = 1e-3
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -433,7 +439,8 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
     each f_k is evaluated once per t. float64 jets give the left side in
     one array expression, equal to ``pde_lhs_value`` at every point. mp
     jets come back as object arrays, whose complex left side is taken
-    point by point: numpy's ``.imag`` of an object array of mpc reads 0.
+    point by point (``_lanewise``): numpy's ``.imag`` of an object array
+    of mpc reads 0.
     """
     T = np.asarray(t_values)[:, None]
     S = np.asarray(sigma_values)[None, :]
@@ -441,13 +448,11 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
     # infinite or NaN residual, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         jet = SigmaJetEvaluator(exp).jet(T, S)
-        parts = (S, jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,
-                 jet.phi_sigmat)
-        if jet.phi.dtype == object:
-            lhs = np.frompyfunc(partial(_pde_lhs, exp.n), 5, 1)(*parts)
-            vals = [abs(float(v)) for v in lhs.flat]
-        else:
-            vals = np.abs(_pde_lhs(exp.n, *parts))
+        # the jet's lanes first: they, not S, tell an mp chart's objects
+        lhs = _lanewise(lambda *p: _pde_lhs(exp.n, p[4], *p[:4]), 1,
+                        jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,
+                        jet.phi_sigmat, S)
+        vals = np.abs(np.asarray(lhs, dtype=float))
     grid = (
         f"t[{float(min(t_values)):.4g},{float(max(t_values)):.4g}]x"
         f"sigma[{float(min(sigma_values)):.4g},{float(max(sigma_values)):.4g}]"
@@ -778,6 +783,9 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
                       ctx: Context = FLOAT64, gn_iterations: int = 30) -> float:
     """Sup over sampled points of chart 1 of the distance to chart 2.
 
+    ``samples`` is a target: the samples are an nt x ns grid in (t,
+    sigma), nt = max(2, round(sqrt(samples))) and ns = max(2,
+    ceil(samples / nt)), so the default 24 samples 25 points.
     Sample points on chart 1 are projected onto chart 2 by Gauss-Newton in
     reduced coordinates (the direction vector drops out of the distance for
     SO(n)-orbit surfaces). Each projection starts from the nearest point of

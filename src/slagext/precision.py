@@ -22,10 +22,11 @@ float64 when all are Python floats, object dtype otherwise.
 behind ``series.poly_mul``, picked from those arrays: a numpy convolution
 straight on float64, an exact big-integer (Kronecker) product rounded once
 per coefficient for mpf, and the generic loop for every other scalar.
-``polynomial_values`` is its counterpart for evaluation, behind ``series.SigmaJetEvaluator``: one exact
-dot product per polynomial for mpf, one Horner loop over all the
-polynomials stacked for Python floats at a float64 array, and Horner's
-rule polynomial by polynomial for everything else.
+``polynomial_values`` is its counterpart for evaluation, behind
+``series.SigmaJetEvaluator``: at an array of points, one exact dot product
+per polynomial for mpf, and one Horner loop over all the polynomials
+stacked for every other scalar, on float64 for Python floats at float64
+points and on the Python scalars otherwise.
 """
 from __future__ import annotations
 
@@ -276,51 +277,45 @@ def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
 
 def polynomial_values(polys: Sequence[tuple]) -> Callable:
-    """The function taking t to the values at t of the polynomials whose
-    coefficient sequences (c_0, c_1, ...) are ``polys``, by the kernel of
-    their scalar type, chosen once here for repeated evaluation.
+    """The function taking a numpy array t to the values at t of the
+    polynomials whose coefficient sequences (c_0, c_1, ...) are ``polys``,
+    as one array of shape (len(polys),) + t.shape, by the kernel of their
+    scalar type, chosen once here for repeated evaluation.
 
-    t is a scalar or a numpy array; on an array each value is an array of
-    its shape, one element per element of t, except that Horner's rule
-    leaves a constant polynomial a scalar. mpf of one mpmath context
-    take the powers of each t once, each rounded at the context's
-    precision, then one ``fdot`` of that context per polynomial: the dot
-    product is summed exactly and rounded once, where Horner's rule rounds
-    at every step. Python floats at a float64 array t take Horner's rule on
-    all the polynomials at once (``_StackedHorner``), and return one array
-    of shape (len(polys),) + t.shape. Everything else takes Horner's rule
-    polynomial by polynomial, which numpy applies element by element. Each
-    element of a float64 array value equals the value at that scalar t bit
-    for bit.
+    mpf of one mpmath context take the powers of each element of t once,
+    each rounded at the context's precision, then one ``fdot`` of that
+    context per polynomial: the dot product is summed exactly and rounded
+    once, where Horner's rule rounds at every step. Every other scalar type
+    takes Horner's rule on all the polynomials at once
+    (``_StackedHorner``), on float64 for Python floats at a float64 t and
+    on objects otherwise, so that each element is what ``horner`` gives on
+    the Python scalars, bit for bit.
     """
     kind = _one_kind(polys)
-    if kind is float:
-        stacked = _StackedHorner(polys)
-        return lambda t: (stacked(t) if isinstance(t, np.ndarray)
-                          and t.dtype == np.float64
-                          else [horner(cs, t) for cs in polys])
     mp = _mpf_context(kind)
-    if mp is None:
-        return lambda t: [horner(cs, t) for cs in polys]
-    return lambda t: _mpf_values(polys, mp, t)
+    if mp is not None:
+        return lambda t: _mpf_values(polys, mp, t)
+    return _StackedHorner(polys, float if kind is float else object)
 
 
 class _StackedHorner:
-    """Horner's rule for float polynomials of any lengths at a float64
-    array t, one loop for all of them.
+    """Horner's rule for polynomials of any lengths at an array t, one loop
+    for all of them.
 
     The coefficients sit in one matrix, rows sorted longest first and
     ragged ends unused, so the polynomials still running at each degree
     are a leading block of rows. A polynomial joins the loop at its top
     coefficient, so every row takes exactly the operations of the scalar
     Horner's rule, whatever t holds: no padding zero is multiplied by t.
+    A float64 matrix meets any t other than a float64 one as objects,
+    whose arithmetic numpy leaves to the Python scalars.
     """
 
-    def __init__(self, polys):
+    def __init__(self, polys, dtype):
         self.order = sorted(range(len(polys)), key=lambda i: -len(polys[i]))
         self.size = len(polys[self.order[0]])
         # degree-major, so that each degree's column is contiguous
-        self.coeffs = np.zeros((self.size, len(polys), 1))
+        self.coeffs = np.zeros((self.size, len(polys), 1), dtype=dtype)
         for row, i in enumerate(self.order):
             self.coeffs[:len(polys[i]), row, 0] = polys[i]
         # rows running at degree j: those of length > j
@@ -329,19 +324,22 @@ class _StackedHorner:
         self.unsort = np.argsort(self.order)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
+        coeffs = self.coeffs
+        if coeffs.dtype != t.dtype:
+            coeffs = coeffs.astype(object, copy=False)
         rows = len(self.order)
         # t once per row, so that each step runs over contiguous memory
         x = np.broadcast_to(t.reshape(-1), (rows, t.size)).copy()
-        acc = np.empty_like(x)
+        acc = np.empty(x.shape, dtype=coeffs.dtype)
         top = self.size - 1
         live = self.running[top]
-        acc[:live] = self.coeffs[top, :live]
+        acc[:live] = coeffs[top, :live]
         for j in range(top - 1, -1, -1):
             acc[:live] *= x[:live]
-            acc[:live] += self.coeffs[j, :live]
+            acc[:live] += coeffs[j, :live]
             if self.running[j] > live:
                 joining = self.running[j]
-                acc[live:joining] = self.coeffs[j, live:joining]
+                acc[live:joining] = coeffs[j, live:joining]
                 live = joining
         return acc[self.unsort].reshape((rows,) + t.shape)
 
@@ -366,18 +364,16 @@ def horner(cs: Sequence, t):
     return acc
 
 
-def _mpf_values(polys, mp, t) -> list:
-    if isinstance(t, np.ndarray):
-        out = [np.empty(t.shape, dtype=object) for _ in polys]
-        for idx in np.ndindex(t.shape):
-            for arr, v in zip(out, _mpf_values(polys, mp, t[idx])):
-                arr[idx] = v
-        return out
-    x = mp.convert(t)
-    powers = [mp.one]
-    for _ in range(max(map(len, polys)) - 1):
-        powers.append(powers[-1] * x)
-    return [mp.fdot(cs, powers) for cs in polys]
+def _mpf_values(polys, mp, t: np.ndarray) -> np.ndarray:
+    out = np.empty((len(polys),) + t.shape, dtype=object)
+    for idx in np.ndindex(t.shape):
+        x = mp.convert(t[idx])
+        powers = [mp.one]
+        for _ in range(max(map(len, polys)) - 1):
+            powers.append(powers[-1] * x)
+        for row, cs in enumerate(polys):
+            out[(row,) + idx] = mp.fdot(cs, powers)
+    return out
 
 
 def _loop_product(ca, cb) -> list:

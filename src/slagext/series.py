@@ -25,15 +25,15 @@ kernel per scalar type (``precision.truncated_product``): a numpy
 convolution on float64, one exact big-integer product rounded once per
 coefficient for mpf, and the plain Cauchy loop for anything else. The
 recursion's slot rows (``engine.PDESlots``), where most products are taken,
-call that kernel on the raw arrays directly. Jets evaluate the f_k the same
-way, by one evaluation kernel per scalar type
-(``precision.polynomial_values``).
+call that kernel on the raw arrays directly. Jets take one path for every
+scalar type, at a point or on arrays: the f_k and their derivatives by one
+evaluation kernel per scalar type (``precision.polynomial_values``), then
+Horner in sigma^2 on the six partials stacked in one array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -480,21 +480,20 @@ class SigmaJetEvaluator:
         # f_k, f_k' and f_k'' in one list, evaluated by the kernel of
         # their scalar type
         self._values = polynomial_values([p.coeffs for p in f + fp + fpp])
-        self._fact = [math.factorial(2 * k) for k in range(len(f))]
-        self._fact_odd = [math.factorial(2 * k + 1) for k in range(len(f))]
-
-    @cached_property
-    def _stack(self):
-        """For ``_stacked_jet``: per k, the rows of f_k, f_k' and f_k''
-        that feed (phi, phi_t, phi_tt) and (q, phi_ss, phi_st), and their
-        divisors; the second triple is unused at k = 0."""
-        m, fact, odd = len(self._fact), self._fact, self._fact_odd
-        rows = np.array([[k, m + k, 2 * m + k, k, k, m + k]
-                         for k in range(m)])
-        divisors = np.array([[fact[k]] * 3 + ([odd[k - 1], fact[k - 1],
-                                               odd[k - 1]] if k else [1] * 3)
-                             for k in range(m)], dtype=float)
-        return rows, divisors
+        # per k, the rows of f_k, f_k' and f_k'' that feed (phi, phi_t,
+        # phi_tt) and (q, phi_ss, phi_st), and their divisors; the second
+        # triple is unused at k = 0
+        m = len(f)
+        fact = [math.factorial(j) for j in range(2 * m)]
+        self._rows = np.array([[k, m + k, 2 * m + k, k, k, m + k]
+                               for k in range(m)])
+        divisors = [[fact[2 * k]] * 3 + ([fact[2 * k - 1], fact[2 * k - 2],
+                                          fact[2 * k - 1]] if k else [1] * 3)
+                    for k in range(m)]
+        # Python ints, which object arrays (of mpf) divide by exactly, and
+        # float64 ones, rounded as a Python float divided by an int rounds
+        self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
+                          np.dtype(float): np.array(divisors, dtype=float)}
 
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
@@ -503,65 +502,37 @@ class SigmaJetEvaluator:
         other. Each f_k, f_k' and f_k'' is evaluated once per element of t,
         then Horner in sigma^2 runs over the broadcast shape: a t column
         against a sigma row evaluates a tensor grid with the f_k once per
-        t, and arrays of one shape evaluate element by element. On a
-        float64 t with float coefficients the six accumulators run as one
-        stacked array (``_stacked_jet``), with the same operations on each
-        element.
+        t, and arrays of one shape evaluate element by element. The six
+        accumulators (phi, phi_t, phi_tt, q = phi_sigma/sigma, phi_ss,
+        phi_st) are the rows of one array, so each Horner step is one multiply and one add,
+        which numpy applies to float64 elements or to the Python scalars
+        of an object array. Scalar t and sigma take the same path, and give
+        Python scalars back.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
         odd factorials while phi_sigmasigma uses (2k-2)!.
         """
-        m = len(self._fact)
+        if not isinstance(t, np.ndarray) and not isinstance(sigma, np.ndarray):
+            # t as a 0-d array, with IEEE results and no numpy warning, as
+            # on Python scalars, whose types the fields take back
+            with np.errstate(over="ignore", invalid="ignore"):
+                jet = self.jet(np.asarray(t), sigma)
+            return PhiJet(*(np.asarray(v).item() for v in vars(jet).values()))
+        t = np.asarray(t)
         vals = self._values(t)
-        if isinstance(vals, np.ndarray):
-            return self._stacked_jet(vals, t, sigma)
-        f, fp, fpp = vals[:m], vals[m:2 * m], vals[2 * m:]
-        s2 = sigma * sigma
-        z = t * 0
-        phi = z
-        phi_t = z
-        phi_tt = z
-        phi_st = z
-        phi_ss = z
-        q = z  # phi_sigma / sigma, regular at sigma = 0
-        # Horner in s2, highest k first
-        for k in range(m - 1, -1, -1):
-            phi = phi * s2 + f[k] / self._fact[k]
-            phi_t = phi_t * s2 + fp[k] / self._fact[k]
-            phi_tt = phi_tt * s2 + fpp[k] / self._fact[k]
-            if k >= 1:
-                q = q * s2 + f[k] / self._fact_odd[k - 1]
-                phi_ss = phi_ss * s2 + f[k] / self._fact[k - 1]
-                phi_st = phi_st * s2 + fp[k] / self._fact_odd[k - 1]
-        return _jet(phi, phi_t, phi_tt, q, phi_ss, phi_st, sigma)
-
-    def _stacked_jet(self, vals, t, sigma) -> PhiJet:
-        """The loop of ``jet`` on the stacked values of the float64 kernel:
-        the accumulators (phi, phi_t, phi_tt, q, phi_ss, phi_st) are the
-        rows of one array, so each Horner step is one multiply and one
-        add."""
-        rows, divisors = self._stack
+        divisors = self._divisors[vals.dtype]
         # t's axes, behind the leading ones that sigma may add
         shape = (1,) * max(0, np.ndim(sigma) - t.ndim) + t.shape
-        terms = (vals.reshape(vals.shape[:1] + shape)[rows]
+        terms = (vals.reshape(vals.shape[:1] + shape)[self._rows]
                  / divisors.reshape(divisors.shape + (1,) * len(shape)))
         s2 = sigma * sigma
-        acc = np.broadcast_to((t * 0).reshape(shape), (6,) + shape)
-        for k in range(len(self._fact) - 1, 0, -1):
+        acc = np.broadcast_to(t * 0, (6,) + shape)
+        for k in range(len(terms) - 1, 0, -1):
             acc = acc * s2 + terms[k]
         # k = 0 has no odd terms
-        even = acc[:3] * s2 + terms[0, :3]
-        return _jet(*even, *acc[3:], sigma)
-
-
-def _jet(phi, phi_t, phi_tt, q, phi_ss, phi_st, sigma) -> PhiJet:
-    return PhiJet(
-        phi=phi,
-        phi_t=phi_t,
-        phi_sigma=q * sigma,
-        phi_tt=phi_tt,
-        phi_sigmat=phi_st * sigma,
-        phi_sigmasigma=phi_ss,
-        phi_sigma_over_sigma=q,
-    )
+        phi, phi_t, phi_tt = acc[:3] * s2 + terms[0, :3]
+        q, phi_ss, phi_st = acc[3:]
+        return PhiJet(phi=phi, phi_t=phi_t, phi_sigma=q * sigma,
+                      phi_tt=phi_tt, phi_sigmat=phi_st * sigma,
+                      phi_sigmasigma=phi_ss, phi_sigma_over_sigma=q)

@@ -14,6 +14,7 @@ below are the code the array calls replaced.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -38,9 +39,11 @@ from slagext.oracles import (
     unit_circle_residual,
 )
 from slagext.precision import (
+    MPContext,
     abs_squared,
     complex_array,
     complex_power,
+    horner,
     polynomial_values,
 )
 from slagext.series import SigmaExpansion, SigmaJetEvaluator, TaylorPoly
@@ -180,14 +183,15 @@ coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
 )
 def test_stacked_float_values_equal_scalar_horner(polys, ts):
     # polynomials of unequal lengths, evaluated at once on a float64 array,
-    # are each the scalar Horner value, whatever t and the top coefficient
+    # are each the Horner value on Python floats, whatever t and the top
+    # coefficient
     values = polynomial_values([tuple(cs) for cs in polys])
     T = np.array(ts).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         got = values(T)
     assert got.shape == (len(polys),) + T.shape
     for i, t in enumerate(ts):
-        want = values(t)
+        want = [horner(cs, t) for cs in polys]
         assert all(_same_float(float(got[r, i, 0]), want[r])
                    for r in range(len(polys)))
 
@@ -227,6 +231,44 @@ def test_stacked_float_jet_equals_scalar_jets(n, K, cap, data, ts, sigmas):
         assert np.array_equal(np.signbit(getattr(flat, f)),
                               np.signbit(getattr(grid, f).ravel()))
         assert np.array_equal(getattr(swapped, f), getattr(grid, f).T)
+
+
+def _jet_digest(*jets) -> str:
+    """SHA-256 of the reprs of every field of the jets: arrays by dtype,
+    shape and the reprs of their elements, scalars by their own repr, which
+    tells a Python float from a numpy one."""
+    text = "\n".join(
+        f"{v.dtype}{v.shape}{v.tolist()!r}" if isinstance(v, np.ndarray)
+        else repr(v)
+        for jet in jets for v in dataclasses.astuple(jet))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_jet_output_is_frozen():
+    """Every jet field, bit for bit and with its type, as the per-point
+    loop and the stacked float kernel made them: a float64 unit-circle
+    chart on a t column against a sigma row (zeros of both signs), at one
+    scalar point and at two whose fields overflow to NaN and to infinity
+    without a numpy warning, as on Python floats; an mp40 chart on a 7 x 4
+    grid, against a float sigma row and at one scalar point."""
+    ev = SigmaJetEvaluator(extend_arc(unit_circle_arc(), 0.2, n=2, K=10,
+                                      D=40).phi)
+    T = np.array([0.0, -0.0, -0.31, -0.07, 0.11, 0.26])[:, None]
+    S = np.array([0.0, -0.0, 0.013, -0.04, 0.09])[None, :]
+    assert _jet_digest(ev.jet(T, S), ev.jet(0.13, -0.07),
+                       ev.jet(1e200, 0.5), ev.jet(0.1, 1e30)) == (
+        "d16239590585cb0eb3947e23e13359350a9bce1da6afdeaf66c3ac7a876fa51b")
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    ev = SigmaJetEvaluator(extend_arc(arc, ctx.real("0.03"), n=2, K=8, D=48,
+                                      ctx=ctx).phi)
+    T = np.array([ctx.real(j) / 23 for j in range(-3, 4)], dtype=object)
+    S = np.array([ctx.real(0), ctx.real("0.025"), ctx.real("-0.05"),
+                  ctx.real("0.1")], dtype=object)
+    assert _jet_digest(ev.jet(T[:, None], S[None, :]),
+                       ev.jet(T[:, None], np.array([0.0, -0.0, 0.05])),
+                       ev.jet(ctx.real("0.07"), ctx.real("0.03"))) == (
+        "c3a89425118a577aa4d893c8567222850b75225f46405a715953be591ff910d8")
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from slagext.precision import (MPContext, finite_coefficients,
+from slagext.precision import (MPContext, finite_coefficients, horner,
                                 polynomial_values)
 from slagext.series import (
     ComplexSeries,
@@ -280,7 +280,8 @@ def test_mp_values_within_term_bound_of_exact(base, lengths, tf):
     x = ctx.real(tf) / 3  # a full-precision t
     polys = [tuple(ctx.real(c) / (j + 1)
                    for j, c in enumerate((base * 40)[:m])) for m in lengths]
-    got = polynomial_values(polys)(x)
+    got = polynomial_values(polys)(np.asarray(x))
+    assert got.shape == (len(polys),)
     u = Fraction(1, 2 ** x.context.prec)
     xe = exact_value(x)
     for cs, g in zip(polys, got):
@@ -299,18 +300,18 @@ def test_mp_values_follow_the_scalars_context_not_mpmath_mp():
              for _ in range(5)]
     values = polynomial_values(polys)
     x = ctx.real(1) / 7
-    before = values(x)
+    before = values(np.asarray(x)).tolist()
     dps = mpmath.mp.dps
     try:
         mpmath.mp.dps = 15
-        after = values(x)
-        on_float = values(0.125)
+        after = values(np.asarray(x)).tolist()
+        on_float = values(np.asarray(0.125)).tolist()
     finally:
         mpmath.mp.dps = dps
     assert [v._mpf_ for v in after] == [v._mpf_ for v in before]
     assert all(v.context is x.context for v in before + after + on_float)
     # a float t enters exactly, as it does in Horner's rule
-    assert on_float == values(ctx.real(0.125))
+    assert on_float == values(np.asarray(ctx.real(0.125))).tolist()
 
 
 def test_values_on_arrays_are_the_scalar_values():
@@ -322,10 +323,15 @@ def test_values_on_arrays_are_the_scalar_values():
     ts = np.array([[-0.3], [0.0], [0.7]])
     for ps in (polys, floats):
         values = polynomial_values(ps)
-        # under Horner's rule a constant stays a scalar; it broadcasts
-        arrays = [np.broadcast_to(a, ts.shape) for a in values(ts)]
+        arrays = values(ts)
+        assert arrays.shape == (len(ps),) + ts.shape
         for idx in np.ndindex(ts.shape):
-            assert [a[idx] for a in arrays] == values(float(ts[idx]))
+            t = float(ts[idx])
+            # mpf at each point on its own; floats by Horner's rule on
+            # Python floats
+            want = (values(np.asarray(t)).tolist() if ps is polys
+                    else [horner(cs, t) for cs in ps])
+            assert [a[idx] for a in arrays] == want
 
 
 def test_reciprocal_geometric_series():
