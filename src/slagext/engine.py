@@ -62,6 +62,8 @@ from .precision import (
     complex_power,
     complex_product,
     finite_coefficients,
+    raw_slot,
+    slot_coefficients,
     truncated_product,
 )
 from .series import (
@@ -166,10 +168,12 @@ class PDESlots:
     k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j), and W_0 = 1 + i f1 is
     invertible because f1(0) = 0.
 
-    Slots are raw coefficient arrays, a complex slot an (re, im) pair;
-    past slot 0 the rows call ``truncated_product`` on them in the order
-    of the ``TaylorPoly`` arithmetic (a - b as a + (-b)), bit for bit. A
-    dropping cap slices each slot to a view; none is updated in place.
+    Slots are raw coefficient arrays (``precision.RawSlot`` for mpf, which
+    makes no mpf objects), a complex slot an (re, im) pair. Slot 0 comes
+    from the ``TaylorPoly`` arithmetic; past it the rows call
+    ``truncated_product`` on the slots in that arithmetic's order (a - b
+    as a + (-b)), bit for bit, and each Im E_k becomes a ``TaylorPoly``
+    once. A dropping cap slices each slot; none is updated in place.
     """
 
     def __init__(self, n: int):
@@ -199,19 +203,19 @@ class PDESlots:
         """Drop every slot and build slot 0, by the polynomial arithmetic."""
         self.cap = cap
         zero = terms[0].coeffs[0] * 0
-        self.zeros = poly_zero(cap, like=zero).array
+        self.zeros = raw_slot(poly_zero(cap, like=zero).array)
         f1 = terms[1] if len(terms) > 1 else None
         self.open = 0 if f1 is None else None
-        t0 = TaylorPoly(self._term(terms[0], 2, 1))
-        q0 = TaylorPoly(self._term(f1, 0, 1))
+        t0, q0 = self._term(terms[0], 2, 1), self._term(f1, 0, 1)
+        tp, qp = (TaylorPoly(slot_coefficients(a)) for a in (t0, q0))
         one = poly_one(cap, like=zero + 1)
-        w0, inv = ComplexSeries(one, q0), poly_reciprocal(one + q0 * q0)
+        w0, inv = ComplexSeries(one, qp), poly_reciprocal(one + qp * qp)
         w0_pow = complex_int_pow(w0, self.n - 2)
         self.w0_inv, self.w0_pow, p0, i0 = (
-            (s.re.array, s.im.array) for s in (
-                ComplexSeries(inv, -(q0 * inv)), w0_pow, cs_mul(w0_pow, w0),
-                ComplexSeries(one - t0 * q0, t0 + q0)))
-        self.t, self.o, self.q, self.b = [t0.array], [], [q0.array], [q0.array]
+            (raw_slot(s.re.array), raw_slot(s.im.array)) for s in (
+                ComplexSeries(inv, -(qp * inv)), w0_pow, cs_mul(w0_pow, w0),
+                ComplexSeries(one - tp * qp, tp + qp)))
+        self.t, self.o, self.q, self.b = [t0], [], [q0], [q0]
         self.p, self.i = [p0], [i0]
 
     def _truncate(self, cap: int):
@@ -228,7 +232,7 @@ class PDESlots:
         """f^(derivs)/fact at the slot cap; zero for a missing term."""
         if f is None:
             return self.zeros
-        a = poly_truncate(f, self.cap + derivs).array
+        a = raw_slot(poly_truncate(f, self.cap + derivs).array)
         for _ in range(derivs):
             a = np.arange(1, len(a)) * a[1:]
         return coefficient_array(a * 1 / fact)
@@ -272,7 +276,7 @@ class PDESlots:
         ek = mul(p[0][0], i[k][1]) + mul(p[0][1], i[k][0])
         for j in range(1, k + 1):
             ek = ek + (mul(p[j][0], i[k - j][1]) + mul(p[j][1], i[k - j][0]))
-        return TaylorPoly(ek)
+        return TaylorPoly(slot_coefficients(ek))
 
     def _close(self, k: int, f: TaylorPoly):
         """Add the parts of P_k and I_k that f = f_(k+1) contributes."""

@@ -17,26 +17,35 @@ The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
 
 Polynomial coefficients live in one numpy array (``coefficient_array``):
-float64 when all are Python floats, object dtype otherwise.
+float64 when all are Python floats, object dtype otherwise; the
+recursion's slots hold mpf as a ``RawSlot`` of raw libmpf tuples.
 ``truncated_product`` is the one multiplication kernel per scalar type
-behind ``series.poly_mul``, picked from those arrays: a numpy convolution
-straight on float64, an exact big-integer (Kronecker) product rounded once
-per coefficient for mpf, and the generic loop for every other scalar.
+behind ``series.poly_mul``, picked from those: numpy's correlate straight
+on float64, an exact big-integer (Kronecker) product rounded once per
+coefficient for mpf, and the generic loop for every other scalar.
 ``polynomial_values`` is its counterpart for evaluation, behind
-``series.SigmaJetEvaluator``: at an array of points, one exact dot product
-per polynomial for mpf, and one Horner loop over all the polynomials
-stacked for every other scalar, on float64 for Python floats at float64
-points and on the Python scalars otherwise.
+``series.SigmaJetEvaluator``: at an array of points, one exact integer dot
+product per polynomial for mpf, and one Horner loop over all the
+polynomials stacked for every other scalar, on float64 for Python floats
+at float64 points and on the Python scalars otherwise.
 """
 from __future__ import annotations
 
 import math
 import os
+from itertools import repeat
+from operator import mul
 from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul,
+                          mpf_mul_int, mpf_neg, round_nearest)
+
+try:
+    from numpy._core.multiarray import correlate
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import correlate
 
 Scalar = Any
 CScalar = Any
@@ -236,6 +245,8 @@ def coefficient_array(cs) -> np.ndarray:
             return cs
         if cs.dtype != _OBJECT:
             cs = cs.tolist()
+    elif type(cs) is RawSlot:
+        return cs
     floats = all(type(x) is float for x in cs)
     if isinstance(cs, np.ndarray) and not floats:
         return cs
@@ -259,21 +270,95 @@ def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Coefficients 0..len(ca)-1 of the product of two equal-length
     coefficient arrays, by the kernel of their scalar type.
 
-    float64 arrays go straight through one numpy convolution. mpf of one
-    mpmath context go through one exact big-integer product, each
-    coefficient then rounded once at that context's precision. Everything
-    else (Fraction, int, mixed scalars, and mpf holding NaN or an
-    infinity) takes the generic loop, which is exact over an exact field.
+    float64 arrays go through numpy's correlate, as in ``np.convolve`` but
+    without its Python wrapper. mpf of one mpmath context (two ``RawSlot``
+    or object arrays) go through one exact big-integer product, rounded
+    once per coefficient. Everything else (Fraction, int, mixed scalars,
+    mpf NaN or infinities) takes the generic loop, which is exact over an
+    exact field.
     """
     if ca.dtype == _FLOAT64 and cb.dtype == _FLOAT64:
-        return np.convolve(ca, cb)[:len(ca)]
-    ca, cb = ca.tolist(), cb.tolist()
-    mp = _mpf_context(_one_kind((ca, cb)))
-    if mp is not None:
-        out = _mpf_product(ca, cb, mp)
-        if out is not None:
-            return coefficient_array(out)
-    return coefficient_array(_loop_product(ca, cb))
+        return correlate(ca, cb[::-1], 2)[:len(ca)]  # mode 2 is "full"
+    if type(ca) is RawSlot is type(cb) and ca.mp is cb.mp:
+        for x in (ca, cb):  # kept, as a slot is never modified
+            x.exact = x.exact or _exact_mantissas(x.raw)
+        out = _kronecker(ca.exact, cb.exact, ca.mp.prec)
+        if out is None:  # NaN or an infinity: the loop, on the mpf
+            out = [x._mpf_ for x in _loop_product(
+                slot_coefficients(ca).tolist(), slot_coefficients(cb).tolist())]
+        return RawSlot(out, ca.mp)
+    ca, cb = slot_coefficients(ca), slot_coefficients(cb)
+    ra, rb = raw_slot(ca), raw_slot(cb)
+    if type(ra) is RawSlot and type(rb) is RawSlot and ra.mp is rb.mp:
+        return slot_coefficients(truncated_product(ra, rb))
+    return coefficient_array(_loop_product(ca.tolist(), cb.tolist()))
+
+
+class RawSlot:
+    """mpf of one mpmath context ``mp`` as raw libmpf tuples, standing in
+    for an object array of them without making mpf objects: ``+``, unary
+    ``-``, ``*`` by an int or an int array and ``/`` by an int make, element
+    by element, the mpf operator's libmpf call at the context's ``prec``
+    and ``round_nearest``, bit for bit; with any other operand, the slot
+    takes the mpf objects' own arithmetic. Never modified, a slot keeps the
+    exact mantissas a product takes, also in its slices.
+    """
+
+    __slots__ = ("raw", "mp", "exact")
+    dtype = _OBJECT  # the dtype of the arrays it stands in for
+    __array_ufunc__ = None  # an int array times a slot calls __rmul__
+
+    def __init__(self, raw: list, mp, exact=None):
+        self.raw, self.mp, self.exact = raw, mp, exact
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, cut: slice) -> "RawSlot":
+        ints, e = self.exact or (None, 0)
+        # a NaN or an infinity may lie outside the cut
+        return RawSlot(self.raw[cut], self.mp,
+                       None if ints is None else (ints[cut], e))
+
+    def __add__(self, other):
+        if type(other) is not RawSlot or other.mp is not self.mp:
+            return slot_coefficients(self) + slot_coefficients(other)
+        prec = self.mp.prec
+        return RawSlot([mpf_add(x, y, prec, round_nearest)
+                        for x, y in zip(self.raw, other.raw)], self.mp)
+
+    def __neg__(self) -> "RawSlot":
+        prec = self.mp.prec
+        return RawSlot([mpf_neg(x, prec, round_nearest) for x in self.raw],
+                       self.mp)
+
+    def __mul__(self, k) -> "RawSlot":
+        prec = self.mp.prec
+        ks = k.tolist() if isinstance(k, np.ndarray) else repeat(k)
+        return RawSlot([mpf_mul_int(x, j, prec, round_nearest)
+                        for x, j in zip(self.raw, ks)], self.mp)
+
+    __rmul__ = __mul__
+
+    def __radd__(self, other: np.ndarray) -> np.ndarray:
+        return other + slot_coefficients(self)
+
+    def __truediv__(self, k: int) -> "RawSlot":
+        d, prec = from_int(k), self.mp.prec
+        return RawSlot([mpf_div(x, d, prec, round_nearest) for x in self.raw],
+                       self.mp)
+
+
+def raw_slot(cs: np.ndarray):
+    """Object-array mpf of one context as a ``RawSlot``; else unchanged."""
+    mp = None if cs.dtype == _FLOAT64 else _mpf_context(_one_kind((cs,)))
+    return cs if mp is None else RawSlot([x._mpf_ for x in cs.tolist()], mp)
+
+
+def slot_coefficients(slot) -> np.ndarray:
+    """A ``RawSlot`` as the object array of its mpf; an array unchanged."""
+    return slot if type(slot) is not RawSlot else np.fromiter(
+        map(slot.mp.make_mpf, slot.raw), dtype=_OBJECT, count=len(slot))
 
 
 def polynomial_values(polys: Sequence[tuple]) -> Callable:
@@ -282,20 +367,39 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
     as one array of shape (len(polys),) + t.shape, by the kernel of their
     scalar type, chosen once here for repeated evaluation.
 
-    mpf of one mpmath context take the powers of each element of t once,
-    each rounded at the context's precision, then one ``fdot`` of that
-    context per polynomial: the dot product is summed exactly and rounded
-    once, where Horner's rule rounds at every step. Every other scalar type
-    takes Horner's rule on all the polynomials at once
-    (``_StackedHorner``), on float64 for Python floats at a float64 t and
-    on objects otherwise, so that each element is what ``horner`` gives on
-    the Python scalars, bit for bit.
+    mpf of one mpmath context take each polynomial's exact mantissas once,
+    here, and those of each point's powers (each rounded at the context's
+    precision) once; a value is one exact integer dot product, rounded
+    once. ``fdot`` rounds once from ``mpf_sum``, so the two are bit-equal
+    wherever that sum is exact: it drops a term only across a gap of more
+    than 2 prec bits to the running sum. A row or a point holding NaN or
+    an infinity takes ``fdot``. Every other scalar type takes Horner's
+    rule on all the polynomials at once (``_StackedHorner``), on float64
+    for Python floats at a float64 t and on objects otherwise, so that each
+    element is what ``horner`` gives on the Python scalars, bit for bit.
     """
     kind = _one_kind(polys)
     mp = _mpf_context(kind)
-    if mp is not None:
-        return lambda t: _mpf_values(polys, mp, t)
-    return _StackedHorner(polys, float if kind is float else object)
+    if mp is None:
+        return _StackedHorner(polys, float if kind is float else object)
+    rows = [_exact_mantissas([c._mpf_ for c in cs]) for cs in polys]
+    size, make = max(map(len, polys)), mp.make_mpf
+
+    def values(t: np.ndarray) -> np.ndarray:
+        out, prec = np.empty((len(polys),) + t.shape, dtype=object), mp.prec
+        for idx in np.ndindex(t.shape):
+            powers = [mp.one._mpf_]
+            x = mp.convert(t[idx])._mpf_
+            for _ in range(size - 1):
+                powers.append(mpf_mul(powers[-1], x, prec, round_nearest))
+            xs, ex = _exact_mantissas(powers)
+            for row, (cs, (ms, ec)) in enumerate(zip(polys, rows)):
+                out[(row,) + idx] = (
+                    mp.fdot(cs, map(make, powers)) if ms is None or xs is None
+                    else make(from_man_exp(sum(map(mul, ms, xs)), ec + ex,
+                                           prec, round_nearest)))
+        return out
+    return values
 
 
 class _StackedHorner:
@@ -364,18 +468,6 @@ def horner(cs: Sequence, t):
     return acc
 
 
-def _mpf_values(polys, mp, t: np.ndarray) -> np.ndarray:
-    out = np.empty((len(polys),) + t.shape, dtype=object)
-    for idx in np.ndindex(t.shape):
-        x = mp.convert(t[idx])
-        powers = [mp.one]
-        for _ in range(max(map(len, polys)) - 1):
-            powers.append(powers[-1] * x)
-        for row, cs in enumerate(polys):
-            out[(row,) + idx] = mp.fdot(cs, powers)
-    return out
-
-
 def _loop_product(ca, cb) -> list:
     out = []
     for d in range(len(ca)):
@@ -386,43 +478,37 @@ def _loop_product(ca, cb) -> list:
     return out
 
 
-def _mpf_product(ca, cb, mp) -> list | None:
-    """Kronecker substitution: each operand becomes one Python int whose
-    fixed-width slots hold its coefficients as exact integers over a shared
-    exponent, so one multiplication gives every exact product coefficient.
-    None when a coefficient is NaN or infinite, which the integers cannot
-    hold."""
-    ia, ea = _exact_mantissas(ca)
-    ib, eb = _exact_mantissas(cb)
+def _kronecker(exact_a, exact_b, prec: int) -> list | None:
+    """Kronecker substitution (Brent & Zimmermann, Modern Computer
+    Arithmetic, 2010) on the operands' ``_exact_mantissas``: each becomes
+    one Python int whose fixed-width slots hold its mantissas, so one
+    multiplication gives every exact product coefficient, each rounded
+    once to a raw tuple at ``prec``. None for a NaN or an infinity."""
+    (ia, ea), (ib, eb) = exact_a, exact_b
     if ia is None or ib is None:
         return None
-    n = len(ca)
-    bits = (max(abs(x) for x in ia).bit_length()
-            + max(abs(x) for x in ib).bit_length() + n.bit_length())
-    # every exact product coefficient is below 2**bits <= half a slot
-    size = bits // 8 + 1
-    width = 8 * size
-    packed_a = packed_b = 0
-    for x, y in zip(reversed(ia), reversed(ib)):
-        packed_a = (packed_a << width) + x
-        packed_b = (packed_b << width) + y
-    # offset each of the low n slots by half its range, so that they read
-    # back as unsigned bytes with no borrow between slots
-    half = 1 << (width - 1)
+    n = len(ia)
+    # bytes per slot: every exact product coefficient is below half a slot
+    size = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
+            + n.bit_length()) // 8 + 1
+    # offset each of the low n slots by half its range, so that they pack
+    # and read back as unsigned bytes with no borrow between slots
+    half = 1 << (8 * size - 1)
     offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-    low = (packed_a * packed_b + offset) & ((1 << (width * n)) - 1)
+    packed_a, packed_b = (
+        int.from_bytes(b"".join([(x + half).to_bytes(size, "little")
+                                 for x in ints]), "little") - offset
+        for ints in (ia, ib))
+    low = (packed_a * packed_b + offset) & ((1 << (8 * size * n)) - 1)
     raw = low.to_bytes(size * n, "little")
-    exp, prec, make = ea + eb, mp.prec, mp.make_mpf
-    return [make(from_man_exp(
-                int.from_bytes(raw[k:k + size], "little") - half,
-                exp, prec, round_nearest))
+    return [from_man_exp(int.from_bytes(raw[k:k + size], "little") - half,
+                         ea + eb, prec, round_nearest)
             for k in range(0, size * n, size)]
 
 
-def _exact_mantissas(cs):
-    """Signed integers m_j and one exponent e with c_j == m_j * 2**e
-    exactly, or (None, 0) when some c_j is NaN or infinite."""
-    raw = [x._mpf_ for x in cs]
+def _exact_mantissas(raw):
+    """Integers m_j and one exponent e with c_j == m_j * 2**e exactly for
+    the raw mpf tuples c_j; (None, 0) for a NaN or an infinity."""
     if any(map(_mpf_special, raw)):
         return None, 0
     e = min((exp for _, man, exp, _ in raw if man), default=0)

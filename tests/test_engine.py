@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_value, random_flat_potential
-from slagext import engine
+from slagext import engine, precision
 from slagext.arcs import existence_gate, graph_arc, unit_circle_arc
 from slagext.engine import (
     Chart,
@@ -464,6 +464,33 @@ def test_running_slots_equal_polynomial_and_fresh_ones(n, K, extra, mp,
                 m, k, cap)
 
 
+def test_slots_carry_nan_and_inf_through_the_loop_product(monkeypatch):
+    """mp30 terms with +inf in a coefficient of f_2 and NaN in one of f_3,
+    through one state as the recursion feeds it: every product touching
+    them takes the loop fallback, and every Im E_k, by repr, is what the
+    slots of mpf objects made."""
+    ctx = MPContext(30)
+    rng = random.Random(31)
+    n, K, D = 3, 4, 16
+    terms = [[ctx.real(rng.uniform(-1, 1)) for _ in range(D - 2 * j + 1)]
+             for j in range(K + 1)]
+    terms[2][8], terms[3][10] = ctx.real("inf"), ctx.real("nan")
+    terms = [poly_from(cs) for cs in terms]
+    loop, loops = precision._loop_product, []
+    monkeypatch.setattr(precision, "_loop_product",
+                        lambda ca, cb: loops.append(1) or loop(ca, cb))
+    state, text = PDESlots(n), []
+    for k in range(1, K + 1):
+        e = regular_pde_even_series(terms[:k + 1 + (k == K)], n, k,
+                                    D - 2 * k - 2, state)
+        text += map(repr, e.coeffs)
+    # finite, infinite and NaN coefficients all reach Im E_k
+    assert loops and all(any(bad in c for c in text)
+                         for bad in ("nan", "inf"))
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+        "526af0519491e82dc08bf1667a07fa4e2e728bd5d5382e3bb416d01ee723775b")
+
+
 def test_linearity_of_order_k_equation():
     rng = random.Random(19)
     for n in (2, 3, 5):
@@ -566,6 +593,24 @@ def test_recursion_on_python_int_coefficients_is_frozen():
                      for c in f.coeffs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9058224812679dc4e4b03bb54cae3cf5820eececb5143e71f042475cce4bfd41")
+
+
+def test_recursion_on_mixed_scalars_is_frozen():
+    """mpf mixed with Python floats, and mpf of two contexts, in one f0:
+    slots holding them take the mpf objects' own arithmetic. Every f_k,
+    bit for bit, as the slots of mpf objects made them."""
+    a, b = MPContext(30), MPContext(40)
+    tail = [a.real("0.01")] * 10
+    digests = []
+    for head in ([0.1, a.real("0.2"), -0.05],
+                 [b.real("0.1"), a.real("0.2"), b.real("-0.05")]):
+        f0 = poly_from([a.real(0)] * 3 + head + tail)
+        text = "\n".join(repr(c) for f in extend_series(f0, 3, 4).terms
+                         for c in f.coeffs)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == [
+        "e87c19d3bdba1cef14be97b5add7f1636da4229b1a38c0424bd06b0edf7119b9",
+        "1d4aa554f418c0949cd91737e38924743fb0618702b307fbb6b189944acc0228"]
 
 
 # worst per-term error of the float64 f_k against the exact ones, measured

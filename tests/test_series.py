@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_value
-from slagext.engine import _scale_ratio
+from slagext.arcs import graph_arc
+from slagext.engine import _scale_ratio, extend_arc
 from slagext.errors import (
     CompositionDomainError,
     SeriesShapeError,
     SingularDivisionError,
 )
 from slagext.precision import (MPContext, finite_coefficients, horner,
-                                polynomial_values)
+                                polynomial_values, truncated_product)
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -197,6 +198,29 @@ def test_float_kernel_propagates_nan_and_inf_like_the_loop(bad):
     assert math.isnan(got[1]) is math.isnan(bad)
 
 
+_ANY_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                         math.nan]), st.floats())
+
+
+@st.composite
+def _equal_length_arrays(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    coeffs = st.lists(_ANY_FLOAT, min_size=n, max_size=n)
+    return np.array(draw(coeffs)), np.array(draw(coeffs))
+
+
+@given(_equal_length_arrays())
+@settings(max_examples=150, deadline=None)
+def test_float_kernel_is_np_convolve(pair):
+    """The float64 kernel calls numpy's correlate directly; byte for byte
+    it is np.convolve truncated, signed zeros, infinities and NaN too."""
+    a, b = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = truncated_product(a, b)
+        want = np.convolve(a, b)[:len(a)]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dps", [16, 40, 60])
 def test_mp_kernel_is_correctly_rounded(dps):
     # a_j = r 3^j and b_j = r' 0.2^j: at cap 96 the b_j span more than
@@ -312,6 +336,36 @@ def test_mp_values_follow_the_scalars_context_not_mpmath_mp():
     assert all(v.context is x.context for v in before + after + on_float)
     # a float t enters exactly, as it does in Horner's rule
     assert on_float == values(np.asarray(ctx.real(0.125))).tolist()
+
+
+def test_mp_values_equal_fdot():
+    """The mp jet kernel against the context's own ``fdot`` over the same
+    powers, each t^j rounded from t^(j-1) t, bit for bit: f_k, f_k' and
+    f_k'' of an mp40 chart at t = 0, +-k/23, 1e-30 and a Python float, and
+    two rows holding a NaN and an infinite coefficient."""
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    terms = list(extend_arc(arc, ctx.real("0.03"), n=2, K=8, D=48,
+                            ctx=ctx).phi.terms)
+    firsts = [poly_derivative(f) for f in terms]
+    polys = [f.coeffs for f in terms + firsts
+             + [poly_derivative(f) for f in firsts]]
+    for j, bad in ((5, "nan"), (17, "inf")):
+        polys.append(polys[j][:3] + (ctx.real(bad),) + polys[j][4:])
+    values = polynomial_values(polys)
+    ts = [ctx.real(0), ctx.real("1e-30")] + [
+        ctx.real(s * k) / 23 for k in (1, 4, 11, 22) for s in (1, -1)]
+    grid = np.empty((2, 5), dtype=object)
+    grid.flat[:] = ts
+    for t in (grid, np.asarray(-0.0371)):
+        got = values(t)
+        for idx in np.ndindex(t.shape):
+            x = ctx.real(t[idx])
+            powers = [ctx.real(1)]
+            while len(powers) < len(polys[0]):
+                powers.append(powers[-1] * x)
+            want = [x.context.fdot(cs, powers)._mpf_ for cs in polys]
+            assert [v._mpf_ for v in got[(slice(None),) + idx]] == want
 
 
 def test_values_on_arrays_are_the_scalar_values():
