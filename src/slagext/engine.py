@@ -235,7 +235,7 @@ class PDESlots:
         a = raw_slot(poly_truncate(f, self.cap + derivs).array)
         for _ in range(derivs):
             a = np.arange(1, len(a)) * a[1:]
-        return coefficient_array(a * 1 / fact)
+        return coefficient_array(a / fact)
 
     def _slot(self, k: int, terms):
         """Slot k >= 1 from the slots below it."""
@@ -254,8 +254,8 @@ class PDESlots:
             sr = sr + -mul(qj, pi)
             si = si + mul(qj, pr)
         (vr, vi), (sr, si) = self.w0_inv, _slot_pair(sr, si)
-        self.p.append(_slot_pair((mul(vr, sr) + -mul(vi, si)) * 1 / k,
-                                 (mul(vr, si) + mul(vi, sr)) * 1 / k))
+        self.p.append(_slot_pair((mul(vr, sr) + -mul(vi, si)) / k,
+                                 (mul(vr, si) + mul(vi, sr)) / k))
         # phi_tt, phi_ss slots j >= 1 are imaginary, phi_st/sigma real
         re = zp
         for j in range(1, k + 1):
@@ -417,7 +417,7 @@ class ResidualReport:
 def pde_lhs_value(exp: SigmaExpansion, t, sigma):
     """Pointwise singular PDE left side
     Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)]."""
-    jet = SigmaJetEvaluator(exp).jet(t, sigma)
+    jet = exp.jet_evaluator.jet(t, sigma)
     return _pde_lhs(exp.n, sigma, jet.phi_sigma, jet.phi_tt,
                     jet.phi_sigmasigma, jet.phi_sigmat)
 
@@ -451,7 +451,7 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
     # IEEE semantics, as on Python floats: an infinite or NaN jet gives an
     # infinite or NaN residual, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = SigmaJetEvaluator(exp).jet(T, S)
+        jet = exp.jet_evaluator.jet(T, S)
         # the jet's lanes first: they, not S, tell an mp chart's objects
         lhs = _lanewise(lambda *p: _pde_lhs(exp.n, p[4], *p[:4]), 1,
                         jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,

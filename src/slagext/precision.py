@@ -21,26 +21,27 @@ float64 when all are Python floats, object dtype otherwise; the
 recursion's slots hold mpf as a ``RawSlot`` of raw libmpf tuples.
 ``truncated_product`` is the one multiplication kernel per scalar type
 behind ``series.poly_mul``, picked from those: numpy's correlate straight
-on float64, an exact big-integer (Kronecker) product rounded once per
-coefficient for mpf, and the generic loop for every other scalar.
-``polynomial_values`` is its counterpart for evaluation, behind
-``series.SigmaJetEvaluator``: at an array of points, one exact integer dot
-product per polynomial for mpf, and one Horner loop over all the
-polynomials stacked for every other scalar, on float64 for Python floats
-at float64 points and on the Python scalars otherwise.
+on float64, for mpf one exact big-integer (Kronecker) product of operands
+balanced by t -> 2**s t, which moves only exponents, so each coefficient
+is the same exact number for every s, rounded once; and the generic loop
+for every other scalar. ``polynomial_values`` is its counterpart for
+evaluation, behind ``series.SigmaJetEvaluator``: at an array of points,
+one exact integer dot product per polynomial for mpf, and one Horner loop
+over all the polynomials stacked for every other scalar, on float64 for
+Python floats at float64 points and on the Python scalars otherwise.
 """
 from __future__ import annotations
 
 import math
 import os
-from itertools import repeat
+from itertools import count, repeat
 from operator import mul
 from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul,
-                          mpf_mul_int, mpf_neg, round_nearest)
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
+                          mpf_neg, normalize, round_nearest)
 
 try:
     from numpy._core.multiarray import correlate
@@ -280,9 +281,7 @@ def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     if ca.dtype == _FLOAT64 and cb.dtype == _FLOAT64:
         return correlate(ca, cb[::-1], 2)[:len(ca)]  # mode 2 is "full"
     if type(ca) is RawSlot is type(cb) and ca.mp is cb.mp:
-        for x in (ca, cb):  # kept, as a slot is never modified
-            x.exact = x.exact or _exact_mantissas(x.raw)
-        out = _kronecker(ca.exact, cb.exact, ca.mp.prec)
+        out = _kronecker(ca, cb)
         if out is None:  # NaN or an infinity: the loop, on the mpf
             out = [x._mpf_ for x in _loop_product(
                 slot_coefficients(ca).tolist(), slot_coefficients(cb).tolist())]
@@ -300,25 +299,27 @@ class RawSlot:
     ``-``, ``*`` by an int or an int array and ``/`` by an int make, element
     by element, the mpf operator's libmpf call at the context's ``prec``
     and ``round_nearest``, bit for bit; with any other operand, the slot
-    takes the mpf objects' own arithmetic. Never modified, a slot keeps the
-    exact mantissas a product takes, also in its slices.
+    takes the mpf objects' own arithmetic. Never modified, a slot keeps its
+    ``slope`` and the exact mantissas of its last product, also in slices.
     """
 
-    __slots__ = ("raw", "mp", "exact")
+    __slots__ = ("raw", "mp", "exact", "slope")
     dtype = _OBJECT  # the dtype of the arrays it stands in for
     __array_ufunc__ = None  # an int array times a slot calls __rmul__
 
-    def __init__(self, raw: list, mp, exact=None):
-        self.raw, self.mp, self.exact = raw, mp, exact
+    def __init__(self, raw: list, mp, exact=None, slope=None):
+        self.raw, self.mp, self.exact, self.slope = raw, mp, exact, slope
 
     def __len__(self) -> int:
         return len(self.raw)
 
     def __getitem__(self, cut: slice) -> "RawSlot":
-        ints, e = self.exact or (None, 0)
-        # a NaN or an infinity may lie outside the cut
-        return RawSlot(self.raw[cut], self.mp,
-                       None if ints is None else (ints[cut], e))
+        start, _, step = cut.indices(len(self.raw))
+        ints, e, s = self.exact if step == 1 and self.exact else (None, 0, 0)
+        # a NaN or an infinity may lie outside the cut; c_(start+j) 2**(j s)
+        # is m_(start+j) 2**(e - start s)
+        return RawSlot(self.raw[cut], self.mp, None if ints is None else
+                       (ints[cut], e - start * s, s), self.slope)
 
     def __add__(self, other):
         if type(other) is not RawSlot or other.mp is not self.mp:
@@ -396,8 +397,7 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
             for row, (cs, (ms, ec)) in enumerate(zip(polys, rows)):
                 out[(row,) + idx] = (
                     mp.fdot(cs, map(make, powers)) if ms is None or xs is None
-                    else make(from_man_exp(sum(map(mul, ms, xs)), ec + ex,
-                                           prec, round_nearest)))
+                    else make(_rounded(sum(map(mul, ms, xs)), ec + ex, prec)))
         return out
     return values
 
@@ -478,16 +478,23 @@ def _loop_product(ca, cb) -> list:
     return out
 
 
-def _kronecker(exact_a, exact_b, prec: int) -> list | None:
-    """Kronecker substitution (Brent & Zimmermann, Modern Computer
-    Arithmetic, 2010) on the operands' ``_exact_mantissas``: each becomes
-    one Python int whose fixed-width slots hold its mantissas, so one
-    multiplication gives every exact product coefficient, each rounded
-    once to a raw tuple at ``prec``. None for a NaN or an infinity."""
-    (ia, ea), (ib, eb) = exact_a, exact_b
+def _kronecker(a: "RawSlot", b: "RawSlot") -> list | None:
+    """The truncated product of two slots as raw tuples, by Kronecker
+    substitution (Brent & Zimmermann, Modern Computer Arithmetic, 2010) on
+    operands balanced by t -> 2**s t (van der Hoeven, Making fast
+    multiplication of polynomials numerically stable, 2008), s minus the
+    slots' mean ``_slope``: each operand's ``_exact_mantissas`` of
+    c_j 2**(j s) fill the fixed-width slots of one Python int, so one
+    multiplication gives in slot d the exact integer C_d with
+    sum_(i+j=d) a_i b_j == C_d 2**(e - d s), rounded once by ``_rounded``.
+    A power of two moves only exponents, so every s gives the same C_d
+    2**(e - d s) and the same bits; s sets the slot width. None for a NaN
+    or an infinity."""
+    s = -round((_slope(a) + _slope(b)) / 2)
+    (ia, ea), (ib, eb) = _tilted(a, s), _tilted(b, s)
     if ia is None or ib is None:
         return None
-    n = len(ia)
+    n, e, prec = len(ia), ea + eb, a.mp.prec
     # bytes per slot: every exact product coefficient is below half a slot
     size = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
             + n.bit_length()) // 8 + 1
@@ -501,19 +508,47 @@ def _kronecker(exact_a, exact_b, prec: int) -> list | None:
         for ints in (ia, ib))
     low = (packed_a * packed_b + offset) & ((1 << (8 * size * n)) - 1)
     raw = low.to_bytes(size * n, "little")
-    return [from_man_exp(int.from_bytes(raw[k:k + size], "little") - half,
-                         ea + eb, prec, round_nearest)
-            for k in range(0, size * n, size)]
+    return [_rounded(int.from_bytes(raw[d * size:(d + 1) * size], "little")
+                     - half, e - d * s, prec) for d in range(n)]
 
 
-def _exact_mantissas(raw):
-    """Integers m_j and one exponent e with c_j == m_j * 2**e exactly for
-    the raw mpf tuples c_j; (None, 0) for a NaN or an infinity."""
+def _slope(slot: "RawSlot") -> float:
+    """Bits per degree from the first to the last nonzero coefficient's
+    top exponent (exp + bc); 0 with fewer than two. Kept on the slot."""
+    if slot.slope is None:
+        raw = slot.raw
+        i = next((i for i, x in enumerate(raw) if x[1]), 0)
+        j = next((j for j in range(len(raw) - 1, i, -1) if raw[j][1]), i)
+        slot.slope = 0.0 if j == i else (
+            raw[j][2] + raw[j][3] - raw[i][2] - raw[i][3]) / (j - i)
+    return slot.slope
+
+
+def _tilted(slot: "RawSlot", tilt: int) -> tuple:
+    """The slot's ``_exact_mantissas`` at ``tilt``, kept for the last."""
+    if slot.exact is None or slot.exact[2] != tilt:
+        slot.exact = _exact_mantissas(slot.raw, tilt) + (tilt,)
+    return slot.exact[:2]
+
+
+def _rounded(man: int, exp: int, prec: int) -> tuple:
+    """man * 2**exp rounded to the nearest at prec as a raw tuple: the
+    libmpf ``normalize`` call of ``from_man_exp``, given the bit count."""
+    if man < 0:  # bit_length() counts the bits of |man|
+        return normalize(1, -man, exp, man.bit_length(), prec, round_nearest)
+    return normalize(0, man, exp, man.bit_length(), prec, round_nearest)
+
+
+def _exact_mantissas(raw, tilt: int = 0):
+    """Integers m_j and one exponent e with c_j 2**(j tilt) == m_j 2**e
+    exactly for the raw mpf tuples c_j, whose exponents move by j tilt;
+    (None, 0) for a NaN or an infinity."""
     if any(map(_mpf_special, raw)):
         return None, 0
-    e = min((exp for _, man, exp, _ in raw if man), default=0)
-    return [(int(-man if sign else man) << (exp - e)) if man else 0
-            for sign, man, exp, _ in raw], e
+    e = min((exp + j * tilt for j, (_, man, exp, _) in enumerate(raw) if man),
+            default=0)
+    return [(int(-man if sign else man) << (exp + shift)) if man else 0
+            for (sign, man, exp, _), shift in zip(raw, count(-e, tilt))], e
 
 
 def _mpf_special(raw) -> bool:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -277,7 +278,8 @@ def _tan_series(a: TaylorPoly) -> TaylorPoly:
     z = _zero_like(a.coeffs[0])
     if cap == 0:
         return poly_zero(0, like=a.coeffs[0])
-    da = a.coeffs  # use j*a_j directly below
+    da = a.coeffs
+    ap = [(m + 1) * da[m + 1] for m in range(cap)]  # a'_m = (m+1) a_(m+1)
     y = [z] * (cap + 1)
     ysq = [z] * cap  # ysq[t] = [y^2]_t, summed once y_0..y_t are known
     for d in range(1, cap + 1):
@@ -286,13 +288,11 @@ def _tan_series(a: TaylorPoly) -> TaylorPoly:
         for j in range(0, d):
             s = s + y[j] * y[d - 1 - j]
         ysq[d - 1] = s
-        acc = d * da[d]
-        # a' coefficients: a'_m = (m+1) a_{m+1}
+        acc = ap[d - 1]
         for m in range(0, d - 1):
-            ap = (m + 1) * da[m + 1]
-            if ap == 0:
+            if ap[m] == 0:
                 continue
-            acc = acc + ap * ysq[d - 1 - m]
+            acc = acc + ap[m] * ysq[d - 1 - m]
         y[d] = acc / d
     return TaylorPoly(tuple(y))
 
@@ -454,6 +454,11 @@ class SigmaExpansion:
     def cap(self) -> int:
         return self.terms[0].cap
 
+    @cached_property
+    def jet_evaluator(self) -> "SigmaJetEvaluator":
+        """The expansion's one ``SigmaJetEvaluator``, built on first use."""
+        return SigmaJetEvaluator(self)
+
 
 @dataclass(frozen=True)
 class PhiJet:
@@ -473,7 +478,7 @@ class SigmaJetEvaluator:
     """Precomputed derivative coefficients for repeated jet evaluation."""
 
     def __init__(self, exp: SigmaExpansion):
-        self.exp = exp
+        # no reference to exp is kept: the expansion caches its evaluator
         f = list(exp.terms)
         fp = [poly_derivative(p) for p in f]
         fpp = [poly_derivative(p) for p in fp]

@@ -584,6 +584,27 @@ def test_recursion_output_is_frozen():
         "3a3471fc62444447c6467f33bd6978c6b57c3c003b592603f7aada711bd7ac12")
 
 
+def test_recursion_on_wide_range_mp_arcs_is_frozen():
+    """mp30 and mp50 f_k, bit for bit, on arcs whose graph coefficients
+    fall (1e-5 per degree, alternating signs) or grow (1e4 per degree)
+    over 30 decades, so that the mpf product kernel scales t by 2**s
+    with s from -9 to 43. Frozen before the kernel balanced its operands."""
+    digests = []
+    for coeffs in (["0", "0", "0.5"] + [f"{(-1) ** j}e{-5 * j}"
+                                        for j in range(1, 7)],
+                   ["0", "0", "0.5"] + [f"1e{4 * j}" for j in range(1, 9)]):
+        for dps in (30, 50):
+            ctx = MPContext(dps)
+            digests.append(_digest([extend_arc(
+                graph_arc(coeffs, ctx), ctx.real("0.01"), n=2, K=6, D=36,
+                ctx=ctx)]))
+    assert digests == [
+        "197bd31ab38d7c4d8f73a741611663cb268ceade15e6347708d4a85aaa3a6c04",
+        "495aa554e33d18ed0002421c34df0a6d67d653f9a3d5718ebe406c920d63ae47",
+        "d55cc65d68d0be08e97d4c64e7447fbdfcc08f4be5d35c7fe6c29e16b4634fb3",
+        "0d78f34a0159cadb7ed0a2e252e2d5b61cab547341f389e205da15b851e67091"]
+
+
 def test_recursion_on_python_int_coefficients_is_frozen():
     """Python int and float coefficients: the slots sum int zeros with
     float arrays, which must still take the float64 product kernel. Every

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
 from conftest import exact_value
 from slagext.arcs import graph_arc
@@ -23,8 +24,8 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from slagext.precision import (MPContext, finite_coefficients, horner,
-                                polynomial_values, truncated_product)
+from slagext.precision import (MPContext, RawSlot, finite_coefficients,
+                                horner, polynomial_values, truncated_product)
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -243,6 +244,89 @@ def test_mp_kernel_is_correctly_rounded(dps):
         for g, e in zip(got, exact):
             assert g.context is xs[0].context
             assert abs(exact_value(g) - e) <= abs(e) / 2 ** prec
+
+
+def _dyadic_product(xs, ys, prec):
+    """The truncated product of raw mpf tuples, each coefficient the exact
+    sum of the terms' (man, exp) products as Python ints, rounded once."""
+    out = []
+    for d in range(len(xs)):
+        terms = [((-1) ** (sx ^ sy) * mx * my, ex + ey)
+                 for (sx, mx, ex, _), (sy, my, ey, _) in zip(xs, ys[d::-1])
+                 if mx and my]
+        e = min((x for _, x in terms), default=0)
+        out.append(from_man_exp(sum(m << (x - e) for m, x in terms), e,
+                                prec, round_nearest))
+    return out
+
+
+_MP30, _MP50 = MPContext(30), MPContext(50)
+
+
+@st.composite
+def _mp_slot_case(draw):
+    """Two mp30 or mp50 operands of one length, coefficient j scaled by
+    2**(g j), with zeros and random signs; "cancel" pairs a_j with
+    b_j = (-1)**j a_j, whose odd product coefficients are exactly 0, and
+    "tie" makes product coefficient 1 (m + 1/2) 2**g with m of prec bits,
+    a tie that rounds to even."""
+    mp = draw(st.sampled_from([_MP30, _MP50])).real(0).context
+    prec, n, g = mp.prec, draw(st.integers(1, 60)), draw(st.integers(-60, 60))
+    coeff = st.tuples(st.just(0) | st.integers(1 - 2 ** prec, 2 ** prec - 1),
+                      st.integers(-prec, prec))
+    a, b = (draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(2))
+    shape = draw(st.sampled_from(["random", "cancel", "tie"]))
+    if shape == "cancel":
+        b = [((-1) ** j * m, e) for j, (m, e) in enumerate(a)]
+    if shape == "tie" and n > 1:
+        m = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        a[:2], b[:2] = [(1, 0), (1, -1)], [(1, 0), (m, 0)]
+    return mp, [[from_man_exp(m, e + g * j) for j, (m, e) in enumerate(cs)]
+                for cs in (a, b)]
+
+
+@given(_mp_slot_case(), st.lists(st.integers(-80, 80), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_mp_kernel_is_the_exact_sum_rounded_once_at_any_tilt(case, tilts):
+    """The mpf kernel on two slots against the exact dyadic oracle, bit for
+    bit and with int signs, at the tilt it picks from the slots' slopes and
+    at tilts forced through those slopes: 0 and others. The tilt sets only
+    the slot width, never a bit."""
+    mp, (xs, ys) = case
+    want = _dyadic_product(xs, ys, mp.prec)
+    for tilt in [None, 0] + tilts:
+        a, b = RawSlot(list(xs), mp), RawSlot(list(ys), mp)
+        if tilt is not None:
+            a.slope = b.slope = -tilt
+        got = truncated_product(a, b)
+        assert type(got) is RawSlot and got.raw == want
+        assert all(type(x[0]) is int for x in got.raw)
+        assert tilt is None or a.exact[2] == b.exact[2] == tilt
+
+
+def test_mp_kernel_on_a_slice_of_a_tilted_slot():
+    """A slot keeps the mantissas a product tilted, and its slices share
+    them: a slice from ``start`` holds c_(start+j) 2**(j s) == m 2**e' with
+    e' = e - start s. The slices' own product takes them as they are."""
+    mp = _MP30.real(0).context
+    rng = random.Random(20)
+    xs, ys = ([from_man_exp(rng.randrange(-2 ** 99, 2 ** 99), -7 * j - 99)
+               for j in range(40)] for _ in range(2))
+    a, b = RawSlot(xs, mp), RawSlot(ys, mp)
+    truncated_product(a, b)
+    ints, e, s = a.exact
+    assert s == 7
+    for start, stop in ((5, 23), (0, 40), (39, 40)):
+        cut, other = a[start:stop], b[start:stop]
+        assert cut.exact[1:] == (e - start * s, s)
+        for j, (m, x) in enumerate(zip(cut.exact[0], cut.raw)):
+            assert exact_value(mp.make_mpf(x)) * Fraction(2) ** (j * s) == (
+                m * Fraction(2) ** cut.exact[1])
+        kept = cut.exact
+        got = truncated_product(cut, other)
+        assert cut.exact is kept
+        assert got.raw == _dyadic_product(xs[start:stop], ys[start:stop],
+                                          mp.prec)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
