@@ -69,7 +69,6 @@ from .precision import (
 from .series import (
     ComplexSeries,
     SigmaExpansion,
-    SigmaJetEvaluator,
     TaylorPoly,
     analytic_compose,
     complex_int_pow,
@@ -738,9 +737,15 @@ class ReducedChartMap:
     points equals the reduced distance, which is what the overlap
     measurement needs.
 
+    The chart is the gradient graph {x + i grad phi(x)} of its potential
+    (Harvey and Lawson, Acta Math. 148, 1982) turned by its frame:
+    w / w_phase + a = t + i phi_t and zeta / z_phase = sigma + i phi_sigma,
+    whose real parts ``graph_coordinates`` returns.
+
     The chart's coefficients and frame are cast into ``ctx`` when the map
     is built, so the map computes in ``ctx`` whatever the chart's own
-    precision. ``point`` takes scalars of that context or numpy arrays of
+    precision; a float64 chart's float64 map shares the chart's own jet
+    evaluator. ``point`` takes scalars of that context or numpy arrays of
     equal shape (float64 on a float64 map, object arrays of mpf on an mp
     map), which it evaluates in one pass since the jet evaluator works
     elementwise; each element equals the scalar call at that (t, sigma)
@@ -749,9 +754,13 @@ class ReducedChartMap:
 
     def __init__(self, chart: Chart, ctx: Context = FLOAT64):
         self.ctx = ctx
-        terms = tuple(TaylorPoly(tuple(ctx.real(c) for c in f.coeffs))
-                      for f in chart.phi.terms)
-        self.ev = SigmaJetEvaluator(SigmaExpansion(n=chart.n, terms=terms))
+        phi = chart.phi
+        if ctx.name != FLOAT64.name or any(f.array.dtype != float
+                                           for f in phi.terms):
+            phi = SigmaExpansion(n=chart.n, terms=tuple(
+                TaylorPoly(tuple(ctx.real(c) for c in f.coeffs))
+                for f in phi.terms))
+        self.ev = phi.jet_evaluator
         n = chart.n
         theta = ctx.real(chart.frame.theta)
         self.w_phase = ctx.exp_i(-n * theta)
@@ -781,51 +790,45 @@ class ReducedChartMap:
                  complex_product(self.z_phase, c(zero, jet.phi_sigmat)),
                  complex_product(self.z_phase, c(one, jet.phi_sigmasigma))))
 
+    def graph_coordinates(self, w, zeta):
+        """(Re(w conj(w_phase) + a), Re(zeta conj(z_phase))) on float64 or
+        object (mpc) lanes: ``point``'s (t, sigma), up to rounding."""
+        return _lanewise(lambda gw, gz: (gw.real, gz.real), 2,
+                         complex_product(w, self.w_phase.conjugate()) + self.a,
+                         complex_product(zeta, self.z_phase.conjugate()))
+
 
 def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
                       t_halfwidth=None, t_halfwidth_other=None,
                       ctx: Context = FLOAT64, gn_iterations: int = 30) -> float:
     """Sup over sampled points of chart 1 of the distance to chart 2.
 
-    ``samples`` is a target: the samples are an nt x ns grid in (t,
-    sigma), nt = max(2, round(sqrt(samples))) and ns = max(2,
-    ceil(samples / nt)), so the default 24 samples 25 points.
-    Sample points on chart 1 are projected onto chart 2 by Gauss-Newton in
-    reduced coordinates (the direction vector drops out of the distance for
-    SO(n)-orbit surfaces). Each projection starts from the nearest point of
-    a 21 x 11 (t, sigma) seed grid on chart 2; the grid is evaluated once
-    per pair with chart 2's float64 ``reduced_map`` whatever ``ctx``, and
-    only the samples and Gauss-Newton run in ``ctx``. The samples are
-    evaluated, seeded and projected together, as arrays (object arrays
-    of mp scalars in an mp ``ctx``). Points whose projection leaves chart
-    2's window are not in the overlap and are skipped, as are those whose
-    foot is not finite; if no sample projects into chart 2 the domains are
-    disjoint, which is an error. A non-finite sample point, or a non-finite
-    distance at a counted sample, raises ``NonFiniteError`` rather than
-    passing as a sup; of several, the first in t-outer, sigma-inner order.
+    ``samples`` is a target: the samples are an nt x ns grid in (t, sigma),
+    nt = max(2, round(sqrt(samples))) and ns = max(2, ceil(samples / nt)),
+    so the default 24 samples 25 points. Sample points on chart 1 are
+    projected onto chart 2 by Gauss-Newton in reduced coordinates (the
+    direction vector drops out of the distance for SO(n)-orbit surfaces),
+    in ``ctx`` and together, as arrays (object arrays of mp scalars in an
+    mp ``ctx``). Each projection starts at chart 2's ``graph_coordinates``
+    of its sample, the foot itself when the sample lies on chart 2; no seed
+    grid is searched. Points whose projection leaves chart 2's window are
+    not in the overlap and are skipped, as are those whose foot is not
+    finite; if no sample projects into chart 2 the domains are disjoint,
+    which is an error. A non-finite sample point, or a non-finite distance
+    at a counted sample, raises ``NonFiniteError`` rather than passing as a
+    sup; of several, the first in t-outer, sigma-inner order.
     """
     if not float(sigma_max) > 0:
         raise ValueError("sigma_max must be positive")
     sigma_max = ctx.real(sigma_max)
-    w1 = ctx.real(t_halfwidth if t_halfwidth is not None
-                  else 4 * float(sigma_max))
-    w2 = ctx.real(t_halfwidth_other if t_halfwidth_other is not None
-                  else 4 * float(sigma_max))
+    w1, w2 = (ctx.real(4 * float(sigma_max) if w is None else w)
+              for w in (t_halfwidth, t_halfwidth_other))
     nt = max(2, int(round(math.sqrt(samples))))
     ns = max(2, int(math.ceil(samples / nt)))
     map1, map2 = (c.reduced_map if ctx.name == FLOAT64.name
                   else ReducedChartMap(c, ctx) for c in (c1, c2))
     lanes = partial(np.array, dtype=float if ctx.name == FLOAT64.name
                     else object)
-    seed_t = [
-        -float(w2) + 2 * float(w2) * j / 20 for j in range(21)
-    ]
-    seed_s = [
-        -float(sigma_max) + 2 * float(sigma_max) * j / 10 for j in range(11)
-    ]
-    # flattened t-outer, sigma-inner; argmin keeps the first of equal minima
-    T, S = np.meshgrid(seed_t, seed_s, indexing="ij")
-    grid_w, grid_z = c2.reduced_map.point(T.ravel(), S.ravel())
     # the samples, flattened t-outer, sigma-inner
     t1 = lanes([-w1 + 2 * w1 * it / (nt - 1)
                 for it in range(nt) for _ in range(ns)])
@@ -835,13 +838,9 @@ def overlap_agreement(c1: Chart, c2: Chart, sigma_max, samples: int = 24,
     p1w, p1z = (np.asarray(p, dtype=complex) for p in p1)
     finite = np.isfinite(p1w) & np.isfinite(p1z)
     live = np.flatnonzero(finite)
-    nearest = np.argmin(np.abs(grid_w - p1w[live, None]) ** 2
-                        + np.abs(grid_z - p1z[live, None]) ** 2, axis=1)
-    i, j = np.divmod(nearest, len(seed_s))
+    target = (p1[0][live], p1[1][live])
     t2, s2, dist = _gauss_newton_project(
-        map2, (p1[0][live], p1[1][live]),
-        lanes([ctx.real(seed_t[k]) for k in i]),
-        lanes([ctx.real(seed_s[k]) for k in j]), gn_iterations)
+        map2, target, *map2.graph_coordinates(*target), gn_iterations)
     # written so that a NaN foot fails the window test
     inside = ((np.asarray(abs(t2), dtype=float) <= 1.05 * float(w2))
               & (np.asarray(abs(s2), dtype=float)

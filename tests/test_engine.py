@@ -1,6 +1,7 @@
 """Tests of the extension recursion, its oracles, and chart assembly."""
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -797,8 +798,8 @@ def test_overlap_in_mp_context():
     circle = unit_circle_arc(ctx)
     c = extend_arc(circle, ctx.real(0), n=2, K=4, D=16, ctx=ctx,
                    with_radius=False)
-    # 16 samples lie off the seed grid, so Gauss-Newton has to converge;
-    # it reaches the exact foot in mp30 but not in float64 (6.9e-18)
+    # each sample's graph seed on the same chart is its own foot, so
+    # Gauss-Newton ends at the exact foot
     assert overlap_agreement(c, c, 0.05, samples=16, ctx=ctx) == 0.0
     kw = dict(t_halfwidth=0.75, t_halfwidth_other=0.75)
     sups = []
@@ -875,38 +876,49 @@ def _samples(m1, sigma_max, w):
                            -sigma_max + 2 * sigma_max * js / 4)
 
 
-def _overlap_scalar(c1, c2, sigma_max, w, iterations):
+def _graph_seed(c2, m2):
+    """Chart 2's graph coordinates of one point, by the scalar form of
+    ``ReducedChartMap.graph_coordinates``'s formula and rounding."""
+    wc, zc = m2.w_phase.conjugate(), m2.z_phase.conjugate()
+    return lambda p: ((p[0] * wc + m2.a).real, (p[1] * zc).real)
+
+
+def _frame_seed(c2, m2):
+    """Chart 2's graph coordinates of one point, written from its frame
+    with cmath: w e^(i n theta) + a = t + i phi_t and
+    zeta e^(-i (theta + pi branch / n)) = sigma + i phi_sigma. Rounded
+    otherwise than ``_graph_seed``."""
+    n, theta = c2.n, c2.frame.theta
+    rw = cmath.exp(1j * n * theta)
+    rz = cmath.exp(-1j * (theta + c2.branch * math.pi / n))
+    return lambda p: ((p[0] * rw + c2.frame.a).real, (p[1] * rz).real)
+
+
+def _grid_seed(sigma_max, w):
+    """The seed search overlap_agreement made before it seeded from graph
+    coordinates: the nearest point of a 21 x 11 (t, sigma) grid on chart
+    2, by a Python min over scalar ``point`` values."""
+    def seed(c2, m2):
+        grid = [(ts, m2.point(*ts)) for ts in _seed_grid(sigma_max, w)]
+        return lambda p: min(grid, key=lambda g: abs(g[1][0] - p[0]) ** 2
+                             + abs(g[1][1] - p[1]) ** 2)[0]
+    return seed
+
+
+def _overlap_scalar(c1, c2, sigma_max, w, iterations, seed=_graph_seed):
     """overlap_agreement at samples=24 for float64 charts as it was before
-    its samples were projected as arrays: the same batched seed grid, then
-    one scalar Gauss-Newton projection per sample."""
+    its samples were projected as arrays: one scalar Gauss-Newton
+    projection per sample from ``seed(c2, m2)(point)``. Returns the sup and
+    the indices of the counted samples."""
     m1, m2 = ReducedChartMap(c1), ReducedChartMap(c2)
-    seeds = _seed_grid(sigma_max, w)
-    grid_w, grid_z = m2.point(*(np.array(v) for v in zip(*seeds)))
-    worst = None
-    for p1 in _samples(m1, sigma_max, w):
-        k = int(np.argmin(np.abs(grid_w - p1[0]) ** 2
-                          + np.abs(grid_z - p1[1]) ** 2))
-        t2, s2, d = _scalar_gauss_newton(m2, p1, *seeds[k], iterations)
+    seeds = seed(c2, m2)
+    worst, counted = None, []
+    for k, p1 in enumerate(_samples(m1, sigma_max, w)):
+        t2, s2, d = _scalar_gauss_newton(m2, p1, *seeds(p1), iterations)
         if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
             worst = d if worst is None or d > worst else worst
-    return worst
-
-
-def _overlap_scalar_seed(c1, c2, sigma_max, w, iterations):
-    """overlap_agreement at samples=24 for float64 charts, with the seed
-    search it had before the grid was batched: a Python min over scalar
-    ``point`` values of chart 2 (evaluated once here, not once per sample
-    as it was; ``point`` is deterministic, so the seeds are the same)."""
-    m1, m2 = ReducedChartMap(c1), ReducedChartMap(c2)
-    grid = [(ts, m2.point(*ts)) for ts in _seed_grid(sigma_max, w)]
-    worst = None
-    for p1 in _samples(m1, sigma_max, w):
-        (t2, s2), _ = min(grid, key=lambda g: abs(g[1][0] - p1[0]) ** 2
-                          + abs(g[1][1] - p1[1]) ** 2)
-        t2, s2, d = _scalar_gauss_newton(m2, p1, t2, s2, iterations)
-        if abs(t2) <= 1.05 * w and abs(s2) <= 1.2 * sigma_max:
-            worst = d if worst is None or d > worst else worst
-    return worst
+            counted.append(k)
+    return worst, counted
 
 
 @pytest.fixture(scope="module")
@@ -920,28 +932,67 @@ def overlap_pairs():
     return pairs + [(parab[0], parab[1], 0.375)]
 
 
-def test_overlap_seed_grid_matches_scalar_search(overlap_pairs):
-    # Gauss-Newton reaches the same foot from nearly any seed, so the
-    # zero-iteration sups, the distances to the seeds, check the seeds
+def test_overlap_graph_seeds_match_grid_search_and_frame(overlap_pairs,
+                                                         monkeypatch):
+    # the feet do not depend on the seeds: Gauss-Newton from the nearest
+    # point of a 21 x 11 seed grid counts the same samples and reaches the
+    # same sup; with no iteration the sup is the distance to the graph
+    # seed, which chart 2's frame gives up to rounding
+    feet = []
+    project = engine._gauss_newton_project
+
+    def record(cmap, target, t, s, iterations):
+        out = project(cmap, target, t, s, iterations)
+        feet.append(out[:2])
+        return out
+
+    monkeypatch.setattr(engine, "_gauss_newton_project", record)
     for c1, c2, w in overlap_pairs:
-        for iterations in (30, 0):
+        for iterations, seed in ((30, _grid_seed(0.05, w)),
+                                 (0, _frame_seed)):
             got = overlap_agreement(c1, c2, 0.05, t_halfwidth=w,
                                     t_halfwidth_other=w,
                                     gn_iterations=iterations)
-            want = _overlap_scalar_seed(c1, c2, 0.05, w, iterations)
+            t2, s2 = feet.pop()
+            assert t2.size == 25
+            counted = np.flatnonzero((abs(t2) <= 1.05 * w)
+                                     & (abs(s2) <= 1.2 * 0.05)).tolist()
+            want, want_counted = _overlap_scalar(c1, c2, 0.05, w,
+                                                 iterations, seed)
+            assert counted == want_counted
             assert abs(got - want) <= 1e-15
 
 
 def test_overlap_projection_equals_scalar_loop(overlap_pairs):
     # one array projection per pair, bit for bit the per-sample loop:
-    # every lane stops where its scalar projection stops
+    # every lane starts at its scalar seed and stops where its scalar
+    # projection stops
     for c1, c2, w in overlap_pairs:
         for iterations in (30, 1, 0):
             got = overlap_agreement(c1, c2, 0.05, t_halfwidth=w,
                                     t_halfwidth_other=w,
                                     gn_iterations=iterations)
-            want = _overlap_scalar(c1, c2, 0.05, w, iterations)
+            want, _ = _overlap_scalar(c1, c2, 0.05, w, iterations)
             assert repr(got) == repr(want)
+
+
+def test_overlap_takes_two_point_calls_and_four_steps(overlap_pairs,
+                                                      monkeypatch):
+    # seeded at the foot, each projection of the K=10 circle atlas is done
+    # in at most 4 Gauss-Newton steps; one point call evaluates the
+    # samples and one the feet
+    calls = []
+    for name in ("point", "point_and_jacobian"):
+        method = getattr(ReducedChartMap, name)
+        monkeypatch.setattr(
+            ReducedChartMap, name,
+            lambda self, t, s, name=name, method=method: (
+                calls.append(name) or method(self, t, s)))
+    for c1, c2, w in overlap_pairs[:12]:
+        calls.clear()
+        overlap_agreement(c1, c2, 0.05, t_halfwidth=w, t_halfwidth_other=w)
+        assert calls.count("point") == 2
+        assert calls.count("point_and_jacobian") <= 4
 
 
 def test_overlap_projects_each_pair_in_one_call(monkeypatch):
@@ -1059,6 +1110,34 @@ def test_point_on_arrays_matches_scalars(n, K, tail, s0):
         w, z = m.point(float(T[idx]), float(S[idx]))
         assert abs(W[idx] - w) <= 4 * eps * abs(w)
         assert abs(Z[idx] - z) <= 4 * eps * abs(z)
+
+
+@given(st.booleans(), st.integers(2, 4), st.integers(2, 6),
+       st.integers(0, 3), st.floats(-0.3, 0.3),
+       st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+       st.lists(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+                min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_graph_coordinates_invert_point(circle, n, K, branch, s0, tail, ts):
+    # a chart is the gradient graph of its potential rotated by its frame,
+    # so the graph coordinates of its point at (t, sigma) are (t, sigma)
+    branch %= n
+    T, S = (np.array(v) for v in zip(*ts))
+    eps = np.finfo(float).eps
+    for ctx, lanes in ((FLOAT64, float), (MPContext(30), object)):
+        arc = (unit_circle_arc(ctx) if circle
+               else graph_arc(["0", "0", "0.5"] + tail, ctx))
+        ch = extend_arc(arc, ctx.real(s0), n=n, K=K, D=2 * K + 8,
+                        branch=branch, ctx=ctx, with_radius=False)
+        m = ReducedChartMap(ch, ctx)
+        t, s = (np.array([ctx.real(x) for x in v], dtype=lanes)
+                for v in (T, S))
+        gt, gs = m.graph_coordinates(*m.point(t, s))
+        err = np.asarray([abs(gt - t), abs(gs - s)], dtype=float)
+        if ctx is FLOAT64:
+            assert err.max() <= 4 * eps * (1 + abs(ch.frame.a))
+        else:
+            assert err.max() <= 1e-28
 
 
 def test_residual_report_shape():
