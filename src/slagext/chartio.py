@@ -191,10 +191,17 @@ def _mesh_grid(resolution: int, sigma_max: float):
 
 def _text_lines(coords, template: str) -> str:
     """One line per element of the complex arrays in ``coords``: its real
-    and imaginary parts, coordinate by coordinate, through ``template``,
-    which holds one ``%.17g`` per part."""
+    and imaginary parts, coordinate by coordinate, each printed with
+    ``%.17g``, through ``template``, which holds one ``%s`` per part.
+
+    Each distinct number is printed once. Numbers are told apart by their
+    bits, not by ``==``: -0.0 equals 0.0 but prints apart from it, and NaN
+    equals nothing, not even itself (every NaN prints ``nan``)."""
     parts = np.stack([p for z in coords for p in (z.real, z.imag)], axis=-1)
-    return ((template + "\n") * len(parts)) % tuple(parts.ravel().tolist())
+    bits, where = np.unique(parts.ravel().view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return ((template + "\n") * len(parts)) % tuple(text[where].tolist())
 
 
 def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
@@ -213,7 +220,7 @@ def reduced_mesh_text(charts: Sequence[Chart], resolution: int,
     base, r = 1, resolution
     for chart in charts:
         wv, zv = chart.reduced_map.point(T, S)
-        parts.append(_text_lines((wv, zv), "v %.17g %.17g %.17g %.17g"))
+        parts.append(_text_lines((wv, zv), "v %s %s %s %s"))
         for i in range(r - 1):
             # the quad whose corner with the lowest index is vertex v
             faces += [f"f {v} {v + r} {v + r + 1} {v + 1}\n"
@@ -237,7 +244,7 @@ def embedded_cloud_text(charts: Sequence[Chart], resolution: int,
         raise ValueError("charts mix different n")
     parts = [",".join(f"{xy}{k}" for k in range(n + 1) for xy in "xy")
              + "\n"]
-    template = ",".join(["%.17g"] * (2 * n + 2))
+    template = ",".join(["%s"] * (2 * n + 2))
     T, S = _mesh_grid(resolution, sigma_max)
     dirs = sphere_points(n, directions)
     for chart in charts:

@@ -160,10 +160,14 @@ def complex_product(a, b):
     differently from Python's ``complex.__mul__``. So on such arrays the
     product is written out on the real and imaginary parts with CPython's
     formula, a real factor x counting as complex(x, 0.0) as CPython's does.
-    Object arrays (of mpc) multiply element by element with ``*``.
+    Object arrays (of mpc) multiply element by element with ``*``, the
+    array on the left: an mpc on the left first tries to convert the
+    array, and mpmath formats the whole array for the error it raises. An
+    mpc product rounds each part once from exact products, so the order
+    of the factors changes no bit.
     """
     if not _numeric_array(a) and not _numeric_array(b):
-        return a * b
+        return b * a if isinstance(b, np.ndarray) else a * b
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return complex_array(ar * br - ai * bi, ar * bi + ai * br)
 

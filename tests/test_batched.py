@@ -427,6 +427,39 @@ def test_exports_equal_the_per_point_loops(spec):
                 == _cloud_text_per_point(charts, res, 0.1, dirs))
 
 
+# SHA-256 of the mesh text and of the two cloud texts of
+# test_exports_equal_the_per_point_loops, as the one-%.17g-per-number
+# formatting wrote them
+EXPORT_DIGESTS = [
+    ("adc64be2a1b2d368693e718ee8cd30a37ae639fa9d8b672c0045466ff66ae534",
+     "4ffed449bebfb27e6e9617306fb87fe01840e6dd5f3eb40c7f1becc815686167"),
+    ("35cd65d586154d3f99347e32681fbbd290f83508e57a6cc4fa2fe63ec4444465",
+     "059b4644d4d3b1c59bff4b1e11952543e66b8a8d2e55aabbea2d82f89ce9d76f"),
+    ("6f7dfe407d9c0744e2d6eb28beac68e6912958eb3fa1dcc2fbfaa9fb33fd0c1c",
+     "a278a9050ab64b9f24cfacb28e3d998f986e4fb3722bb16359acc3f7b4a6b674"),
+    ("b5f0d29049f4b402ad81b8751fa6bbd4cb92fcb2b7f0a086c08b307b450acae3",
+     "2072791f7e050367a29f47d1b9703aa33614244f1a85912e2a91e875141e206e"),
+    ("1182298139fecf99d57ce9a9633c76d0ce52776d9bf245e769467d2aed72220f",
+     "9c0184a691f6f8662dffda087781dfed9297e415caebff7d77ef28a9d13a21bf"),
+]
+
+
+def _export_digests(spec):
+    n = spec[0]
+    charts = [_chart(*spec), _chart(n, False, 0.05, [0.2, 0.7], 0)]
+    cloud = hashlib.sha256()
+    for res, dirs in ((8, 6), (5, 9)):
+        cloud.update(embedded_cloud_text(charts, res, 0.1,
+                                         directions=dirs).encode())
+    mesh = reduced_mesh_text(charts, 7, 0.05).encode()
+    return hashlib.sha256(mesh).hexdigest(), cloud.hexdigest()
+
+
+@pytest.mark.parametrize("spec, digests", zip(CHARTS, EXPORT_DIGESTS))
+def test_export_text_is_frozen(spec, digests):
+    assert _export_digests(spec) == digests
+
+
 @pytest.mark.parametrize("spec", CHARTS)
 def test_momentum_equals_the_per_point_loop(spec):
     chart = _chart(*spec)
@@ -445,6 +478,40 @@ def test_unit_circle_locus_agrees_with_the_per_point_loop(n, s0, samples):
     # numpy's abs, ** and complex multiply round some last bits
     # differently from Python's
     assert abs(r.max_residual - worst) <= 1e-14
+
+
+@pytest.mark.parametrize("n, s0, samples, want", [
+    (2, 0.0, 500, "6.106112347823887e-12"),
+    (3, 2.0, 120, "9.159949425550343e-12"),
+    (4, 4.1, 77, "1.2212453270876722e-11"),
+])
+def test_unit_circle_locus_is_frozen(n, s0, samples, want):
+    """The worst residual, bit for bit, as one array call per direction
+    computed it."""
+    chart = _chart(n, True, s0, [], 0)
+    r = unit_circle_residual(n, chart, 0.05, t_halfwidth=0.05,
+                             samples=samples)
+    assert repr(r.max_residual) == want
+
+
+def test_unit_circle_locus_lifts_every_sample_at_once(monkeypatch):
+    """One chart_point call for all samples and directions: two jets in
+    all, the other one for the unit-circle base check."""
+    chart = _chart(3, True, 2.0, [], 0)
+    calls = {"chart_point": 0, "jet": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracles, "chart_point",
+                        counted("chart_point", chart_point))
+    monkeypatch.setattr(SigmaJetEvaluator, "jet",
+                        counted("jet", SigmaJetEvaluator.jet))
+    unit_circle_residual(3, chart, 0.05, t_halfwidth=0.05, samples=120)
+    assert calls == {"chart_point": 1, "jet": 2}
 
 
 def test_unit_circle_locus_fails_on_a_non_finite_chart(monkeypatch):

@@ -4,12 +4,14 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import (
+    _text_lines,
     deserialize_chart,
     embedded_cloud_text,
     export_mesh,
@@ -19,7 +21,7 @@ from slagext.chartio import (
 )
 from slagext.engine import extend_arc
 from slagext.errors import SchemaError
-from slagext.precision import MPContext
+from slagext.precision import MPContext, complex_array
 from slagext.series import poly_from
 from conftest import random_flat_potential
 
@@ -226,3 +228,42 @@ def test_export_mesh_writes_atomically(tmp_path):
     assert leftovers == []
     with pytest.raises(ValueError):
         export_mesh([ch], "volumetric", 3, 0.05, str(out))
+
+
+SIGN = 1 << 63
+# bit patterns that print alike or compare alike but are not alike: zeros
+# of both signs, infinities, quiet and signalling NaNs of both signs with
+# several payloads, and subnormals
+SPECIAL_BITS = [0, SIGN, 0x7FF0000000000000, SIGN | 0x7FF0000000000000,
+                0x7FF8000000000000, SIGN | 0x7FF8000000000000,
+                0x7FF8000000000ABC, 0x7FF0000000000001,
+                SIGN | 0x7FF4000000000000, 1, SIGN | 1, 0x000FFFFFFFFFFFFF]
+float_bits = st.one_of(
+    st.sampled_from(SPECIAL_BITS),
+    st.floats(width=64).map(
+        lambda x: int(np.array(x).view(np.uint64))),
+    st.integers(1, (1 << 52) - 1).flatmap(
+        lambda m: st.sampled_from([m, SIGN | m])))
+
+
+@given(st.data(), st.sampled_from([("v %s %s %s %s", 2),
+                                   (",".join(["%s"] * 6), 3),
+                                   (",".join(["%s"] * 10), 5)]))
+@settings(max_examples=80, deadline=None)
+def test_text_lines_equal_one_format_per_number(data, spec):
+    """The distinct numbers printed once and gathered back give the text of
+    one %.17g per number, byte for byte. Numbers come from a small pool,
+    the special bit patterns and a few more, so most repeat, as w does
+    across the cloud's directions."""
+    template, coords = spec
+    pool = SPECIAL_BITS + data.draw(st.lists(float_bits, max_size=6))
+    rows = data.draw(st.integers(0, 12))
+    bits = data.draw(st.lists(st.sampled_from(pool), min_size=2 * coords
+                              * rows, max_size=2 * coords * rows))
+    parts = np.array(bits, dtype=np.uint64).view(np.float64)
+    parts = parts.reshape(rows, coords, 2)
+    z = [complex_array(parts[:, k, 0], parts[:, k, 1])
+         for k in range(coords)]
+    want = ((template.replace("%s", "%.17g") + "\n") * rows) % tuple(
+        parts.ravel().tolist())
+    assert _text_lines(z, template) == want
