@@ -29,19 +29,22 @@ evaluation, behind ``series.SigmaJetEvaluator``: at an array of points,
 one exact integer dot product per polynomial for mpf, and one Horner loop
 over all the polynomials stacked for every other scalar, on float64 for
 Python floats at float64 points and on the Python scalars otherwise.
+``scalar_kernel`` is the series loops' and mpf jets' arithmetic: the Python
+operators, or on raw tuples the mpf operators' libmpf calls and
+``fused_muladd``; each rounds its exact result once, so the bits are mpf's.
 """
 from __future__ import annotations
 
 import math
 import os
 from itertools import count, repeat
-from operator import mul
+from operator import attrgetter, mul, neg, truediv
 from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
-                          mpf_neg, normalize, round_nearest)
+from mpmath.libmp import (from_float, from_int, mpf_add, mpf_div, mpf_mul,
+                          mpf_mul_int, mpf_neg, normalize, round_nearest)
 
 try:
     from numpy._core.multiarray import correlate
@@ -333,9 +336,7 @@ class RawSlot:
                         for x, y in zip(self.raw, other.raw)], self.mp)
 
     def __neg__(self) -> "RawSlot":
-        prec = self.mp.prec
-        return RawSlot([mpf_neg(x, prec, round_nearest) for x in self.raw],
-                       self.mp)
+        return RawSlot(list(map(_MpfScalars(self.mp).neg, self.raw)), self.mp)
 
     def __mul__(self, k) -> "RawSlot":
         prec = self.mp.prec
@@ -349,9 +350,8 @@ class RawSlot:
         return other + slot_coefficients(self)
 
     def __truediv__(self, k: int) -> "RawSlot":
-        d, prec = from_int(k), self.mp.prec
-        return RawSlot([mpf_div(x, d, prec, round_nearest) for x in self.raw],
-                       self.mp)
+        div, d = _MpfScalars(self.mp).div, from_int(k)
+        return RawSlot([div(x, d) for x in self.raw], self.mp)
 
 
 def raw_slot(cs: np.ndarray):
@@ -378,7 +378,8 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
     once. ``fdot`` rounds once from ``mpf_sum``, so the two are bit-equal
     wherever that sum is exact: it drops a term only across a gap of more
     than 2 prec bits to the running sum. A row or a point holding NaN or
-    an infinity takes ``fdot``. Every other scalar type takes Horner's
+    an infinity takes ``fdot``. The function's ``raw`` gives the values as
+    raw libmpf tuples. Every other scalar type takes Horner's
     rule on all the polynomials at once (``_StackedHorner``), on float64
     for Python floats at a float64 t and on objects otherwise, so that each
     element is what ``horner`` gives on the Python scalars, bit for bit.
@@ -390,19 +391,25 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
     rows = [_exact_mantissas([c._mpf_ for c in cs]) for cs in polys]
     size, make = max(map(len, polys)), mp.make_mpf
 
-    def values(t: np.ndarray) -> np.ndarray:
-        out, prec = np.empty((len(polys),) + t.shape, dtype=object), mp.prec
-        for idx in np.ndindex(t.shape):
+    def raw(t: np.ndarray) -> list:
+        out, prec = [[] for _ in polys], mp.prec
+        for x in t.ravel().tolist():
             powers = [mp.one._mpf_]
-            x = mp.convert(t[idx])._mpf_
+            x = mp.convert(x)._mpf_
             for _ in range(size - 1):
                 powers.append(mpf_mul(powers[-1], x, prec, round_nearest))
             xs, ex = _exact_mantissas(powers)
-            for row, (cs, (ms, ec)) in enumerate(zip(polys, rows)):
-                out[(row,) + idx] = (
-                    mp.fdot(cs, map(make, powers)) if ms is None or xs is None
-                    else make(_rounded(sum(map(mul, ms, xs)), ec + ex, prec)))
-        return out
+            for values, cs, (ms, ec) in zip(out, polys, rows):
+                values.append(
+                    mp.fdot(cs, map(make, powers))._mpf_
+                    if ms is None or xs is None
+                    else _rounded(sum(map(mul, ms, xs)), ec + ex, prec))
+        return out  # per polynomial, its values at t's elements in C order
+
+    def values(t: np.ndarray) -> np.ndarray:
+        return np.array([list(map(make, row)) for row in raw(t)],
+                        dtype=_OBJECT).reshape((len(polys),) + t.shape)
+    values.raw = raw
     return values
 
 
@@ -472,14 +479,100 @@ def horner(cs: Sequence, t):
     return acc
 
 
+class PythonScalars:
+    """The loops' kernel (the class itself) for all but mpf: ``dot`` is acc
+    + x0 y0 + x1 y1 + ..., left to right; ``run`` sets cs[j] = cs[j] +
+    cs[j - 1] x for j = 1..stop in turn, in place, and returns the last."""
+
+    lift, drop, mul, div, neg = tuple, tuple, mul, truediv, neg
+
+    def dot(acc, xs, ys):
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+
+    def run(cs: list, stop: int, x):
+        acc = cs[0]
+        for j in range(1, stop + 1):
+            acc = cs[j] = cs[j] + acc * x
+        return acc
+
+
+class _MpfScalars:
+    """Raw tuples of context ``mp``: mpf's libmpf calls at its prec when
+    called, ``fused_muladd``; ``lift`` gives None past mpf, float, int."""
+
+    def __init__(self, mp):
+        self.mp, self.raw = mp, {mp.mpf: attrgetter("_mpf_"),
+                                 float: from_float, int: from_int}
+
+    def lift(self, xs) -> list | None:
+        try:
+            return [self.raw[type(x)](x) for x in xs]
+        except KeyError:
+            return None
+
+    def drop(self, raws) -> tuple:
+        return tuple(map(self.mp.make_mpf, raws))
+
+    def mul(self, a, b):
+        return mpf_mul(a, b, self.mp.prec, round_nearest)
+
+    def div(self, a, b):
+        return mpf_div(a, b, self.mp.prec, round_nearest)
+
+    def neg(self, a):
+        return mpf_neg(a, self.mp.prec, round_nearest)
+
+    def dot(self, acc, xs, ys):
+        prec = self.mp.prec
+        for x, y in zip(xs, ys):
+            acc = fused_muladd(acc, x, y, prec)
+        return acc
+
+    def run(self, cs: list, stop: int, x):
+        acc, prec = cs[0], self.mp.prec
+        for j in range(1, stop + 1):
+            acc = cs[j] = fused_muladd(cs[j], acc, x, prec)
+        return acc
+
+
+def scalar_kernel(*seqs):
+    """The loops' kernel for ``seqs``: raw for mpf of one context."""
+    if type(seqs[0][0]) is float:  # no scan for the common case
+        return PythonScalars
+    mp = _mpf_context(_one_kind(seqs))
+    return PythonScalars if mp is None else _MpfScalars(mp)
+
+
+def fused_muladd(c, a, b, prec: int) -> tuple:
+    """``mpf_add(c, mpf_mul(a, b, prec), prec)`` at round_nearest, bit for
+    bit: a*b rounded half to even at prec, the exact aligned sum and one
+    ``normalize`` round each exact result once. Zeros, NaN, infinities and
+    top exponents over prec + 4 bits apart (sticky bits) take libmpf's."""
+    csign, cman, cexp, cbc = c
+    man = a[1] * b[1]
+    if not (cman or cexp):
+        return mpf_mul(a, b, prec, round_nearest)
+    if man and cman:
+        exp, n = a[2] + b[2], man.bit_length() - prec
+        if n > 0:
+            half = man >> (n - 1)
+            man = (half + 1 >> 1 if half & 1 and (
+                half & 2 or man & ((1 << (n - 1)) - 1)) else half >> 1)
+            exp += n
+        if abs(cexp + cbc - exp - man.bit_length()) <= prec + 4:
+            man, cman = -man if a[0] ^ b[0] else man, -cman if csign else cman
+            e = min(exp, cexp)  # the exact sum, aligned at the lower one
+            return _rounded((man << (exp - e)) + (cman << (cexp - e)), e, prec)
+    return mpf_add(c, mpf_mul(a, b, prec, round_nearest), prec,
+                   round_nearest)
+
+
 def _loop_product(ca, cb) -> list:
-    out = []
-    for d in range(len(ca)):
-        acc = ca[0] * cb[d]
-        for j in range(1, d + 1):
-            acc = acc + ca[j] * cb[d - j]
-        out.append(acc)
-    return out
+    dot = PythonScalars.dot
+    return [dot(ca[0] * cb[d], ca[1:d + 1], reversed(cb[:d]))
+            for d in range(len(ca))]
 
 
 def _kronecker(a: "RawSlot", b: "RawSlot") -> list | None:

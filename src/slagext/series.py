@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +45,8 @@ from .errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from .precision import (coefficient_array, horner, polynomial_values,
-                        truncated_product)
+from .precision import (PythonScalars, coefficient_array, horner,
+                        polynomial_values, scalar_kernel, truncated_product)
 
 
 class TaylorPoly:
@@ -186,14 +187,14 @@ def poly_reciprocal(a: TaylorPoly) -> TaylorPoly:
     a0 = cs[0]
     if a0 == 0:
         raise SingularDivisionError("poly_reciprocal: constant term is zero")
-    inv0 = 1 / a0
-    out = [inv0]
-    for d in range(1, len(cs)):
-        acc = _zero_like(a0)
-        for j in range(1, d + 1):
-            acc = acc + cs[j] * out[d - j]
-        out.append(-inv0 * acc)
-    return TaylorPoly(tuple(out))
+    k = scalar_kernel(cs)
+    x0, *xs, zero, one = k.lift(cs + (0, 1))
+    out = [k.div(one, x0)]
+    minus_inv0, zero = k.neg(out[0]), k.mul(x0, zero)
+    dot, mul = k.dot, k.mul
+    for _ in xs:  # out_d = -out_0 (a_1 out_(d-1) + ... + a_d out_0)
+        out.append(mul(minus_inv0, dot(zero, xs, reversed(out))))
+    return TaylorPoly(k.drop(out))
 
 
 def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
@@ -215,31 +216,28 @@ def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
             "poly_compose_inverse: inner series has a vanishing linear term"
         )
     cap = inner.cap
+    k = scalar_kernel(outer.coeffs, inner.coeffs)
     phi = poly_reciprocal(TaylorPoly(inner.coeffs[1:]))
-    dout = poly_derivative(outer).coeffs
-    out = [outer.coeffs[0]]
+    d0, *dout = k.lift(poly_derivative(outer).coeffs)
+    out, ms = [k.lift(outer.coeffs[:1])[0]], k.lift(range(cap + 1))
     power = phi
     for m in range(1, cap + 1):
-        pw = power.coeffs
-        acc = dout[0] * pw[m - 1]
-        for j in range(1, m):
-            acc = acc + dout[j] * pw[m - 1 - j]
-        out.append(acc / m)
+        pw = k.lift(power.coeffs[m - 1::-1])  # [s^(m-1-j)] phi^m, j = 0, 1, ..
+        out.append(k.div(k.dot(k.mul(d0, pw[0]), dout, pw[1:]), ms[m]))
         if m < cap:
             power = poly_mul(power, phi)
-    return TaylorPoly(tuple(out))
+    return TaylorPoly(k.drop(out))
 
 
 def poly_shift(a: TaylorPoly, h) -> TaylorPoly:
     """Coefficients of a(h + t) at the same cap (exact Taylor shift)."""
-    n = len(a.coeffs)
-    out = list(a.coeffs)
+    k = scalar_kernel(a.coeffs, (h,))
+    *rev, h = k.lift(a.coeffs[::-1] + (h,))  # rev[i] = a_(n-1-i)
     # repeated synthetic division by (t - h) accumulates the shifted
-    # coefficients without forming binomials
-    for j in range(n - 1):
-        for k in range(n - 2, j - 1, -1):
-            out[k] = out[k] + out[k + 1] * h
-    return TaylorPoly(tuple(out))
+    # coefficients without forming binomials: a_i += a_(i+1) h, i = n-2..j
+    for i in range(len(rev) - 1, 0, -1):
+        k.run(rev, i, h)
+    return TaylorPoly(k.drop(rev[::-1]))
 
 
 def analytic_compose(name: str, inner: TaylorPoly) -> TaylorPoly:
@@ -275,26 +273,23 @@ def _arctan_series(a: TaylorPoly) -> TaylorPoly:
 def _tan_series(a: TaylorPoly) -> TaylorPoly:
     # y = tan(a):  y' = a' (1 + y^2), y(0) = 0; filled order by order
     cap = a.cap
-    z = _zero_like(a.coeffs[0])
     if cap == 0:
         return poly_zero(0, like=a.coeffs[0])
-    da = a.coeffs
-    ap = [(m + 1) * da[m + 1] for m in range(cap)]  # a'_m = (m+1) a_(m+1)
+    k = scalar_kernel(a.coeffs)
+    da, ns = k.lift(a.coeffs), k.lift(range(cap + 1))
+    z = k.mul(da[0], ns[0])
+    ap = list(map(k.mul, ns[1:], da[1:]))  # a'_m = (m+1) a_(m+1)
+    # a'_m = 0 exactly when a_(m+1) = 0; compress skips those terms
+    live = a.coeffs[1:]
+    live_ap = list(compress(ap, live))
     y = [z] * (cap + 1)
-    ysq = [z] * cap  # ysq[t] = [y^2]_t, summed once y_0..y_t are known
+    rys = []  # [y^2]_(d-1), ..., [y^2]_1, each once y_0..y_(d-1) are known
     for d in range(1, cap + 1):
         # [a'(1 + y^2)]_{d-1} depends on y_0..y_{d-1} only
-        s = z
-        for j in range(0, d):
-            s = s + y[j] * y[d - 1 - j]
-        ysq[d - 1] = s
-        acc = ap[d - 1]
-        for m in range(0, d - 1):
-            if ap[m] == 0:
-                continue
-            acc = acc + ap[m] * ysq[d - 1 - m]
-        y[d] = acc / d
-    return TaylorPoly(tuple(y))
+        if d > 1:
+            rys.insert(0, k.dot(z, y, y[d - 1::-1]))
+        y[d] = k.div(k.dot(ap[d - 1], live_ap, compress(rys, live)), ns[d])
+    return TaylorPoly(k.drop(y))
 
 
 def _one_like(x):
@@ -484,7 +479,8 @@ class SigmaJetEvaluator:
         fpp = [poly_derivative(p) for p in fp]
         # f_k, f_k' and f_k'' in one list, evaluated by the kernel of
         # their scalar type
-        self._values = polynomial_values([p.coeffs for p in f + fp + fpp])
+        polys = [p.coeffs for p in f + fp + fpp]
+        self._values = polynomial_values(polys)
         # per k, the rows of f_k, f_k' and f_k'' that feed (phi, phi_t,
         # phi_tt) and (q, phi_ss, phi_st), and their divisors; the second
         # triple is unused at k = 0
@@ -499,6 +495,11 @@ class SigmaJetEvaluator:
         # float64 ones, rounded as a Python float divided by an int rounds
         self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
                           np.dtype(float): np.array(divisors, dtype=float)}
+        # raw mpf, K > 0: per accumulator, (row, divisor) from k = K to 1 or 0
+        k = self._kernel = scalar_kernel(*polys) if m > 1 else PythonScalars
+        self._chains = k is not PythonScalars and [
+            [(self._rows[j, i], k.lift([divisors[j][i]])[0])
+             for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
 
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
@@ -509,10 +510,11 @@ class SigmaJetEvaluator:
         against a sigma row evaluates a tensor grid with the f_k once per
         t, and arrays of one shape evaluate element by element. The six
         accumulators (phi, phi_t, phi_tt, q = phi_sigma/sigma, phi_ss,
-        phi_st) are the rows of one array, so each Horner step is one multiply and one add,
-        which numpy applies to float64 elements or to the Python scalars
-        of an object array. Scalar t and sigma take the same path, and give
-        Python scalars back.
+        phi_st) are the rows of one array, so each Horner step is one
+        multiply and one add, which numpy applies to float64 elements or to
+        the Python scalars of an object array; mpf of one context take the
+        same steps on raw tuples (``_raw_jet``), bit for bit. Scalar t and
+        sigma take the same path, and give Python scalars back.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
@@ -525,6 +527,8 @@ class SigmaJetEvaluator:
                 jet = self.jet(np.asarray(t), sigma)
             return PhiJet(*(np.asarray(v).item() for v in vars(jet).values()))
         t = np.asarray(t)
+        if fields := self._chains and self._raw_jet(t, sigma):
+            return PhiJet(*fields)
         vals = self._values(t)
         divisors = self._divisors[vals.dtype]
         # t's axes, behind the leading ones that sigma may add
@@ -541,3 +545,26 @@ class SigmaJetEvaluator:
         return PhiJet(phi=phi, phi_t=phi_t, phi_sigma=q * sigma,
                       phi_tt=phi_tt, phi_sigmat=phi_st * sigma,
                       phi_sigmasigma=phi_ss, phi_sigma_over_sigma=q)
+
+    def _raw_jet(self, t: np.ndarray, sigma):
+        """``jet``'s fields on the raw kernel (scalars on a 0-d grid); None
+        when t or sigma hold other than the context's mpf, floats, ints."""
+        k = self._kernel
+        ts, sig, sq, zero = (k.lift(np.ravel(x).tolist())
+                             for x in (t, sigma, sigma * sigma, 0))
+        if None in (ts, sig, sq) or not (ts and sig):  # or an empty grid
+            return None
+        zeros = [k.mul(x, zero[0]) for x in ts]  # t*0: NaN at NaN or inf
+        vals = self._values.raw(t)
+        terms = [[[k.div(vals[row][p], d) for row, d in chain]
+                  for chain in self._chains] for p in range(t.size)]
+        grid = np.broadcast(np.arange(t.size).reshape(t.shape),
+                            np.arange(len(sig)).reshape(np.shape(sigma)))
+        fields = []
+        for p, s in grid:
+            phi, phi_t, phi_tt, q, phi_ss, phi_st = (
+                k.run([zeros[p], *cs], len(cs), sq[s]) for cs in terms[p])
+            fields.append((phi, phi_t, k.mul(q, sig[s]), phi_tt,
+                           k.mul(phi_st, sig[s]), phi_ss, q))
+        return [np.fromiter(k.drop(x), dtype=object, count=grid.size).reshape(
+            grid.shape)[()] for x in zip(*fields)]

@@ -6,9 +6,15 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from slagext.arcs import graph_arc
 from slagext.engine import extend_arc
 from slagext.series import SigmaExpansion, TaylorPoly, poly_from
+
+# the deep run of the fused multiply-add property, in its own CI step:
+# pytest tests/test_series.py -k fused_muladd --hypothesis-profile=fused-deep
+settings.register_profile("fused-deep", max_examples=20000)
 
 
 def random_flat_potential(rng: random.Random, cap: int, scale: float = 0.2) -> TaylorPoly:

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,13 @@ from slagext.ambient import (
 )
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import _grid, embedded_cloud_text, reduced_mesh_text
-from slagext.engine import _pde_lhs, extend_arc, pde_lhs_value, pde_residual
+from slagext.engine import (
+    ReducedChartMap,
+    _pde_lhs,
+    extend_arc,
+    pde_lhs_value,
+    pde_residual,
+)
 from slagext.oracles import (
     branch_separation,
     chart_residual_report,
@@ -46,7 +53,8 @@ from slagext.precision import (
     horner,
     polynomial_values,
 )
-from slagext.series import SigmaExpansion, SigmaJetEvaluator, TaylorPoly
+from slagext.series import (SigmaExpansion, SigmaJetEvaluator, TaylorPoly,
+                            poly_from)
 
 
 def _same(a: complex, b: complex) -> bool:
@@ -541,3 +549,77 @@ def test_branch_separation_equals_per_point_clouds(monkeypatch, n):
     looped = branch_separation(arc, n, K=3)
     assert batched.max_residual == looped.max_residual
     assert batched.details == looped.details
+
+
+def _mp_circle_lanes(ctx):
+    """An mp30 unit-circle chart's map and 25 (t, sigma) lanes of the
+    overlap Gauss-Newton shape: object arrays of mpf of one shape."""
+    chart = extend_arc(unit_circle_arc(), 0.3, n=2, K=4, D=24,
+                       with_radius=False)
+    cmap = ReducedChartMap(chart, ctx)
+    T = np.array([ctx.real(j - 12) / 97 for j in range(25)], dtype=object)
+    S = np.array([ctx.real(j % 5) / 53 for j in range(25)], dtype=object)
+    return cmap, T, S
+
+
+def test_mp_jet_on_elementwise_lanes_is_frozen():
+    """``point_and_jacobian`` of an mp30 chart map on 25 elementwise lanes,
+    every mpc part bit for bit, as the object-array jet made it."""
+    cmap, T, S = _mp_circle_lanes(MPContext(30))
+    (w, z), jac = cmap.point_and_jacobian(T, S)
+    text = "\n".join(repr(a.tolist()) for a in (w, z) + jac)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e6bc1b5a41cabe9383c4b7d81f4e74088c035dc4711e78a284fd0bd739207f9d")
+
+
+def test_mp_jet_on_other_sigma_types_and_special_values_is_frozen():
+    """mp40 jets, every field bit for bit and with its type, as the
+    object-array jet made them: int sigma (scalar, an int64 array and an
+    int past 64 bits), Python-float sigma, an mp30 sigma, a float64 t,
+    NaN and infinite t or sigma, a 0-d t array (scalar fields), and an
+    expansion with f_0 alone."""
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    phi = extend_arc(arc, ctx.real("0.03"), n=2, K=4, D=16, ctx=ctx).phi
+    ev = SigmaJetEvaluator(phi)
+    T = np.array([ctx.real(j) / 23 for j in range(-2, 3)], dtype=object)
+    nan, inf = ctx.real("nan"), ctx.real("inf")
+    jets = [ev.jet(T, 2), ev.jet(T[:, None], np.array([1, -2, 0])),
+            ev.jet(ctx.real("0.07"), 10 ** 30), ev.jet(T, 0.05),
+            ev.jet(ctx.real("0.07"), -0.0),
+            ev.jet(T, MPContext(30).real(1) / 3),
+            ev.jet(np.array([0.1, -0.0, 0.2]), ctx.real("0.03")),
+            ev.jet(nan, ctx.real("0.03")), ev.jet(ctx.real("0.07"), inf),
+            ev.jet(np.array([inf, ctx.real("0.1"), -inf], dtype=object),
+                   np.array([0.05, 0.2, -0.1])),
+            ev.jet(T, math.inf), ev.jet(ctx.real("0.07"), math.nan),
+            ev.jet(inf, 0.05), ev.jet(np.asarray(ctx.real("0.07")), 2),
+            ev.jet(np.asarray(ctx.real("0.07")), ctx.real("0.03")),
+            ev.jet(np.asarray(nan), np.asarray(ctx.real("0.03"))),
+            SigmaJetEvaluator(SigmaExpansion(n=2, terms=phi.terms[:1])).jet(
+                T[:, None], np.array([ctx.real("0.1"), ctx.real(0)])[None, :])]
+    assert _jet_digest(*jets) == (
+        "9a7dff3770dfbe5574d758598ed3990c195d9e210f8dd20f6f96bb35542c9253")
+
+
+def test_mp_jet_computes_at_the_precision_of_each_call():
+    """A cached evaluator of global ``mpmath.mp`` mpf computes each jet at
+    ``mpmath.mp.prec`` as it is when called, as a new evaluator does: the
+    coefficients are short dyadics, so their derivatives are the same at
+    either precision, and the jets' divisions and Horner steps are not."""
+    def dyadics(*ms):
+        return poly_from([mpmath.mpf(m) / 64 for m in ms])
+
+    exp = SigmaExpansion(n=2, terms=[dyadics(0, 0, 0, 5, -7, 3),
+                                     dyadics(0, 9, 1, -3, 11, 2),
+                                     dyadics(1, -5, 7, 3, 0, 13)])
+    with mpmath.workdps(20):
+        T = np.array([mpmath.mpf(j) / 7 for j in range(-2, 3)], dtype=object)
+        first = exp.jet_evaluator.jet(T[:, None], np.array([mpmath.e / 31]))
+    with mpmath.workdps(40):
+        T = np.array([mpmath.mpf(j) / 7 for j in range(-2, 3)], dtype=object)
+        S = np.array([mpmath.e / 31, mpmath.pi / 37])
+        later = exp.jet_evaluator.jet(T[:, None], S)
+        assert _jet_digest(later) == _jet_digest(
+            SigmaJetEvaluator(exp).jet(T[:, None], S))
+    assert _jet_digest(later) != _jet_digest(first)

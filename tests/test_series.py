@@ -6,6 +6,7 @@ known coefficient tables and compare jets against finite differences.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add,
+                          mpf_mul, mpf_neg, round_nearest)
 
 from conftest import exact_value
 from slagext.arcs import graph_arc
@@ -25,7 +27,8 @@ from slagext.errors import (
     SingularDivisionError,
 )
 from slagext.precision import (MPContext, RawSlot, finite_coefficients,
-                                horner, polynomial_values, truncated_product)
+                                fused_muladd, horner, polynomial_values,
+                                truncated_product)
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -327,6 +330,65 @@ def test_mp_kernel_on_a_slice_of_a_tilted_slot():
         assert cut.exact is kept
         assert got.raw == _dyadic_product(xs[start:stop], ys[start:stop],
                                           mp.prec)
+
+
+_FUSED_PRECS = (53, 100, 136, 200)
+_FUSED_GAPS = {p: st.integers(-3 * p - 16, 3 * p + 16) for p in _FUSED_PRECS}
+_FUSED_BELOW = {p: st.integers(-p - 8, 0) for p in _FUSED_PRECS}
+_FUSED_KIND = st.integers(0, 39)
+_FUSED_RAW = st.integers(0, 2 ** 416 - 1)
+_FUSED_SPECIAL = (fzero, fnan, finf, fninf)
+
+
+@st.composite
+def _fused_case(draw):
+    """(prec, c, a, b) as raw tuples: short mantissas, mantissas of up to
+    2 prec bits, both signs, c's top exponent from 0 to past 3 prec bits
+    either side of a*b's, sums that cancel to zero, and zeros, infinities
+    and NaN. A quarter of the cases round a*b at a tie: a 1-bit times an
+    odd (prec + 1)-bit mantissa, with c at or below the product, where the
+    product's last bit shows. Some c sit just below a rounding midpoint,
+    where only the hand-off to ``mpf_add`` matches it. Each number takes a
+    kind and one raw draw, since the draws are most of a deep run's time."""
+    prec = draw(st.sampled_from(_FUSED_PRECS))
+
+    def mantissa(kind):
+        # kinds 4-7: 1 to 4 bits; 8-11: prec + 1 bits; the rest: 1 to
+        # 2 prec bits; all odd, either sign
+        raw = draw(_FUSED_RAW)
+        bits = (kind - 3 if kind < 8 else prec + 1 if kind < 12
+                else 1 + raw % (2 * prec))
+        man = raw >> (416 - bits) | 1 << (bits - 1) | 1
+        return -man if raw & 1 else man
+
+    tie = draw(_FUSED_KIND) < 10
+    a, b = (_FUSED_SPECIAL[kind] if kind < 4 else
+            from_man_exp(mantissa(kind), draw(_FUSED_GAPS[200]))
+            for kind in ((4, 8) if tie else
+                         (draw(_FUSED_KIND), draw(_FUSED_KIND))))
+    kind = draw(_FUSED_KIND)
+    if kind < 4:
+        return prec, _FUSED_SPECIAL[kind], a, b
+    if kind < 8:  # c = -round(a*b): the sum is zero
+        return prec, mpf_neg(mpf_mul(a, b, prec, round_nearest)), a, b
+    m = mantissa(kind)
+    if kind < 10:  # 2 prec bits, one unit below a midpoint at prec: a
+        # far smaller a*b crosses it, the sticky bit of mpf_add does not
+        m = (abs(m) >> 1 << prec | (1 << (prec - 1)) - 1) * (m // abs(m))
+    top = a[2] + a[3] + b[2] + b[3]  # a*b's top exponent, to within a bit
+    gap = draw((_FUSED_BELOW if tie else _FUSED_GAPS)[prec])
+    return prec, from_man_exp(m, top + gap - abs(m).bit_length()), a, b
+
+
+@given(_fused_case())
+@settings(deadline=None)
+def test_fused_muladd_is_mpf_add_of_mpf_mul(case):
+    """The fused kernel is mpf ``c + a*b``, tuple for tuple. Run deep with
+    ``--hypothesis-profile=fused-deep`` (tests/conftest.py)."""
+    prec, c, a, b = case
+    want = mpf_add(c, mpf_mul(a, b, prec, round_nearest), prec,
+                   round_nearest)
+    assert fused_muladd(c, a, b, prec) == want
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -712,3 +774,62 @@ def test_mixed_precision_scalars_supported():
         r = poly_reciprocal(poly_from([mpmath.mpf(1), mpmath.mpf(-1)],
                                       cap=6))
         assert r.coeffs[6] == 1
+
+
+def _loop_inputs(kind):
+    """Seeded inputs of the series loops in one scalar type: a unit-led
+    polynomial, one vanishing at 0 with zero coefficients, an inner series
+    of the reversion, a shift, and copies holding NaN and an infinity."""
+    rng = random.Random(29)
+    if kind == "Fraction":
+        cap, scalar = 8, Fraction
+    elif kind == "float":
+        cap, scalar = 30, lambda m, d: m / d
+    else:
+        ctx = MPContext(int(kind[2:]))
+        cap, scalar = 30, lambda m, d: ctx.real(m) / d
+    cs = [scalar(rng.randint(-99, 99), 3 + j) for j in range(cap + 1)]
+    a = [scalar(1, 1)] + cs[1:]
+    b = [scalar(0, 1)] + cs[1:]
+    b[2] = b[5] = scalar(0, 1)
+    inner = [scalar(0, 1), scalar(5, 4)] + cs[2:]
+    if kind == "float":
+        a[2], b[3] = -0.0, -0.0
+    return cap, a, b, inner, cs, scalar(1, 7)
+
+
+def _loop_digest(polys) -> str:
+    text = "\n".join(f"{type(c).__name__}:{getattr(c, '_mpf_', c)!r}"
+                     for p in polys for c in p.coeffs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("mp30",
+     "60c7a5694b23c4ad81e56b3972f19f4b3d4a935acff4ce4cce542ae1469d7d63"),
+    ("mp40",
+     "7e9c496153be958533160be47bdcc660c6d4f011fce76f44552aa94df78c1c23"),
+    ("float",
+     "59acf62aa4534134755f4538e9544a544d8283965b864674fd833aff42bd848a"),
+    ("Fraction",
+     "982ab87b7f28772bb201840d1cc403e62ba454e1a37dbdc4341ebb0e2b88ff3c"),
+])
+def test_series_loops_are_frozen(kind, want):
+    """poly_reciprocal, tan, arctan, poly_compose_inverse and poly_shift,
+    every coefficient bit for bit and with its type, as the loops on the
+    Python scalars made them; at mp30, mp40 and float also on NaN and
+    infinite coefficients and with a float shift."""
+    cap, a, b, inner, cs, h = _loop_inputs(kind)
+    out = [poly_reciprocal(poly_from(a)),
+           analytic_compose("tan", poly_from(b)),
+           analytic_compose("arctan", poly_from(b)),
+           poly_compose_inverse(poly_from(cs), poly_from(inner)),
+           poly_shift(poly_from(cs), h)]
+    if kind != "Fraction":
+        nan, inf = a[0] * math.nan, a[0] * math.inf
+        out += [poly_reciprocal(poly_from(a[:4] + [nan] + a[5:])),
+                poly_shift(poly_from(cs[:3] + [inf] + cs[4:]), h),
+                analytic_compose("tan", poly_from(b[:6] + [nan] + b[7:])),
+                poly_shift(poly_from(cs), -0.3)]
+    assert all(len(p.coeffs) == cap + 1 for p in out)
+    assert _loop_digest(out) == want
