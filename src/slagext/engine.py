@@ -62,8 +62,7 @@ from .precision import (
     complex_power,
     complex_product,
     finite_coefficients,
-    raw_slot,
-    slot_coefficients,
+    log_weighted_norm,
     truncated_product,
 )
 from .series import (
@@ -167,12 +166,12 @@ class PDESlots:
     k W_0 P_k = sum_(j=1..k) (n j - k) W_j P_(k-j), and W_0 = 1 + i f1 is
     invertible because f1(0) = 0.
 
-    Slots are raw coefficient arrays (``precision.RawSlot`` for mpf, which
-    makes no mpf objects), a complex slot an (re, im) pair. Slot 0 comes
-    from the ``TaylorPoly`` arithmetic; past it the rows call
-    ``truncated_product`` on the slots in that arithmetic's order (a - b
-    as a + (-b)), bit for bit, and each Im E_k becomes a ``TaylorPoly``
-    once. A dropping cap slices each slot; none is updated in place.
+    Slots are the coefficient arrays of ``TaylorPoly`` (``.array``), a
+    complex slot an (re, im) pair. Slot 0 is the arrays of ``TaylorPoly``
+    results; past it the rows call ``truncated_product`` on the slots in
+    that arithmetic's order (a - b as a + (-b)), bit for bit, and each
+    Im E_k is wrapped as a ``TaylorPoly`` without a conversion. A dropping
+    cap slices each slot; none is updated in place.
     """
 
     def __init__(self, n: int):
@@ -202,16 +201,16 @@ class PDESlots:
         """Drop every slot and build slot 0, by the polynomial arithmetic."""
         self.cap = cap
         zero = terms[0].coeffs[0] * 0
-        self.zeros = raw_slot(poly_zero(cap, like=zero).array)
+        self.zeros = poly_zero(cap, like=zero).array
         f1 = terms[1] if len(terms) > 1 else None
         self.open = 0 if f1 is None else None
         t0, q0 = self._term(terms[0], 2, 1), self._term(f1, 0, 1)
-        tp, qp = (TaylorPoly(slot_coefficients(a)) for a in (t0, q0))
+        tp, qp = TaylorPoly(t0), TaylorPoly(q0)
         one = poly_one(cap, like=zero + 1)
         w0, inv = ComplexSeries(one, qp), poly_reciprocal(one + qp * qp)
         w0_pow = complex_int_pow(w0, self.n - 2)
         self.w0_inv, self.w0_pow, p0, i0 = (
-            (raw_slot(s.re.array), raw_slot(s.im.array)) for s in (
+            (s.re.array, s.im.array) for s in (
                 ComplexSeries(inv, -(qp * inv)), w0_pow, cs_mul(w0_pow, w0),
                 ComplexSeries(one - tp * qp, tp + qp)))
         self.t, self.o, self.q, self.b = [t0], [], [q0], [q0]
@@ -231,9 +230,9 @@ class PDESlots:
         """f^(derivs)/fact at the slot cap; zero for a missing term."""
         if f is None:
             return self.zeros
-        a = raw_slot(poly_truncate(f, self.cap + derivs).array)
+        a = poly_truncate(f, self.cap + derivs).array
         for _ in range(derivs):
-            a = np.arange(1, len(a)) * a[1:]
+            a = a[1:] * np.arange(1, len(a))
         return coefficient_array(a / fact)
 
     def _slot(self, k: int, terms):
@@ -275,7 +274,7 @@ class PDESlots:
         ek = mul(p[0][0], i[k][1]) + mul(p[0][1], i[k][0])
         for j in range(1, k + 1):
             ek = ek + (mul(p[j][0], i[k - j][1]) + mul(p[j][1], i[k - j][0]))
-        return TaylorPoly(slot_coefficients(ek))
+        return TaylorPoly(ek)
 
     def _close(self, k: int, f: TaylorPoly):
         """Add the parts of P_k and I_k that f = f_(k+1) contributes."""
@@ -587,27 +586,32 @@ def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     in individual coefficients.  Fits log(amp) against k for the envelope
     |f_k| <= C/M^k and log(amp/(2k)!) for the sigma-radius of the
     factorial-normalized series.  An identically zero tail yields the
-    infinite-radius marker.
+    infinite-radius marker. An mp amplitude past float range enters the
+    fits by its log (``log_weighted_norm``), and C may round to inf.
     """
     t_radius = 0.15
-    ks, amps = [], []
+    ks, amps, logs = [], [], []
     for k in range(1, exp.K + 1):
         a, w = 0.0, 1.0
         for c in exp.terms[k].coeffs:
             a += abs(float(c)) * w
             w *= t_radius
-        if not math.isfinite(a):
+        if a == 0.0:
+            continue
+        log_a = math.log(a) if a < math.inf else log_weighted_norm(
+            exp.terms[k].array, t_radius)
+        if not math.isfinite(log_a):
             raise NonFiniteError(f"the amplitude of f_{k} is {a} in float")
-        if a > 0.0:
-            ks.append(float(k))
-            amps.append(a)
+        ks.append(float(k))
+        amps.append(a)
+        logs.append(log_a)
     if len(ks) < 2:
         return RadiusEstimate(C=0.0, M=math.inf, rho_sigma=math.inf,
                               fit_quality=1.0)
     ks_arr = np.asarray(ks)
-    log_env = np.log(np.asarray(amps))
-    log_norm = np.asarray([math.log(a) - math.lgamma(2 * k + 1)
-                           for k, a in zip(ks_arr, amps)])
+    log_env = np.where(np.isinf(amps), logs, np.log(np.asarray(amps)))
+    log_norm = np.asarray([log_a - math.lgamma(2 * k + 1)
+                           for k, log_a in zip(ks_arr, logs)])
     slope_env, _ = np.polyfit(ks_arr, log_env, 1)
     slope_nrm, icept_nrm = np.polyfit(ks_arr, log_norm, 1)
     fitted = slope_nrm * ks_arr + icept_nrm
@@ -615,7 +619,9 @@ def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     ss_tot = float(np.sum((log_norm - log_norm.mean()) ** 2))
     quality = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     m_env = math.exp(-slope_env)
-    c_env = max(a * m_env**k for k, a in zip(ks_arr, amps))
+    # an amplitude past float range stays inf, also where M**k underflows
+    c_env = max(a * m_env**k if a < math.inf else a
+                for k, a in zip(ks_arr, amps))
     rho = math.exp(-slope_nrm / 2.0)
     return RadiusEstimate(
         C=float(c_env), M=float(m_env), rho_sigma=float(rho),

@@ -16,12 +16,12 @@ and ``a * b`` give on Python scalars.
 The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
 
-Polynomial coefficients live in one numpy array (``coefficient_array``):
-float64 when all are Python floats, object dtype otherwise; the
-recursion's slots hold mpf as a ``RawSlot`` of raw libmpf tuples.
+Polynomial coefficients live in one array, whose form is decided here
+(``coefficient_array``): float64 when all are Python floats, a ``RawSlot``
+of raw libmpf tuples when all are mpf of one context, object otherwise.
 ``truncated_product`` is the one multiplication kernel per scalar type
 behind ``series.poly_mul``, picked from those: numpy's correlate straight
-on float64, for mpf one exact big-integer (Kronecker) product of operands
+on float64, for slots one exact big-integer (Kronecker) product of operands
 balanced by t -> 2**s t, which moves only exponents, so each coefficient
 is the same exact number for every s, rounded once; and the generic loop
 for every other scalar. ``polynomial_values`` is its counterpart for
@@ -43,8 +43,9 @@ from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_float, from_int, mpf_add, mpf_div, mpf_mul,
-                          mpf_mul_int, mpf_neg, normalize, round_nearest)
+from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_mul, mpf_mul_int, mpf_neg, normalize,
+                          round_nearest)
 
 try:
     from numpy._core.multiarray import correlate
@@ -243,76 +244,85 @@ def from_env() -> Context:
 _FLOAT64, _OBJECT = np.dtype(np.float64), np.dtype(object)
 
 
-def coefficient_array(cs) -> np.ndarray:
+def coefficient_array(cs):
     """The coefficients ``cs`` as one 1-D array: float64 when every one is
-    a Python float, else object dtype holding the scalars unchanged. A
-    float64 array, or an object array holding more than Python floats, is
-    taken as it is."""
+    a Python float, a ``RawSlot`` when every one is an mpf of one mpmath
+    context, else object dtype holding the scalars unchanged. A float64
+    array or a slot is taken as it is."""
+    if type(cs) is RawSlot or isinstance(cs, np.ndarray) and (
+            cs.dtype == _FLOAT64 or cs.ndim != 1):
+        return cs
     if isinstance(cs, np.ndarray):
-        if cs.dtype == _FLOAT64:
-            return cs
-        if cs.dtype != _OBJECT:
-            cs = cs.tolist()
-    elif type(cs) is RawSlot:
-        return cs
-    floats = all(type(x) is float for x in cs)
-    if isinstance(cs, np.ndarray) and not floats:
-        return cs
+        cs = cs.tolist()
+    kind = _one_kind((cs,))
+    mp = None if kind is float else _mpf_context(kind)
+    if mp is not None:
+        return RawSlot([x._mpf_ for x in cs], mp)
     # not np.array, which probes every scalar for a sequence interface
-    return np.fromiter(cs, dtype=_FLOAT64 if floats else _OBJECT,
+    return np.fromiter(cs, dtype=_FLOAT64 if kind is float else _OBJECT,
                        count=len(cs))
 
 
-def finite_coefficients(cs: np.ndarray) -> bool:
+def finite_coefficients(cs) -> bool:
     """Whether no coefficient of the array is NaN or infinite: one numpy
-    test on float64; on object arrays, mpf by their special values and
+    test on float64; mpf by the special values of their raw tuples, and
     Python floats by ``math.isfinite`` (Fraction and int are finite)."""
     if cs.dtype == _FLOAT64:
         return bool(np.isfinite(cs).all())
+    if type(cs) is RawSlot:
+        return not any(map(_mpf_special, cs.raw))
     return not any(_mpf_special(x._mpf_) if hasattr(x, "_mpf_")
                    else isinstance(x, float) and not math.isfinite(x)
                    for x in cs.tolist())
 
 
-def truncated_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+def log_weighted_norm(cs, r: float) -> float:
+    """log sum_j |c_j| r**j of a slot's coefficients, the weights r**j
+    taken as float products, summed in the slot's context and read from
+    the sum's mantissa and exponent: finite where the float sum overflows.
+    inf for a NaN or an infinite sum, and for any other array."""
+    if type(cs) is not RawSlot:
+        return math.inf
+    acc, w, prec = fzero, 1.0, cs.mp.prec
+    for x in cs.raw:
+        acc = fused_muladd(acc, mpf_abs(x), from_float(w), prec)
+        w *= r
+    _, man, exp, _ = acc
+    return math.log(man) + exp * math.log(2) if man else math.inf
+
+
+def truncated_product(ca, cb):
     """Coefficients 0..len(ca)-1 of the product of two equal-length
     coefficient arrays, by the kernel of their scalar type.
 
     float64 arrays go through numpy's correlate, as in ``np.convolve`` but
-    without its Python wrapper. mpf of one mpmath context (two ``RawSlot``
-    or object arrays) go through one exact big-integer product, rounded
-    once per coefficient. Everything else (Fraction, int, mixed scalars,
-    mpf NaN or infinities) takes the generic loop, which is exact over an
-    exact field.
+    without its Python wrapper. Two ``RawSlot`` of one mpmath context go
+    through one exact big-integer product, rounded once per coefficient.
+    Everything else (Fraction, int, mixed scalars, mpf NaN or infinities)
+    takes the generic loop, which is exact over an exact field.
     """
     if ca.dtype == _FLOAT64 and cb.dtype == _FLOAT64:
         return correlate(ca, cb[::-1], 2)[:len(ca)]  # mode 2 is "full"
     if type(ca) is RawSlot is type(cb) and ca.mp is cb.mp:
         out = _kronecker(ca, cb)
-        if out is None:  # NaN or an infinity: the loop, on the mpf
-            out = [x._mpf_ for x in _loop_product(
-                slot_coefficients(ca).tolist(), slot_coefficients(cb).tolist())]
-        return RawSlot(out, ca.mp)
-    ca, cb = slot_coefficients(ca), slot_coefficients(cb)
-    ra, rb = raw_slot(ca), raw_slot(cb)
-    if type(ra) is RawSlot and type(rb) is RawSlot and ra.mp is rb.mp:
-        return slot_coefficients(truncated_product(ra, rb))
+        if out is not None:  # else NaN or an infinity: the loop, on the mpf
+            return RawSlot(out, ca.mp)
     return coefficient_array(_loop_product(ca.tolist(), cb.tolist()))
 
 
 class RawSlot:
-    """mpf of one mpmath context ``mp`` as raw libmpf tuples, standing in
-    for an object array of them without making mpf objects: ``+``, unary
-    ``-``, ``*`` by an int or an int array and ``/`` by an int make, element
-    by element, the mpf operator's libmpf call at the context's ``prec``
-    and ``round_nearest``, bit for bit; with any other operand, the slot
-    takes the mpf objects' own arithmetic. Never modified, a slot keeps its
-    ``slope`` and the exact mantissas of its last product, also in slices.
+    """The coefficient array of mpf of one mpmath context ``mp``, as raw
+    libmpf tuples: ``+``, unary ``-``, ``*`` by an int (array), an mpf of
+    ``mp`` or a float, and ``/`` by an int (array) make, element by
+    element, the mpf operator's libmpf call at the context's ``prec`` and
+    ``round_nearest``, bit for bit; with any other operand, the slot takes
+    the mpf objects' arithmetic. Never modified, a slot keeps its ``slope``
+    and the exact mantissas of its last product, also in slices.
     """
 
     __slots__ = ("raw", "mp", "exact", "slope")
-    dtype = _OBJECT  # the dtype of the arrays it stands in for
-    __array_ufunc__ = None  # an int array times a slot calls __rmul__
+    dtype, ndim = _OBJECT, 1  # those of the object arrays it replaces
+    __array_ufunc__ = None  # an array plus a slot calls __radd__
 
     def __init__(self, raw: list, mp, exact=None, slope=None):
         self.raw, self.mp, self.exact, self.slope = raw, mp, exact, slope
@@ -328,42 +338,39 @@ class RawSlot:
         return RawSlot(self.raw[cut], self.mp, None if ints is None else
                        (ints[cut], e - start * s, s), self.slope)
 
+    def tolist(self) -> list:
+        return list(map(self.mp.make_mpf, self.raw))
+
     def __add__(self, other):
         if type(other) is not RawSlot or other.mp is not self.mp:
-            return slot_coefficients(self) + slot_coefficients(other)
+            return np.array(self.tolist(), dtype=_OBJECT) + other
         prec = self.mp.prec
         return RawSlot([mpf_add(x, y, prec, round_nearest)
                         for x, y in zip(self.raw, other.raw)], self.mp)
 
+    def __radd__(self, other: np.ndarray) -> np.ndarray:
+        return other + np.array(self.tolist(), dtype=_OBJECT)
+
     def __neg__(self) -> "RawSlot":
         return RawSlot(list(map(_MpfScalars(self.mp).neg, self.raw)), self.mp)
 
-    def __mul__(self, k) -> "RawSlot":
-        prec = self.mp.prec
-        ks = k.tolist() if isinstance(k, np.ndarray) else repeat(k)
-        return RawSlot([mpf_mul_int(x, j, prec, round_nearest)
-                        for x, j in zip(self.raw, ks)], self.mp)
+    def __mul__(self, k):
+        if type(k) is int or isinstance(k, np.ndarray):
+            prec = self.mp.prec
+            ks = k.tolist() if isinstance(k, np.ndarray) else repeat(k)
+            return RawSlot([mpf_mul_int(x, j, prec, round_nearest)
+                            for x, j in zip(self.raw, ks)], self.mp)
+        kernel = _MpfScalars(self.mp)
+        y = kernel.lift((k,))  # an mpf of mp or a float, exactly
+        if y is None:
+            return np.array(self.tolist(), dtype=_OBJECT) * k
+        return RawSlot([kernel.mul(x, y[0]) for x in self.raw], self.mp)
 
-    __rmul__ = __mul__
-
-    def __radd__(self, other: np.ndarray) -> np.ndarray:
-        return other + slot_coefficients(self)
-
-    def __truediv__(self, k: int) -> "RawSlot":
-        div, d = _MpfScalars(self.mp).div, from_int(k)
-        return RawSlot([div(x, d) for x in self.raw], self.mp)
-
-
-def raw_slot(cs: np.ndarray):
-    """Object-array mpf of one context as a ``RawSlot``; else unchanged."""
-    mp = None if cs.dtype == _FLOAT64 else _mpf_context(_one_kind((cs,)))
-    return cs if mp is None else RawSlot([x._mpf_ for x in cs.tolist()], mp)
-
-
-def slot_coefficients(slot) -> np.ndarray:
-    """A ``RawSlot`` as the object array of its mpf; an array unchanged."""
-    return slot if type(slot) is not RawSlot else np.fromiter(
-        map(slot.mp.make_mpf, slot.raw), dtype=_OBJECT, count=len(slot))
+    def __truediv__(self, k) -> "RawSlot":
+        ds = (map(from_int, k.tolist()) if isinstance(k, np.ndarray)
+              else repeat(from_int(k)))
+        return RawSlot(list(map(_MpfScalars(self.mp).div, self.raw, ds)),
+                       self.mp)
 
 
 def polynomial_values(polys: Sequence[tuple]) -> Callable:
@@ -512,8 +519,8 @@ class _MpfScalars:
         except KeyError:
             return None
 
-    def drop(self, raws) -> tuple:
-        return tuple(map(self.mp.make_mpf, raws))
+    def drop(self, raws: list) -> RawSlot:
+        return RawSlot(raws, self.mp)
 
     def mul(self, a, b):
         return mpf_mul(a, b, self.mp.prec, round_nearest)

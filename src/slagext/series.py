@@ -16,8 +16,9 @@ coefficients are ComplexSeries in t.
 phi(t, sigma) = sum_k f_k(t) sigma^(2k) / (2k)!; the stored terms are the
 bare f_k, the factorials are applied at evaluation time.
 
-A ``TaylorPoly`` keeps its coefficients in one numpy array: float64 when
-all are Python floats, object dtype (mpf, Fraction, int, mixed) otherwise.
+A ``TaylorPoly`` keeps its coefficients in one array: float64 when all
+are Python floats, a ``precision.RawSlot`` of raw libmpf tuples when all
+are mpf of one context, object dtype (Fraction, int, mixed) otherwise.
 Sums, negations, scalings and derivatives are array expressions that take
 the same operations as the Python scalars would, so every routine is exact
 over whichever field the inputs carry. ``poly_mul`` uses one multiplication
@@ -25,7 +26,7 @@ kernel per scalar type (``precision.truncated_product``): a numpy
 convolution on float64, one exact big-integer product rounded once per
 coefficient for mpf, and the plain Cauchy loop for anything else. The
 recursion's slot rows (``engine.PDESlots``), where most products are taken,
-call that kernel on the raw arrays directly. Jets take one path for every
+call that kernel on the same arrays directly. Jets take one path for every
 scalar type, at a point or on arrays: the f_k and their derivatives by one
 evaluation kernel per scalar type (``precision.polynomial_values``), then
 Horner in sigma^2 on the six partials stacked in one array.
@@ -60,7 +61,7 @@ class TaylorPoly:
     __slots__ = ("array", "_coeffs")
 
     def __init__(self, coeffs):
-        self._coeffs = None if isinstance(coeffs, np.ndarray) else tuple(coeffs)
+        self._coeffs = None if hasattr(coeffs, "dtype") else tuple(coeffs)
         self.array = coefficient_array(
             coeffs if self._coeffs is None else self._coeffs)
         if self.array.ndim != 1 or len(self.array) == 0:
@@ -167,14 +168,14 @@ def poly_derivative(a: TaylorPoly) -> TaylorPoly:
     """d/dt; the cap drops by one (a constant differentiates to cap-0 zero)."""
     if a.cap == 0:
         return TaylorPoly((_zero_like(a.coeffs[0]),))
-    return TaylorPoly(np.arange(1, len(a.array)) * a.array[1:])
+    return TaylorPoly(a.array[1:] * np.arange(1, len(a.array)))
 
 
 def poly_antiderivative(a: TaylorPoly) -> TaylorPoly:
     """Antiderivative with zero constant term; the cap rises by one."""
     zero = _zero_like(a.array[:1])
-    return TaylorPoly(np.concatenate(
-        (zero, a.array / np.arange(1, len(a.array) + 1))))
+    quotients = a.array / np.arange(1, len(a.array) + 1)
+    return TaylorPoly(zero.tolist() + quotients.tolist())
 
 
 def poly_eval(a: TaylorPoly, t):
@@ -566,5 +567,6 @@ class SigmaJetEvaluator:
                 k.run([zeros[p], *cs], len(cs), sq[s]) for cs in terms[p])
             fields.append((phi, phi_t, k.mul(q, sig[s]), phi_tt,
                            k.mul(phi_st, sig[s]), phi_ss, q))
-        return [np.fromiter(k.drop(x), dtype=object, count=grid.size).reshape(
-            grid.shape)[()] for x in zip(*fields)]
+        return [np.fromiter(map(k.mp.make_mpf, x), dtype=object,
+                            count=grid.size).reshape(grid.shape)[()]
+                for x in zip(*fields)]

@@ -707,15 +707,18 @@ def test_infinite_mp_coefficient_fails_the_recursion():
         extend_series(f0, 2, 3)
 
 
-def test_radius_of_mp_terms_beyond_float_fails_loudly():
-    # finite at mp30, but the amplitude of f_1 (about 1e600) is no float
+def test_radius_of_mp_terms_beyond_float_is_fitted():
+    # finite at mp30, but the amplitude of f_1 (about 1e600) is no float:
+    # the fit takes its log from the mpf sum, and C rounds to inf
     ctx = MPContext(30)
     arc = graph_arc(["0", "0", "0.5", "1e300"], ctx)
-    ch = extend_arc(arc, ctx.real(0), n=3, K=4, D=16, ctx=ctx,
-                    with_radius=False)
+    ch = extend_arc(arc, ctx.real(0), n=3, K=4, D=16, ctx=ctx)
     assert max(abs(c) for c in ch.phi.terms[1].coeffs) > ctx.real("1e308")
-    with pytest.raises(NonFiniteError, match="amplitude of f_1"):
-        estimate_radius(ch.phi)
+    r = ch.radius
+    assert r == estimate_radius(ch.phi)
+    assert all(map(math.isfinite, (r.M, r.rho_sigma, r.fit_quality)))
+    assert r.C == math.inf and 0 < r.rho_sigma < 1e-100
+    assert 0.5 < r.fit_quality <= 1.0
 
 
 def test_extend_arc_chart_contents():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a slagext module imports is used in it, every
 module-level private helper is referenced somewhere in the package, every
-defaulted parameter is set by some call in the repository, and only the
-precision module imports mpmath."""
+defaulted parameter is set by some call in the repository, only the
+precision module imports mpmath, and only the precision and series modules
+name the raw mpf form, ``RawSlot``."""
 from __future__ import annotations
 
 import ast
@@ -99,6 +100,31 @@ def test_detects_an_mpmath_import():
         "d": ast.parse("import numpy as np, mpmath as mp\n"),
     }
     assert _mpmath_importers(trees) == ["a", "b", "d"]
+
+
+def _raw_form_users(trees: dict) -> list:
+    """Each module whose tree names ``RawSlot``: as a name, an attribute
+    or an import."""
+    return sorted(mod for mod, tree in trees.items()
+                  if "RawSlot" in _references(tree))
+
+
+def test_only_precision_and_series_name_the_raw_form():
+    # which form an mpf coefficient array takes is decided in precision.py;
+    # the rest of the package works on the arrays it is given
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    assert set(_raw_form_users(trees)) <= {"precision", "series"}
+
+
+def test_detects_a_raw_form_user():
+    trees = {
+        "a": ast.parse("from .precision import RawSlot\n"),
+        "b": ast.parse("def f(x):\n    return precision.RawSlot(x, None)\n"),
+        "c": ast.parse("def f(x):\n    return x.raw  # a RawSlot's\n"),
+        "d": ast.parse("def f(x):\n    return type(x) is RawSlot\n"),
+    }
+    assert _raw_form_users(trees) == ["a", "b", "d"]
 
 
 def _private_defs(tree: ast.AST) -> dict:

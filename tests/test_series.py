@@ -96,13 +96,18 @@ def test_mul_requires_matching_caps():
         poly_mul(frac_poly([1, 2]), frac_poly([1, 2, 3]))
 
 
-_MP40 = MPContext(40)
+_MP30, _MP40, _MP50 = MPContext(30), MPContext(40), MPContext(50)
+_MP40_VALUES = st.floats(-1e6, 1e6).map(_MP40.real) | st.sampled_from(
+    [_MP40.real(0), _MP40.real("-1e-30")])
 _SCALARS = {
     "float": st.floats(width=64) | st.sampled_from(
         [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
-    "mpf": st.floats(-1e6, 1e6).map(_MP40.real)
-    | st.sampled_from([_MP40.real(0), _MP40.real("-1e-30")]),
+    "mpf": _MP40_VALUES,
     "Fraction": st.fractions(max_denominator=50),
+    # mp40 among other scalars: a polynomial is a slot only where every
+    # coefficient is mp40, and a slot meets the others in the mixed ones
+    "mpf+int": _MP40_VALUES | st.integers(-10 ** 6, 10 ** 6),
+    "mpf+mp30": _MP40_VALUES | st.floats(-1e6, 1e6).map(_MP30.real),
 }
 
 
@@ -112,7 +117,10 @@ def _op_case(draw):
     n = draw(st.integers(1, 12))
     xs, ys = (draw(st.lists(_SCALARS[kind], min_size=n, max_size=n))
               for _ in range(2))
-    s = draw(_SCALARS[kind] | st.integers(-10 ** 40, 10 ** 40))
+    factors = _SCALARS[kind] | st.integers(-10 ** 40, 10 ** 40)
+    if "+" in kind:  # a slot times a Fraction takes the mpf arithmetic
+        factors |= st.fractions(max_denominator=50)
+    s = draw(factors)
     num = math.factorial(draw(st.integers(0, 40)))
     return xs, ys, s, num, draw(st.integers(1, 40)), draw(st.integers(0, n - 1))
 
@@ -123,7 +131,8 @@ def test_array_ops_equal_the_scalar_loops(case):
     """Each array-backed operation gives, element by element, the scalar
     and the type that the same operation on the Python scalars gives:
     zero signs, NaN and infinities on floats, exact mpf and Fraction
-    results, and no int or float zero mixed into mpf."""
+    results, and no int or float zero mixed into mpf. The array is a
+    ``RawSlot`` exactly when every coefficient is an mpf of one context."""
     xs, ys, s, num, den, cap = case
     a, b = poly_from(xs), poly_from(ys)
     # numpy reports inf - inf, 0 * inf and overflow on float64 arrays as
@@ -147,6 +156,9 @@ def test_array_ops_equal_the_scalar_loops(case):
                 == [(type(c), repr(c)) for c in want])
         floats = all(type(c) is float for c in want)
         assert got.array.dtype == (np.float64 if floats else object)
+        one_mp = len({type(c) for c in want}) == 1 and hasattr(want[0],
+                                                                "_mpf_")
+        assert (type(got.array) is RawSlot) is one_mp
 
 
 # poly_mul multiplies floats by a numpy convolution and mpf by an exact
@@ -261,9 +273,6 @@ def _dyadic_product(xs, ys, prec):
         out.append(from_man_exp(sum(m << (x - e) for m, x in terms), e,
                                 prec, round_nearest))
     return out
-
-
-_MP30, _MP50 = MPContext(30), MPContext(50)
 
 
 @st.composite
