@@ -113,7 +113,8 @@ def load_arc(doc: dict, ctx: Context = FLOAT64) -> ArcSpec:
     """Build an ArcSpec from a parsed JSON document.
 
     Coefficients are decimal strings (plain numbers are accepted).
-    Graph form: {"kind": "graph", "g_coeffs": [...], "degree_cap": D}.
+    Graph form: {"kind": "graph", "g_coeffs": [...], "degree_cap": D}, no
+    nonzero coefficient above degree D.
     Parametric form: {"kind": "parametric", "x_coeffs": [...],
     "y_coeffs": [...], "closed": bool, "period": p}, optional "domain".
     """
@@ -123,6 +124,10 @@ def load_arc(doc: dict, ctx: Context = FLOAT64) -> ArcSpec:
     if kind == "graph":
         coeffs = [ctx.real(c) for c in _require(doc, "g_coeffs")]
         cap = int(doc.get("degree_cap", max(len(coeffs) - 1, 2)))
+        degree = max((j for j, c in enumerate(coeffs) if c), default=0)
+        if degree > cap:
+            raise ValueError(f"g_coeffs has a nonzero coefficient of degree "
+                             f"{degree}, above degree_cap {cap}")
         g = poly_from(coeffs, cap=cap)
         arc = ArcSpec(kind="graph", g=g, domain=_domain(doc, ctx))
     elif kind == "parametric":

@@ -16,22 +16,22 @@ and ``a * b`` give on Python scalars.
 The CLI picks its context from the SLAG_PRECISION environment variable:
 ``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
 
-Polynomial coefficients live in one array, whose form is decided here
-(``coefficient_array``): float64 when all are Python floats, a ``RawSlot``
-of raw libmpf tuples when all are mpf of one context, object otherwise.
-``truncated_product`` is the one multiplication kernel per scalar type
-behind ``series.poly_mul``, picked from those: numpy's correlate straight
-on float64, for slots one exact big-integer (Kronecker) product of operands
-balanced by t -> 2**s t, which moves only exponents, so each coefficient
-is the same exact number for every s, rounded once; and the generic loop
-for every other scalar. ``polynomial_values`` is its counterpart for
-evaluation, behind ``series.SigmaJetEvaluator``: at an array of points,
-one exact integer dot product per polynomial for mpf, and one Horner loop
-over all the polynomials stacked for every other scalar, on float64 for
-Python floats at float64 points and on the Python scalars otherwise.
-``scalar_kernel`` is the series loops' and mpf jets' arithmetic: the Python
-operators, or on raw tuples the mpf operators' libmpf calls and
-``fused_muladd``; each rounds its exact result once, so the bits are mpf's.
+Polynomial coefficients live in one array, whose form is decided once, here
+(``coefficient_array``, the only code that looks at their types): float64
+when all are Python floats, a ``RawSlot`` of raw libmpf tuples when all are
+mpf of one context, object otherwise. The form picks every kernel.
+``truncated_product`` multiplies behind ``series.poly_mul``: numpy's
+correlate straight on float64, for slots one exact big-integer (Kronecker)
+product of operands balanced by t -> 2**s t, which moves only exponents, so
+each coefficient is the same exact number for every s, rounded once; and the
+generic loop otherwise. ``polynomial_values`` evaluates behind
+``series.SigmaJetEvaluator``: at an array of points, one exact integer dot
+product per slot, else one Horner loop over all the polynomials stacked, on
+float64 for float64 arrays at float64 points and on the Python scalars
+otherwise. ``scalar_kernel`` is the series loops' and mpf jets' arithmetic:
+the Python operators, or on a slot's raw tuples the mpf operators' libmpf
+calls and ``fused_muladd``; each rounds its exact result once, so the bits
+are mpf's. Products, loops and jets keep mpf of a slot as raw tuples.
 """
 from __future__ import annotations
 
@@ -254,9 +254,10 @@ def coefficient_array(cs):
         return cs
     if isinstance(cs, np.ndarray):
         cs = cs.tolist()
-    kind = _one_kind((cs,))
-    mp = None if kind is float else _mpf_context(kind)
-    if mp is not None:
+    kinds = {type(x) for x in cs}
+    kind = kinds.pop() if len(kinds) == 1 else None
+    mp = getattr(kind, "context", None)  # the mpmath context of its mpf
+    if mp is not None and kind is mp.mpf:
         return RawSlot([x._mpf_ for x in cs], mp)
     # not np.array, which probes every scalar for a sequence interface
     return np.fromiter(cs, dtype=_FLOAT64 if kind is float else _OBJECT,
@@ -373,29 +374,30 @@ class RawSlot:
                        self.mp)
 
 
-def polynomial_values(polys: Sequence[tuple]) -> Callable:
+def polynomial_values(polys: Sequence) -> Callable:
     """The function taking a numpy array t to the values at t of the
-    polynomials whose coefficient sequences (c_0, c_1, ...) are ``polys``,
-    as one array of shape (len(polys),) + t.shape, by the kernel of their
-    scalar type, chosen once here for repeated evaluation.
+    polynomials whose coefficient arrays (c_0, c_1, ...) are ``polys``
+    (other sequences go through ``coefficient_array``), as one array of
+    shape (len(polys),) + t.shape, by the kernel of their form, chosen once
+    here for repeated evaluation.
 
-    mpf of one mpmath context take each polynomial's exact mantissas once,
-    here, and those of each point's powers (each rounded at the context's
-    precision) once; a value is one exact integer dot product, rounded
-    once. ``fdot`` rounds once from ``mpf_sum``, so the two are bit-equal
-    wherever that sum is exact: it drops a term only across a gap of more
-    than 2 prec bits to the running sum. A row or a point holding NaN or
-    an infinity takes ``fdot``. The function's ``raw`` gives the values as
-    raw libmpf tuples. Every other scalar type takes Horner's
-    rule on all the polynomials at once (``_StackedHorner``), on float64
-    for Python floats at a float64 t and on objects otherwise, so that each
-    element is what ``horner`` gives on the Python scalars, bit for bit.
+    Slots of one context take each polynomial's exact mantissas once, here,
+    and those of each point's powers (each rounded at the context's
+    precision) once; a value is one exact integer dot product, rounded once.
+    ``fdot`` rounds once from ``mpf_sum``, so the two are bit-equal wherever
+    that sum is exact: it drops a term only across a gap of more than 2 prec
+    bits to the running sum. A row or a point holding NaN or an infinity
+    takes ``fdot``, on mpf made for it. The function's ``raw`` gives the
+    values as raw libmpf tuples. Every other form takes Horner's rule on all
+    the polynomials at once (``_StackedHorner``), on float64 for float64
+    arrays at a float64 t and on objects otherwise, so that each element is
+    what ``horner`` gives on the Python scalars, bit for bit.
     """
-    kind = _one_kind(polys)
-    mp = _mpf_context(kind)
+    polys = list(map(coefficient_array, polys))
+    mp = scalar_kernel(*polys).mp
     if mp is None:
-        return _StackedHorner(polys, float if kind is float else object)
-    rows = [_exact_mantissas([c._mpf_ for c in cs]) for cs in polys]
+        return _StackedHorner(polys)
+    rows = [_exact_mantissas(cs.raw) for cs in polys]
     size, make = max(map(len, polys)), mp.make_mpf
 
     def raw(t: np.ndarray) -> list:
@@ -408,7 +410,7 @@ def polynomial_values(polys: Sequence[tuple]) -> Callable:
             xs, ex = _exact_mantissas(powers)
             for values, cs, (ms, ec) in zip(out, polys, rows):
                 values.append(
-                    mp.fdot(cs, map(make, powers))._mpf_
+                    mp.fdot(cs.tolist(), map(make, powers))._mpf_
                     if ms is None or xs is None
                     else _rounded(sum(map(mul, ms, xs)), ec + ex, prec))
         return out  # per polynomial, its values at t's elements in C order
@@ -433,13 +435,14 @@ class _StackedHorner:
     whose arithmetic numpy leaves to the Python scalars.
     """
 
-    def __init__(self, polys, dtype):
+    def __init__(self, polys):
         self.order = sorted(range(len(polys)), key=lambda i: -len(polys[i]))
         self.size = len(polys[self.order[0]])
         # degree-major, so that each degree's column is contiguous
+        dtype = float if all(p.dtype == _FLOAT64 for p in polys) else object
         self.coeffs = np.zeros((self.size, len(polys), 1), dtype=dtype)
         for row, i in enumerate(self.order):
-            self.coeffs[:len(polys[i]), row, 0] = polys[i]
+            self.coeffs[:len(polys[i]), row, 0] = polys[i].tolist()
         # rows running at degree j: those of length > j
         self.running = [sum(len(cs) > j for cs in polys)
                         for j in range(self.size)]
@@ -466,18 +469,6 @@ class _StackedHorner:
         return acc[self.unsort].reshape((rows,) + t.shape)
 
 
-def _one_kind(seqs):
-    """The type of every scalar in the sequences, or None when they mix."""
-    kinds = {type(x) for seq in seqs for x in seq}
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _mpf_context(kind):
-    """The mpmath context whose mpf type ``kind`` is, else None."""
-    mp = getattr(kind, "context", None)
-    return mp if mp is not None and kind is mp.mpf else None
-
-
 def horner(cs: Sequence, t):
     """sum_j cs[j] t^j by Horner's rule, elementwise over numpy arrays."""
     acc = cs[-1]
@@ -487,11 +478,15 @@ def horner(cs: Sequence, t):
 
 
 class PythonScalars:
-    """The loops' kernel (the class itself) for all but mpf: ``dot`` is acc
-    + x0 y0 + x1 y1 + ..., left to right; ``run`` sets cs[j] = cs[j] +
-    cs[j - 1] x for j = 1..stop in turn, in place, and returns the last."""
+    """The loops' kernel (the class itself) for all but slots: ``lift``
+    gives Python scalars; ``dot`` is acc + x0 y0 + x1 y1 + ..., left to
+    right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x for j = 1..stop in
+    turn, in place, and returns the last. It has no context ``mp``."""
 
-    lift, drop, mul, div, neg = tuple, tuple, mul, truediv, neg
+    drop, mul, div, neg, zero, mp = tuple, mul, truediv, neg, 0, None
+
+    def lift(xs) -> list:
+        return xs.tolist() if hasattr(xs, "tolist") else list(xs)
 
     def dot(acc, xs, ys):
         for x, y in zip(xs, ys):
@@ -506,14 +501,16 @@ class PythonScalars:
 
 
 class _MpfScalars:
-    """Raw tuples of context ``mp``: mpf's libmpf calls at its prec when
-    called, ``fused_muladd``; ``lift`` gives None past mpf, float, int."""
+    """Raw tuples of ``mp``: mpf's libmpf calls at its prec when called,
+    ``fused_muladd``; ``lift`` gives None past its slots, mpf, float, int."""
 
     def __init__(self, mp):
-        self.mp, self.raw = mp, {mp.mpf: attrgetter("_mpf_"),
-                                 float: from_float, int: from_int}
+        self.mp, self.zero, self.raw = mp, fzero, {
+            mp.mpf: attrgetter("_mpf_"), float: from_float, int: from_int}
 
     def lift(self, xs) -> list | None:
+        if hasattr(xs, "dtype"):  # a slot of mp only; copied, as run writes
+            return xs.raw[:] if getattr(xs, "mp", None) is self.mp else None
         try:
             return [self.raw[type(x)](x) for x in xs]
         except KeyError:
@@ -544,12 +541,12 @@ class _MpfScalars:
         return acc
 
 
-def scalar_kernel(*seqs):
-    """The loops' kernel for ``seqs``: raw for mpf of one context."""
-    if type(seqs[0][0]) is float:  # no scan for the common case
+def scalar_kernel(*arrays):
+    """The loops' kernel by form: raw on a slot that the rest lift into."""
+    if type(arrays[0]) is not RawSlot:
         return PythonScalars
-    mp = _mpf_context(_one_kind(seqs))
-    return PythonScalars if mp is None else _MpfScalars(mp)
+    k = _MpfScalars(arrays[0].mp)
+    return PythonScalars if any(k.lift(a) is None for a in arrays[1:]) else k
 
 
 def fused_muladd(c, a, b, prec: int) -> tuple:

@@ -16,20 +16,20 @@ coefficients are ComplexSeries in t.
 phi(t, sigma) = sum_k f_k(t) sigma^(2k) / (2k)!; the stored terms are the
 bare f_k, the factorials are applied at evaluation time.
 
-A ``TaylorPoly`` keeps its coefficients in one array: float64 when all
-are Python floats, a ``precision.RawSlot`` of raw libmpf tuples when all
-are mpf of one context, object dtype (Fraction, int, mixed) otherwise.
-Sums, negations, scalings and derivatives are array expressions that take
-the same operations as the Python scalars would, so every routine is exact
-over whichever field the inputs carry. ``poly_mul`` uses one multiplication
-kernel per scalar type (``precision.truncated_product``): a numpy
-convolution on float64, one exact big-integer product rounded once per
-coefficient for mpf, and the plain Cauchy loop for anything else. The
-recursion's slot rows (``engine.PDESlots``), where most products are taken,
-call that kernel on the same arrays directly. Jets take one path for every
-scalar type, at a point or on arrays: the f_k and their derivatives by one
-evaluation kernel per scalar type (``precision.polynomial_values``), then
-Horner in sigma^2 on the six partials stacked in one array.
+A ``TaylorPoly`` keeps its coefficients in one array: float64 when all are
+Python floats, a ``precision.RawSlot`` of raw libmpf tuples when all are mpf
+of one context, object dtype (Fraction, int, mixed) otherwise. That form
+picks every kernel. Sums, negations, scalings and derivatives are array
+expressions that take the same operations as the Python scalars would, so
+every routine is exact over whichever field the inputs carry. ``poly_mul``
+multiplies by ``precision.truncated_product``: a numpy convolution on
+float64, one exact big-integer product rounded once per coefficient for
+slots, and the plain Cauchy loop otherwise; the recursion's slot rows
+(``engine.PDESlots``) call it on the same arrays directly. The series loops
+run on ``precision.scalar_kernel``, raw on slots. Jets take one path for
+every form, at a point or on arrays: the f_k and their derivatives by
+``precision.polynomial_values``, then Horner in sigma^2 on the six partials
+stacked in one array.
 """
 from __future__ import annotations
 
@@ -184,12 +184,10 @@ def poly_eval(a: TaylorPoly, t):
 
 def poly_reciprocal(a: TaylorPoly) -> TaylorPoly:
     """Series inverse 1/a. Requires a(0) != 0."""
-    cs = a.coeffs
-    a0 = cs[0]
-    if a0 == 0:
+    k = scalar_kernel(a.array)
+    (x0, *xs), (zero, one) = k.lift(a.array), k.lift((0, 1))
+    if x0 == k.zero:
         raise SingularDivisionError("poly_reciprocal: constant term is zero")
-    k = scalar_kernel(cs)
-    x0, *xs, zero, one = k.lift(cs + (0, 1))
     out = [k.div(one, x0)]
     minus_inv0, zero = k.neg(out[0]), k.mul(x0, zero)
     dot, mul = k.dot, k.mul
@@ -208,22 +206,23 @@ def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
     outer(s) = s the result is q itself.
     """
     _check_same_cap(outer, inner, "poly_compose_inverse")
-    if inner.coeffs[0] != 0:
+    k = scalar_kernel(outer.array, inner.array)
+    head = k.lift(inner.array)
+    if head[0] != k.zero:
         raise CompositionDomainError(
             "poly_compose_inverse: inner series has nonzero constant term"
         )
-    if inner.cap == 0 or inner.coeffs[1] == 0:
+    if inner.cap == 0 or head[1] == k.zero:
         raise SingularDivisionError(
             "poly_compose_inverse: inner series has a vanishing linear term"
         )
     cap = inner.cap
-    k = scalar_kernel(outer.coeffs, inner.coeffs)
-    phi = poly_reciprocal(TaylorPoly(inner.coeffs[1:]))
-    d0, *dout = k.lift(poly_derivative(outer).coeffs)
-    out, ms = [k.lift(outer.coeffs[:1])[0]], k.lift(range(cap + 1))
+    phi = poly_reciprocal(TaylorPoly(inner.array[1:]))
+    d0, *dout = k.lift(poly_derivative(outer).array)
+    out, ms = k.lift(outer.array)[:1], k.lift(range(cap + 1))
     power = phi
     for m in range(1, cap + 1):
-        pw = k.lift(power.coeffs[m - 1::-1])  # [s^(m-1-j)] phi^m, j = 0, 1, ..
+        pw = k.lift(power.array)[m - 1::-1]  # [s^(m-1-j)] phi^m, j = 0, 1, ..
         out.append(k.div(k.dot(k.mul(d0, pw[0]), dout, pw[1:]), ms[m]))
         if m < cap:
             power = poly_mul(power, phi)
@@ -232,8 +231,8 @@ def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
 
 def poly_shift(a: TaylorPoly, h) -> TaylorPoly:
     """Coefficients of a(h + t) at the same cap (exact Taylor shift)."""
-    k = scalar_kernel(a.coeffs, (h,))
-    *rev, h = k.lift(a.coeffs[::-1] + (h,))  # rev[i] = a_(n-1-i)
+    k = scalar_kernel(a.array, (h,))
+    rev, (h,) = k.lift(a.array)[::-1], k.lift((h,))  # rev[i] = a_(n-1-i)
     # repeated synthetic division by (t - h) accumulates the shifted
     # coefficients without forming binomials: a_i += a_(i+1) h, i = n-2..j
     for i in range(len(rev) - 1, 0, -1):
@@ -248,7 +247,8 @@ def analytic_compose(name: str, inner: TaylorPoly) -> TaylorPoly:
     the defining ODE, so no transcendental evaluations are involved and the
     result is exact over the coefficient field.
     """
-    if inner.coeffs[0] != 0:
+    k = scalar_kernel(inner.array)
+    if k.lift(inner.array)[0] != k.zero:
         raise CompositionDomainError(
             f"analytic_compose({name!r}): inner series has nonzero constant term"
         )
@@ -274,14 +274,12 @@ def _arctan_series(a: TaylorPoly) -> TaylorPoly:
 def _tan_series(a: TaylorPoly) -> TaylorPoly:
     # y = tan(a):  y' = a' (1 + y^2), y(0) = 0; filled order by order
     cap = a.cap
-    if cap == 0:
-        return poly_zero(0, like=a.coeffs[0])
-    k = scalar_kernel(a.coeffs)
-    da, ns = k.lift(a.coeffs), k.lift(range(cap + 1))
-    z = k.mul(da[0], ns[0])
+    k = scalar_kernel(a.array)
+    da, ns = k.lift(a.array), k.lift(range(cap + 1))
+    z = k.mul(da[0], ns[0])  # a_0 * 0, the whole series at cap 0
     ap = list(map(k.mul, ns[1:], da[1:]))  # a'_m = (m+1) a_(m+1)
     # a'_m = 0 exactly when a_(m+1) = 0; compress skips those terms
-    live = a.coeffs[1:]
+    live = [x != k.zero for x in da[1:]]
     live_ap = list(compress(ap, live))
     y = [z] * (cap + 1)
     rys = []  # [y^2]_(d-1), ..., [y^2]_1, each once y_0..y_(d-1) are known
@@ -479,8 +477,8 @@ class SigmaJetEvaluator:
         fp = [poly_derivative(p) for p in f]
         fpp = [poly_derivative(p) for p in fp]
         # f_k, f_k' and f_k'' in one list, evaluated by the kernel of
-        # their scalar type
-        polys = [p.coeffs for p in f + fp + fpp]
+        # their arrays' form
+        polys = [p.array for p in f + fp + fpp]
         self._values = polynomial_values(polys)
         # per k, the rows of f_k, f_k' and f_k'' that feed (phi, phi_t,
         # phi_tt) and (q, phi_ss, phi_st), and their divisors; the second

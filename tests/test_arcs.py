@@ -19,6 +19,7 @@ from slagext.arcs import (
     unit_circle_arc,
 )
 from slagext.errors import NormalizationError, ResolutionError
+from slagext.precision import FLOAT64, MPContext
 from slagext.series import poly_eval, poly_from
 
 
@@ -54,6 +55,22 @@ def test_load_arc_rejects_bad_docs():
                 "y_coeffs": ["0", "0", "0", "1"],
             }
         )
+
+
+@pytest.mark.parametrize("ctx", [FLOAT64, MPContext(30)],
+                         ids=["float64", "mp30"])
+def test_load_graph_arc_rejects_terms_above_degree_cap(ctx):
+    doc = {"kind": "graph", "g_coeffs": ["0", "0", "0.5", "1", "2"],
+           "degree_cap": 2}
+    with pytest.raises(ValueError, match=r"degree 4, above degree_cap 2"):
+        load_arc(doc, ctx)
+    # zeros above the cap are no terms: they load as the quadratic
+    doc["g_coeffs"] = ["0", "0", "0.5", "0", "0.0"]
+    arc = load_arc(doc, ctx)
+    assert arc.g.cap == 2 and arc.g.coeffs == (0, 0, ctx.real("0.5"))
+    # and a cap at the degree keeps every coefficient
+    doc.update(g_coeffs=["0", "0", "0.5", "1", "2"], degree_cap=4)
+    assert load_arc(doc, ctx).g.coeffs[3:] == (1, 2)
 
 
 def test_parabola_normalization_is_trivial():

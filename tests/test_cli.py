@@ -259,6 +259,18 @@ def test_bad_arc_path_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_arc_above_its_degree_cap_is_an_error(tmp_path, capsys):
+    # not silently truncated to 0.5 t^2, another arc
+    arc = tmp_path / "arc.json"
+    arc.write_text(json.dumps({"kind": "graph", "degree_cap": 2,
+                               "g_coeffs": ["0", "0", "0.5", "1", "2"]}))
+    rc = main(["extend", "--arc", str(arc), "--n", "2", "--K", "2",
+               "--out", str(tmp_path / "chart")])
+    assert rc == 1
+    assert "above degree_cap 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("chart*"))
+
+
 def test_precision_env_round_trip(parabola, tmp_path, monkeypatch):
     monkeypatch.setenv("SLAG_PRECISION", "mp25")
     out = tmp_path / "c.json"

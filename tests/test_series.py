@@ -10,6 +10,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add,
                           mpf_mul, mpf_neg, round_nearest)
 
 from conftest import exact_value
+from slagext import series
 from slagext.arcs import graph_arc
 from slagext.engine import _scale_ratio, extend_arc
 from slagext.errors import (
@@ -26,7 +28,8 @@ from slagext.errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from slagext.precision import (MPContext, RawSlot, finite_coefficients,
+from slagext.precision import (MPContext, PythonScalars, RawSlot,
+                                coefficient_array, finite_coefficients,
                                 fused_muladd, horner, polynomial_values,
                                 truncated_product)
 from slagext.series import (
@@ -842,3 +845,122 @@ def test_series_loops_are_frozen(kind, want):
                 poly_shift(poly_from(cs), -0.3)]
     assert all(len(p.coeffs) == cap + 1 for p in out)
     assert _loop_digest(out) == want
+
+
+_SPECIAL_MP40 = st.sampled_from([_MP40.real(v) for v in ("nan", "inf", "-inf")])
+# a coefficient array's form: mp40 alone (a slot), mp40 among one other
+# scalar type (an object array), float64, or objects of other types
+_FORMS = {
+    "mp40": None,
+    "mp40+int": st.integers(-10 ** 6, 10 ** 6),
+    "mp40+mp30": st.floats(-1e6, 1e6).map(_MP30.real),
+    "mp40+Fraction": st.fractions(max_denominator=50),
+    "mp40+float": st.floats(-1e6, 1e6),
+}
+_SHIFTS = (st.floats(-2, 2) | st.integers(-5, 5) | _MP40_VALUES
+           | st.floats(-2, 2).map(_MP30.real) | st.fractions(max_denominator=9))
+
+
+@st.composite
+def _form_coeffs(draw, n):
+    form = draw(st.sampled_from(sorted(_FORMS) + ["float64", "object"]))
+    if form == "float64":
+        return draw(st.lists(st.floats(-1e6, 1e6) | st.sampled_from(
+            [0.0, -0.0, math.nan, math.inf]), min_size=n, max_size=n))
+    if form == "object":
+        return draw(st.lists(st.fractions(max_denominator=50)
+                             | st.integers(-99, 99), min_size=n, max_size=n))
+    cs = draw(st.lists(_MP40_VALUES | _SPECIAL_MP40, min_size=n, max_size=n))
+    if _FORMS[form] is not None:  # at least one scalar of the other type
+        cs[draw(st.integers(0, n - 1))] = draw(_FORMS[form])
+    return cs
+
+
+@st.composite
+def _loop_case(draw):
+    n = draw(st.integers(1, 7))
+    a, outer, inner = (draw(_form_coeffs(n)) for _ in range(3))
+    # most tan and reversion inputs start at zero, as those loops require
+    if draw(st.integers(0, 3)):
+        a[0], inner[0] = a[0] * 0, inner[0] * 0
+    return a, outer, inner, draw(_SHIFTS)
+
+
+def _loop_outcomes(a, outer, inner, h) -> list:
+    """Each loop's coefficients (type and bits, a NaN as a NaN) or the type
+    of the error it raises."""
+    calls = [lambda: poly_reciprocal(TaylorPoly(a)),
+             lambda: analytic_compose("tan", TaylorPoly(a)),
+             lambda: poly_compose_inverse(TaylorPoly(outer),
+                                          TaylorPoly(inner)),
+             lambda: poly_shift(TaylorPoly(a), h)]
+    outcomes = []
+    for call in calls:
+        try:
+            out = call()
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            outcomes.append(type(exc))
+            continue
+        outcomes.append([(type(c), getattr(c, "_mpf_", repr(c)))
+                         for c in out.coeffs])
+    return outcomes
+
+
+@given(_loop_case())
+@settings(max_examples=150, deadline=None)
+def test_mixed_forms_keep_their_arithmetic(case):
+    """The four series loops on polynomials of every form, with every kind
+    of shift, give what the loops give on the Python scalars (the kernel
+    forced to ``PythonScalars``): coefficient for coefficient, type for
+    type. So the kernel picked by the arrays' form changes no result, also
+    where a slot meets a float or int shift, which now takes the raw
+    kernel."""
+    got = _loop_outcomes(*case)
+    with mock.patch.object(series, "scalar_kernel",
+                           lambda *arrays: PythonScalars):
+        want = _loop_outcomes(*case)
+    assert got == want
+
+
+def test_slot_loops_and_jets_make_no_mpf(monkeypatch):
+    """On mp40 polynomials built from slots, as the recursion builds them
+    (so that no ``coeffs`` is cached), the four series loops, the jet
+    evaluator's build and a jet on object arrays read the raw tuples:
+    ``RawSlot.tolist``, which makes mpf of them, is never called."""
+    ctx = MPContext(40)
+    rng = random.Random(5)
+
+    def slot_poly(cs):
+        array = coefficient_array([ctx.real(c) for c in cs])
+        assert type(array) is RawSlot
+        return TaylorPoly(array)
+
+    cs = [rng.randint(-99, 99) / (j + 3) for j in range(17)]
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    exp = extend_arc(arc, ctx.real("0.03"), n=2, K=4, D=16, ctx=ctx).phi
+    grid = np.empty((2, 1), dtype=object)
+    grid[:, 0] = [ctx.real(1) / 40, ctx.real(-1) / 50]
+    sigma = np.empty((1, 3), dtype=object)
+    sigma[0] = [ctx.real(k) / 100 for k in (1, 2, 5)]
+    calls = []
+    tolist = RawSlot.tolist
+    monkeypatch.setattr(RawSlot, "tolist",
+                        lambda self: calls.append(1) or tolist(self))
+    runs = {
+        "poly_reciprocal": lambda: poly_reciprocal(slot_poly([1] + cs[1:])),
+        "tan": lambda: analytic_compose("tan", slot_poly([0] + cs[1:])),
+        "poly_compose_inverse": lambda: poly_compose_inverse(
+            slot_poly(cs), slot_poly([0, 1.25] + cs[2:])),
+        "poly_shift mp40": lambda: poly_shift(slot_poly(cs),
+                                              ctx.real(1) / 7),
+        "poly_shift float": lambda: poly_shift(slot_poly(cs), -0.3),
+    }
+    for name, run in runs.items():
+        run()
+        assert (name, len(calls)) == (name, 0)
+    evaluator = SigmaJetEvaluator(exp)
+    assert len(calls) == 0
+    jet = evaluator.jet(grid, sigma)
+    assert len(calls) == 0
+    assert jet.phi.shape == (2, 3)
+    assert type(jet.phi[0, 0]) is type(ctx.real(0))
