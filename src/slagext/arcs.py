@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .errors import NormalizationError, ResolutionError
@@ -221,7 +221,8 @@ def graph_arc(coeffs: Sequence, ctx: Context = FLOAT64) -> ArcSpec:
 
 def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
                  ctx: Context = FLOAT64) -> NormalizedArc:
-    """Local potential and frame at parameter s0.
+    """Local potential and frame at parameter s0, computed in ctx: s0 and
+    the arc's data enter it first (``precision``'s rule).
 
     The frame angle is theta = chi / n with chi in [0, 2*pi) the rotation
     that maps the tangent direction to the positive real axis; a translates
@@ -230,7 +231,13 @@ def normalize_at(arc: ArcSpec, s0, n: int, cap: int = 24,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    X, Y = local_series(arc, s0, cap)
+
+    def enter(p):  # arc data as it enters ctx (precision's rule)
+        return p and TaylorPoly(tuple(map(ctx.enter, p.coeffs)))
+
+    # polynomial data enters before it is shifted, a hook's series after
+    data = replace(arc, g=enter(arc.g), x=enter(arc.x), y=enter(arc.y))
+    X, Y = map(enter, local_series(data, ctx.enter(s0), cap))
     x0, y0 = X.coeffs[0], Y.coeffs[0]
     tx, ty = X.coeffs[1], Y.coeffs[1]
     speed2 = tx * tx + ty * ty

@@ -415,6 +415,7 @@ class ResidualReport:
 def pde_lhs_value(exp: SigmaExpansion, t, sigma):
     """Pointwise singular PDE left side
     Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)]."""
+    sigma = exp.jet_evaluator.enter(sigma)
     jet = exp.jet_evaluator.jet(t, sigma)
     return _pde_lhs(exp.n, sigma, jet.phi_sigma, jet.phi_tt,
                     jet.phi_sigmasigma, jet.phi_sigmat)
@@ -442,10 +443,11 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
     one array expression, equal to ``pde_lhs_value`` at every point. mp
     jets come back as object arrays, whose complex left side is taken
     point by point (``_lanewise``): numpy's ``.imag`` of an object array
-    of mpc reads 0.
+    of mpc reads 0. sigma enters the jets' context first, as the left side
+    reads it too.
     """
     T = np.asarray(t_values)[:, None]
-    S = np.asarray(sigma_values)[None, :]
+    S = exp.jet_evaluator.enter(np.asarray(sigma_values))[None, :]
     # IEEE semantics, as on Python floats: an infinite or NaN jet gives an
     # infinite or NaN residual, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

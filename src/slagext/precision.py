@@ -14,7 +14,10 @@ complex, mpf and mpc all share. On float64 arrays, ``complex_array`` and
 and ``a * b`` give on Python scalars.
 
 The CLI picks its context from the SLAG_PRECISION environment variable:
-``float64`` (default) or ``mp<digits>``, e.g. ``mp50``.
+``float64`` (default) or ``mp<digits>``, e.g. ``mp50``. A number enters an
+mp computation once, where it starts (``_MpfScalars.enter``): floats, ints
+and mpf of its context as they are, exactly, and any other number rounded
+once to the nearest mpf of its context.
 
 Polynomial coefficients live in one array, whose form is decided once, here
 (``coefficient_array``, the only code that looks at their types): float64
@@ -44,7 +47,7 @@ from typing import Any, Callable, Sequence, Union
 import mpmath
 import numpy as np
 from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_mul, mpf_mul_int, mpf_neg, normalize,
+                          mpf_div, mpf_mul, mpf_neg, mpf_pos, normalize,
                           round_nearest)
 
 try:
@@ -64,6 +67,8 @@ class FloatContext:
 
     def real(self, x: Union[int, float, str]) -> float:
         return float(x)
+
+    enter = real  # a number enters a float64 computation rounded to float
 
     def make_complex(self, re, im) -> complex:
         """``complex(re, im)``; elementwise over numpy float64 arrays."""
@@ -110,6 +115,7 @@ class MPContext:
         self._mp = mpmath.MPContext()
         self._mp.dps = self.dps
         self.eps = float(self._mp.mpf(10) ** (1 - self.dps))
+        self.enter = _MpfScalars(self._mp).enter
 
     def real(self, x):
         return self._mp.mpf(x)
@@ -209,17 +215,21 @@ def abs_squared(z):
 FLOAT64 = FloatContext()
 
 
+_MP_CONTEXTS: dict = {}  # digits -> MPContext, each built on first use
+
+
 def mp_context(dps: int = 50) -> MPContext:
     """An ``MPContext``, with ``mpmath.mp`` set to the same precision for
     callers that compute with mpmath directly. Nothing in the package
     reads ``mpmath.mp``, and this is the only place that writes it."""
-    ctx = MPContext(dps)
+    ctx = context_named(f"mp{int(dps)}")
     mpmath.mp.dps = ctx.dps
     return ctx
 
 
 def context_named(spec: str) -> Context:
-    """Context for a precision name: ``float64`` or ``mp<digits>``."""
+    """Context for a precision name: ``float64`` or ``mp<digits>``, one
+    ``MPContext`` per digit count."""
     spec = spec.strip().lower()
     if spec == "float64":
         return FLOAT64
@@ -228,7 +238,9 @@ def context_named(spec: str) -> Context:
             digits = int(spec[2:])
         except ValueError:
             raise ValueError(f"bad precision name: {spec!r}") from None
-        return MPContext(digits)
+        if digits not in _MP_CONTEXTS:
+            _MP_CONTEXTS[digits] = MPContext(digits)
+        return _MP_CONTEXTS[digits]
     raise ValueError(f"bad precision name: {spec!r}")
 
 
@@ -313,12 +325,12 @@ def truncated_product(ca, cb):
 
 class RawSlot:
     """The coefficient array of mpf of one mpmath context ``mp``, as raw
-    libmpf tuples: ``+``, unary ``-``, ``*`` by an int (array), an mpf of
-    ``mp`` or a float, and ``/`` by an int (array) make, element by
-    element, the mpf operator's libmpf call at the context's ``prec`` and
-    ``round_nearest``, bit for bit; with any other operand, the slot takes
-    the mpf objects' arithmetic. Never modified, a slot keeps its ``slope``
-    and the exact mantissas of its last product, also in slices.
+    libmpf tuples: ``+`` a slot of ``mp``, unary ``-``, and ``*`` and
+    ``/`` by a number or an array of them (``_MpfScalars.lift``) make,
+    element by element, the mpf operator's libmpf call at the context's
+    ``prec`` and ``round_nearest``, bit for bit; ``+`` any other array
+    takes the mpf objects' arithmetic. Never modified, a slot keeps its
+    ``slope`` and the exact mantissas of its last product, also in slices.
     """
 
     __slots__ = ("raw", "mp", "exact", "slope")
@@ -355,43 +367,33 @@ class RawSlot:
     def __neg__(self) -> "RawSlot":
         return RawSlot(list(map(_MpfScalars(self.mp).neg, self.raw)), self.mp)
 
-    def __mul__(self, k):
-        if type(k) is int or isinstance(k, np.ndarray):
-            prec = self.mp.prec
-            ks = k.tolist() if isinstance(k, np.ndarray) else repeat(k)
-            return RawSlot([mpf_mul_int(x, j, prec, round_nearest)
-                            for x, j in zip(self.raw, ks)], self.mp)
+    def __mul__(self, k) -> "RawSlot":
         kernel = _MpfScalars(self.mp)
-        y = kernel.lift((k,))  # an mpf of mp or a float, exactly
-        if y is None:
-            return np.array(self.tolist(), dtype=_OBJECT) * k
-        return RawSlot([kernel.mul(x, y[0]) for x in self.raw], self.mp)
+        return kernel.drop(list(map(kernel.mul, self.raw, kernel.each(k))))
 
     def __truediv__(self, k) -> "RawSlot":
-        ds = (map(from_int, k.tolist()) if isinstance(k, np.ndarray)
-              else repeat(from_int(k)))
-        return RawSlot(list(map(_MpfScalars(self.mp).div, self.raw, ds)),
-                       self.mp)
+        kernel = _MpfScalars(self.mp)
+        return kernel.drop(list(map(kernel.div, self.raw, kernel.each(k))))
 
 
 def polynomial_values(polys: Sequence) -> Callable:
-    """The function taking a numpy array t to the values at t of the
-    polynomials whose coefficient arrays (c_0, c_1, ...) are ``polys``
-    (other sequences go through ``coefficient_array``), as one array of
-    shape (len(polys),) + t.shape, by the kernel of their form, chosen once
-    here for repeated evaluation.
+    """The function giving the values of the polynomials whose coefficient
+    arrays (c_0, c_1, ...) are ``polys`` (other sequences go through
+    ``coefficient_array``), by the kernel of their form, chosen once here.
 
-    Slots of one context take each polynomial's exact mantissas once, here,
-    and those of each point's powers (each rounded at the context's
-    precision) once; a value is one exact integer dot product, rounded once.
-    ``fdot`` rounds once from ``mpf_sum``, so the two are bit-equal wherever
-    that sum is exact: it drops a term only across a gap of more than 2 prec
-    bits to the running sum. A row or a point holding NaN or an infinity
-    takes ``fdot``, on mpf made for it. The function's ``raw`` gives the
-    values as raw libmpf tuples. Every other form takes Horner's rule on all
-    the polynomials at once (``_StackedHorner``), on float64 for float64
-    arrays at a float64 t and on objects otherwise, so that each element is
-    what ``horner`` gives on the Python scalars, bit for bit.
+    Slots of one context give, for a list of points as raw tuples of it,
+    per polynomial the list of its values there as raw tuples. Each
+    polynomial's exact mantissas are taken once, here, and those of each
+    point's powers (each rounded at the context's precision) once; a value
+    is one exact integer dot product, rounded once. ``fdot`` rounds once
+    from ``mpf_sum``, so the two are bit-equal wherever that sum is exact:
+    it drops a term only across a gap of more than 2 prec bits to the
+    running sum. A row or a point holding NaN or an infinity takes
+    ``fdot``, on mpf made for it. Every other form gives, for a numpy array
+    t, one array of shape (len(polys),) + t.shape: Horner's rule on all the
+    polynomials at once (``_StackedHorner``), on float64 for float64 arrays
+    at a float64 t and on objects otherwise, so that each element is what
+    ``horner`` gives on the Python scalars, bit for bit.
     """
     polys = list(map(coefficient_array, polys))
     mp = scalar_kernel(*polys).mp
@@ -400,26 +402,20 @@ def polynomial_values(polys: Sequence) -> Callable:
     rows = [_exact_mantissas(cs.raw) for cs in polys]
     size, make = max(map(len, polys)), mp.make_mpf
 
-    def raw(t: np.ndarray) -> list:
+    def raw(xs: list) -> list:
         out, prec = [[] for _ in polys], mp.prec
-        for x in t.ravel().tolist():
+        for x in xs:
             powers = [mp.one._mpf_]
-            x = mp.convert(x)._mpf_
             for _ in range(size - 1):
                 powers.append(mpf_mul(powers[-1], x, prec, round_nearest))
-            xs, ex = _exact_mantissas(powers)
+            ps, ex = _exact_mantissas(powers)
             for values, cs, (ms, ec) in zip(out, polys, rows):
                 values.append(
                     mp.fdot(cs.tolist(), map(make, powers))._mpf_
-                    if ms is None or xs is None
-                    else _rounded(sum(map(mul, ms, xs)), ec + ex, prec))
-        return out  # per polynomial, its values at t's elements in C order
-
-    def values(t: np.ndarray) -> np.ndarray:
-        return np.array([list(map(make, row)) for row in raw(t)],
-                        dtype=_OBJECT).reshape((len(polys),) + t.shape)
-    values.raw = raw
-    return values
+                    if ms is None or ps is None
+                    else _rounded(sum(map(mul, ms, ps)), ec + ex, prec))
+        return out  # per polynomial, its values at the points in turn
+    return raw
 
 
 class _StackedHorner:
@@ -479,14 +475,17 @@ def horner(cs: Sequence, t):
 
 class PythonScalars:
     """The loops' kernel (the class itself) for all but slots: ``lift``
-    gives Python scalars; ``dot`` is acc + x0 y0 + x1 y1 + ..., left to
-    right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x for j = 1..stop in
-    turn, in place, and returns the last. It has no context ``mp``."""
+    gives Python scalars, which ``enter`` keeps; ``dot`` is acc + x0 y0 +
+    ..., left to right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x for j =
+    1..stop in turn, in place, and returns the last. It has no ``mp``."""
 
     drop, mul, div, neg, zero, mp = tuple, mul, truediv, neg, 0, None
 
     def lift(xs) -> list:
         return xs.tolist() if hasattr(xs, "tolist") else list(xs)
+
+    def enter(x):
+        return x
 
     def dot(acc, xs, ys):
         for x, y in zip(xs, ys):
@@ -502,7 +501,9 @@ class PythonScalars:
 
 class _MpfScalars:
     """Raw tuples of ``mp``: mpf's libmpf calls at its prec when called,
-    ``fused_muladd``; ``lift`` gives None past its slots, mpf, float, int."""
+    ``fused_muladd``; ``lift`` gives None past its slots, and numbers as
+    mpf arithmetic takes them (floats, ints and mpf of any context exactly),
+    and ``enter`` numbers as they enter a computation in ``mp``."""
 
     def __init__(self, mp):
         self.mp, self.zero, self.raw = mp, fzero, {
@@ -511,10 +512,26 @@ class _MpfScalars:
     def lift(self, xs) -> list | None:
         if hasattr(xs, "dtype"):  # a slot of mp only; copied, as run writes
             return xs.raw[:] if getattr(xs, "mp", None) is self.mp else None
-        try:
-            return [self.raw[type(x)](x) for x in xs]
-        except KeyError:
-            return None
+        raw, converted = self.raw.get, self.converted
+        return [raw(type(x), converted)(x) for x in xs]
+
+    def each(self, k):
+        """k, a number or a numpy array of them, as raw operands in turn."""
+        return (self.lift(k.tolist()) if isinstance(k, np.ndarray)
+                else repeat(*self.lift((k,))))
+
+    def converted(self, x) -> tuple:
+        return self.mp.convert(x)._mpf_
+
+    def enter(self, x):
+        """x, a number or a numpy array, as it enters ``mp``: machine
+        numbers and mpf of ``mp`` as they are, any other number rounded
+        once to the nearest mpf of ``mp``."""
+        if isinstance(x, np.ndarray) and x.dtype == _OBJECT:
+            return np.frompyfunc(self.enter, 1, 1)(x)
+        return x if hasattr(x, "dtype") or type(x) in self.raw else (
+            self.mp.make_mpf(mpf_pos(self.converted(x), self.mp.prec,
+                                     round_nearest)))
 
     def drop(self, raws: list) -> RawSlot:
         return RawSlot(raws, self.mp)
@@ -542,7 +559,7 @@ class _MpfScalars:
 
 
 def scalar_kernel(*arrays):
-    """The loops' kernel by form: raw on a slot that the rest lift into."""
+    """The loops' kernel by form: raw on slots of one context."""
     if type(arrays[0]) is not RawSlot:
         return PythonScalars
     k = _MpfScalars(arrays[0].mp)

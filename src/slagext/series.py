@@ -26,10 +26,10 @@ multiplies by ``precision.truncated_product``: a numpy convolution on
 float64, one exact big-integer product rounded once per coefficient for
 slots, and the plain Cauchy loop otherwise; the recursion's slot rows
 (``engine.PDESlots``) call it on the same arrays directly. The series loops
-run on ``precision.scalar_kernel``, raw on slots. Jets take one path for
-every form, at a point or on arrays: the f_k and their derivatives by
-``precision.polynomial_values``, then Horner in sigma^2 on the six partials
-stacked in one array.
+run on ``precision.scalar_kernel``, raw on slots. Jets, at a point or on
+arrays, take the f_k and their derivatives by ``polynomial_values``, then
+Horner in sigma^2 on the six partials: stacked in one array, or on a
+slot's raw tuples, t and sigma entered into its context first.
 """
 from __future__ import annotations
 
@@ -231,7 +231,7 @@ def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
 
 def poly_shift(a: TaylorPoly, h) -> TaylorPoly:
     """Coefficients of a(h + t) at the same cap (exact Taylor shift)."""
-    k = scalar_kernel(a.array, (h,))
+    k = scalar_kernel(a.array)
     rev, (h,) = k.lift(a.array)[::-1], k.lift((h,))  # rev[i] = a_(n-1-i)
     # repeated synthetic division by (t - h) accumulates the shifted
     # coefficients without forming binomials: a_i += a_(i+1) h, i = n-2..j
@@ -490,15 +490,16 @@ class SigmaJetEvaluator:
         divisors = [[fact[2 * k]] * 3 + ([fact[2 * k - 1], fact[2 * k - 2],
                                           fact[2 * k - 1]] if k else [1] * 3)
                     for k in range(m)]
-        # Python ints, which object arrays (of mpf) divide by exactly, and
+        # Python ints, which object arrays (of Fraction) divide exactly, and
         # float64 ones, rounded as a Python float divided by an int rounds
         self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
                           np.dtype(float): np.array(divisors, dtype=float)}
-        # raw mpf, K > 0: per accumulator, (row, divisor) from k = K to 1 or 0
-        k = self._kernel = scalar_kernel(*polys) if m > 1 else PythonScalars
+        # raw mpf: per accumulator, (row, divisor) from k = K to 1 or 0
+        k = self._kernel = scalar_kernel(*polys)
         self._chains = k is not PythonScalars and [
             [(self._rows[j, i], k.lift([divisors[j][i]])[0])
              for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
+        self.enter = k.enter  # how a number enters the jets' context
 
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
@@ -512,8 +513,9 @@ class SigmaJetEvaluator:
         phi_st) are the rows of one array, so each Horner step is one
         multiply and one add, which numpy applies to float64 elements or to
         the Python scalars of an object array; mpf of one context take the
-        same steps on raw tuples (``_raw_jet``), bit for bit. Scalar t and
-        sigma take the same path, and give Python scalars back.
+        same steps on raw tuples (``_raw_jet``), bit for bit, on t and sigma
+        entered into their context. Scalar t and sigma take the same path,
+        and give Python scalars back.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
@@ -526,8 +528,8 @@ class SigmaJetEvaluator:
                 jet = self.jet(np.asarray(t), sigma)
             return PhiJet(*(np.asarray(v).item() for v in vars(jet).values()))
         t = np.asarray(t)
-        if fields := self._chains and self._raw_jet(t, sigma):
-            return PhiJet(*fields)
+        if self._chains:
+            return PhiJet(*self._raw_jet(t, sigma))
         vals = self._values(t)
         divisors = self._divisors[vals.dtype]
         # t's axes, behind the leading ones that sigma may add
@@ -545,16 +547,16 @@ class SigmaJetEvaluator:
                       phi_tt=phi_tt, phi_sigmat=phi_st * sigma,
                       phi_sigmasigma=phi_ss, phi_sigma_over_sigma=q)
 
-    def _raw_jet(self, t: np.ndarray, sigma):
-        """``jet``'s fields on the raw kernel (scalars on a 0-d grid); None
-        when t or sigma hold other than the context's mpf, floats, ints."""
+    def _raw_jet(self, t: np.ndarray, sigma) -> list:
+        """``jet``'s fields on the raw kernel, each of the broadcast grid's
+        shape (scalars on a 0-d grid). t and sigma enter the context first,
+        sigma before it is squared: a float or an int squares in its type."""
         k = self._kernel
+        t, sigma = np.asarray(k.enter(t)), k.enter(sigma)
         ts, sig, sq, zero = (k.lift(np.ravel(x).tolist())
                              for x in (t, sigma, sigma * sigma, 0))
-        if None in (ts, sig, sq) or not (ts and sig):  # or an empty grid
-            return None
         zeros = [k.mul(x, zero[0]) for x in ts]  # t*0: NaN at NaN or inf
-        vals = self._values.raw(t)
+        vals = self._values(ts)
         terms = [[[k.div(vals[row][p], d) for row, d in chain]
                   for chain in self._chains] for p in range(t.size)]
         grid = np.broadcast(np.arange(t.size).reshape(t.shape),
@@ -567,4 +569,4 @@ class SigmaJetEvaluator:
                            k.mul(phi_st, sig[s]), phi_ss, q))
         return [np.fromiter(map(k.mp.make_mpf, x), dtype=object,
                             count=grid.size).reshape(grid.shape)[()]
-                for x in zip(*fields)]
+                for x in list(zip(*fields)) or [()] * 7]

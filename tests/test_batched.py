@@ -572,34 +572,78 @@ def test_mp_jet_on_elementwise_lanes_is_frozen():
         "e6bc1b5a41cabe9383c4b7d81f4e74088c035dc4711e78a284fd0bd739207f9d")
 
 
-def test_mp_jet_on_other_sigma_types_and_special_values_is_frozen():
-    """mp40 jets, every field bit for bit and with its type, as the
-    object-array jet made them: int sigma (scalar, an int64 array and an
-    int past 64 bits), Python-float sigma, an mp30 sigma, a float64 t,
-    NaN and infinite t or sigma, a 0-d t array (scalar fields), and an
-    expansion with f_0 alone."""
+def _mp40_jet_cases() -> list:
+    """(evaluator, t, sigma) of mp40 jets on every input kind: int sigma
+    (scalar, an int64 array and an int past 64 bits), Python-float sigma,
+    an mp30 sigma, a float64 t, NaN and infinite t or sigma, a 0-d t array
+    (scalar fields), and an expansion with f_0 alone (K = 0)."""
     ctx = MPContext(40)
     arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
     phi = extend_arc(arc, ctx.real("0.03"), n=2, K=4, D=16, ctx=ctx).phi
     ev = SigmaJetEvaluator(phi)
     T = np.array([ctx.real(j) / 23 for j in range(-2, 3)], dtype=object)
     nan, inf = ctx.real("nan"), ctx.real("inf")
-    jets = [ev.jet(T, 2), ev.jet(T[:, None], np.array([1, -2, 0])),
-            ev.jet(ctx.real("0.07"), 10 ** 30), ev.jet(T, 0.05),
-            ev.jet(ctx.real("0.07"), -0.0),
-            ev.jet(T, MPContext(30).real(1) / 3),
-            ev.jet(np.array([0.1, -0.0, 0.2]), ctx.real("0.03")),
-            ev.jet(nan, ctx.real("0.03")), ev.jet(ctx.real("0.07"), inf),
-            ev.jet(np.array([inf, ctx.real("0.1"), -inf], dtype=object),
-                   np.array([0.05, 0.2, -0.1])),
-            ev.jet(T, math.inf), ev.jet(ctx.real("0.07"), math.nan),
-            ev.jet(inf, 0.05), ev.jet(np.asarray(ctx.real("0.07")), 2),
-            ev.jet(np.asarray(ctx.real("0.07")), ctx.real("0.03")),
-            ev.jet(np.asarray(nan), np.asarray(ctx.real("0.03"))),
-            SigmaJetEvaluator(SigmaExpansion(n=2, terms=phi.terms[:1])).jet(
-                T[:, None], np.array([ctx.real("0.1"), ctx.real(0)])[None, :])]
+    cases = [(T, 2), (T[:, None], np.array([1, -2, 0])),
+             (ctx.real("0.07"), 10 ** 30), (T, 0.05), (ctx.real("0.07"), -0.0),
+             (T, MPContext(30).real(1) / 3),
+             (np.array([0.1, -0.0, 0.2]), ctx.real("0.03")),
+             (nan, ctx.real("0.03")), (ctx.real("0.07"), inf),
+             (np.array([inf, ctx.real("0.1"), -inf], dtype=object),
+              np.array([0.05, 0.2, -0.1])),
+             (T, math.inf), (ctx.real("0.07"), math.nan), (inf, 0.05),
+             (np.asarray(ctx.real("0.07")), 2),
+             (np.asarray(ctx.real("0.07")), ctx.real("0.03")),
+             (np.asarray(nan), np.asarray(ctx.real("0.03")))]
+    f0_alone = SigmaJetEvaluator(SigmaExpansion(n=2, terms=phi.terms[:1]))
+    return [(ev, t, s) for t, s in cases] + [
+        (f0_alone, T[:, None],
+         np.array([ctx.real("0.1"), ctx.real(0)])[None, :])]
+
+
+def test_mp_jet_on_other_sigma_types_and_special_values_is_frozen():
+    """mp40 jets on every input kind of ``_mp40_jet_cases``, every field
+    bit for bit and with its type, as the raw kernel made them: the mp30
+    sigma rounded into mp40 before it is squared, and at K = 0 every field
+    of the grid's shape."""
+    jets = [ev.jet(t, s) for ev, t, s in _mp40_jet_cases()]
     assert _jet_digest(*jets) == (
-        "9a7dff3770dfbe5574d758598ed3990c195d9e210f8dd20f6f96bb35542c9253")
+        "dbbcd094dd707ad5b303d464096253ab9c914e656f86f27327e4a6b11540a5ea")
+
+
+def test_mp_jet_takes_one_path(monkeypatch):
+    """An evaluator of mpf of one context runs every jet on the raw kernel,
+    once per call: on every input kind of ``_mp40_jet_cases`` (K = 0
+    included) and on empty grids. The object Horner, which reads the
+    divisor arrays, is never entered."""
+    calls = []
+    raw_jet = SigmaJetEvaluator._raw_jet
+    monkeypatch.setattr(SigmaJetEvaluator, "_raw_jet",
+                        lambda self, t, s: calls.append(1) or raw_jet(self, t, s))
+    cases = _mp40_jet_cases()
+    empty = np.array([], dtype=object)
+    cases += [(cases[0][0], empty, 0.05), (cases[0][0], empty[:, None],
+                                             np.array([[0.1, 0.2]]))]
+    for ev, t, s in cases:
+        ev._divisors = None
+        ev.jet(t, s)
+    assert len(calls) == len(cases)
+
+
+def test_mp_jet_on_an_empty_grid_gives_empty_fields():
+    """An mp chart's jet on a 0-length t gives seven empty object arrays of
+    the broadcast shape."""
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    ev = extend_arc(arc, ctx.real("0.03"), n=2, K=4, D=16, ctx=ctx,
+                    with_radius=False).phi.jet_evaluator
+    empty = np.array([], dtype=object)
+    for t, sigma, shape in ((empty, ctx.real("0.03"), (0,)),
+                            (empty, 0.05, (0,)),
+                            (empty[:, None], np.array([[0.1, 0.2]]), (0, 2))):
+        fields = dataclasses.astuple(ev.jet(t, sigma))
+        assert len(fields) == 7
+        assert all(isinstance(v, np.ndarray) and v.dtype == object
+                   and v.shape == shape for v in fields)
 
 
 def test_mp_jet_computes_at_the_precision_of_each_call():

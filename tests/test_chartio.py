@@ -21,8 +21,10 @@ from slagext.chartio import (
 )
 from slagext.engine import extend_arc
 from slagext.errors import SchemaError
-from slagext.precision import MPContext, complex_array
-from slagext.series import poly_from
+from slagext import precision
+from slagext.precision import (MPContext, RawSlot, complex_array,
+                               context_named, mp_context)
+from slagext.series import TaylorPoly, poly_from, poly_mul
 from conftest import random_flat_potential
 
 
@@ -165,6 +167,23 @@ def test_mp_chart_label_ignores_later_contexts():
     doc = json.loads(json.dumps(serialize_chart(ch)))
     assert doc["precision"] == "mp40"
     assert deserialize_chart(doc) == ch
+
+
+def test_mp_charts_read_share_one_context(monkeypatch):
+    """One ``MPContext`` per digit count: two mp40 documents read back into
+    slots of one mpmath context, so that their product takes the Kronecker
+    kernel."""
+    assert context_named("mp40") is context_named(" MP40 ") is mp_context(40)
+    docs = [json.loads(json.dumps(serialize_chart(_mp_graph_chart(40, s0))))
+            for s0 in ("0.1", "-0.2")]
+    a, b = (deserialize_chart(doc).phi.terms[1].array for doc in docs)
+    assert type(a) is RawSlot is type(b) and a.mp is b.mp
+    calls = []
+    kronecker = precision._kronecker
+    monkeypatch.setattr(precision, "_kronecker",
+                        lambda x, y: calls.append(1) or kronecker(x, y))
+    poly_mul(TaylorPoly(a), TaylorPoly(b))
+    assert calls == [1]
 
 
 @given(st.data(),

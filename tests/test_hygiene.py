@@ -1,8 +1,8 @@
 """Source hygiene: every name a slagext module imports is used in it, every
 module-level private helper is referenced somewhere in the package, every
 defaulted parameter is set by some call in the repository, only the
-precision module imports mpmath, and only the precision and series modules
-name the raw mpf form, ``RawSlot``."""
+precision module imports mpmath or builds an ``MPContext``, and only the
+precision and series modules name the raw mpf form, ``RawSlot``."""
 from __future__ import annotations
 
 import ast
@@ -100,6 +100,36 @@ def test_detects_an_mpmath_import():
         "d": ast.parse("import numpy as np, mpmath as mp\n"),
     }
     assert _mpmath_importers(trees) == ["a", "b", "d"]
+
+
+def _mpcontext_builders(trees: dict) -> list:
+    """Each module whose tree calls a name or an attribute ``MPContext``."""
+    def builds(node):
+        return isinstance(node, ast.Call) and "MPContext" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    return sorted(mod for mod, tree in trees.items()
+                  if any(builds(node) for node in ast.walk(tree)))
+
+
+def test_only_precision_builds_contexts():
+    # one context per digit count, made by precision.py's lookup: a module
+    # that builds its own would compute in an mpmath context of its own
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    assert _mpcontext_builders(trees) == ["precision"]
+
+
+def test_detects_a_context_builder():
+    trees = {
+        "a": ast.parse("from .precision import MPContext\n"
+                       "c = MPContext(30)\n"),
+        "b": ast.parse("def f():\n    return precision.MPContext(40)\n"),
+        "c": ast.parse("def f(x):\n    return isinstance(x, MPContext)\n"),
+        "d": ast.parse("import mpmath\nmp = mpmath.MPContext()\n"),
+        "e": ast.parse("ctx = context_named('mp30')\n"),
+    }
+    assert _mpcontext_builders(trees) == ["a", "b", "d"]
 
 
 def _raw_form_users(trees: dict) -> list:

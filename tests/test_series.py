@@ -31,7 +31,7 @@ from slagext.errors import (
 from slagext.precision import (MPContext, PythonScalars, RawSlot,
                                 coefficient_array, finite_coefficients,
                                 fused_muladd, horner, polynomial_values,
-                                truncated_product)
+                                scalar_kernel, truncated_product)
 from slagext.series import (
     ComplexSeries,
     SigmaExpansion,
@@ -396,7 +396,7 @@ def _fused_case(draw):
 @settings(deadline=None)
 def test_fused_muladd_is_mpf_add_of_mpf_mul(case):
     """The fused kernel is mpf ``c + a*b``, tuple for tuple. Run deep with
-    ``--hypothesis-profile=fused-deep`` (tests/conftest.py)."""
+    ``--hypothesis-profile=deep`` (tests/conftest.py)."""
     prec, c, a, b = case
     want = mpf_add(c, mpf_mul(a, b, prec, round_nearest), prec,
                    round_nearest)
@@ -449,6 +449,16 @@ def test_mp_kernel_ignores_other_contexts():
     assert all(x.context is xs[0].context for x in before + after)
 
 
+def _mpf_values(values, polys, t: np.ndarray) -> np.ndarray:
+    """``values``, the ``polynomial_values`` of polynomials of mpf of one
+    context, at the elements of t as they enter that context, as mpf of
+    shape (len(polys),) + t.shape."""
+    kernel = scalar_kernel(coefficient_array(polys[0]))
+    rows = values(kernel.lift(np.ravel(t).tolist()))
+    return np.array([list(map(kernel.mp.make_mpf, row)) for row in rows],
+                    dtype=object).reshape((len(polys),) + t.shape)
+
+
 @given(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=40),
        st.lists(st.integers(1, 40), min_size=1, max_size=4),
        st.floats(-1.5, 1.5, allow_nan=False))
@@ -462,7 +472,7 @@ def test_mp_values_within_term_bound_of_exact(base, lengths, tf):
     x = ctx.real(tf) / 3  # a full-precision t
     polys = [tuple(ctx.real(c) / (j + 1)
                    for j, c in enumerate((base * 40)[:m])) for m in lengths]
-    got = polynomial_values(polys)(np.asarray(x))
+    got = _mpf_values(polynomial_values(polys), polys, np.asarray(x))
     assert got.shape == (len(polys),)
     u = Fraction(1, 2 ** x.context.prec)
     xe = exact_value(x)
@@ -482,18 +492,19 @@ def test_mp_values_follow_the_scalars_context_not_mpmath_mp():
              for _ in range(5)]
     values = polynomial_values(polys)
     x = ctx.real(1) / 7
-    before = values(np.asarray(x)).tolist()
+    before = _mpf_values(values, polys, np.asarray(x)).tolist()
     dps = mpmath.mp.dps
     try:
         mpmath.mp.dps = 15
-        after = values(np.asarray(x)).tolist()
-        on_float = values(np.asarray(0.125)).tolist()
+        after = _mpf_values(values, polys, np.asarray(x)).tolist()
+        on_float = _mpf_values(values, polys, np.asarray(0.125)).tolist()
     finally:
         mpmath.mp.dps = dps
     assert [v._mpf_ for v in after] == [v._mpf_ for v in before]
     assert all(v.context is x.context for v in before + after + on_float)
     # a float t enters exactly, as it does in Horner's rule
-    assert on_float == values(np.asarray(ctx.real(0.125))).tolist()
+    assert on_float == _mpf_values(values, polys,
+                                   np.asarray(ctx.real(0.125))).tolist()
 
 
 def test_mp_values_equal_fdot():
@@ -516,7 +527,7 @@ def test_mp_values_equal_fdot():
     grid = np.empty((2, 5), dtype=object)
     grid.flat[:] = ts
     for t in (grid, np.asarray(-0.0371)):
-        got = values(t)
+        got = _mpf_values(values, polys, t)
         for idx in np.ndindex(t.shape):
             x = ctx.real(t[idx])
             powers = [ctx.real(1)]
@@ -533,8 +544,9 @@ def test_values_on_arrays_are_the_scalar_values():
              for m in (1, 6, 12)]
     floats = [tuple(float(c) for c in cs) for cs in polys]
     ts = np.array([[-0.3], [0.0], [0.7]])
-    for ps in (polys, floats):
-        values = polynomial_values(ps)
+    raw = polynomial_values(polys)
+    for ps, values in ((polys, lambda t: _mpf_values(raw, polys, t)),
+                       (floats, polynomial_values(floats))):
         arrays = values(ts)
         assert arrays.shape == (len(ps),) + ts.shape
         for idx in np.ndindex(ts.shape):
@@ -858,7 +870,8 @@ _FORMS = {
     "mp40+float": st.floats(-1e6, 1e6),
 }
 _SHIFTS = (st.floats(-2, 2) | st.integers(-5, 5) | _MP40_VALUES
-           | st.floats(-2, 2).map(_MP30.real) | st.fractions(max_denominator=9))
+           | st.floats(-2, 2).map(_MP30.real) | st.fractions(max_denominator=9)
+           | st.floats(-2, 2).map(lambda x: _MP50.real(x) / 3))
 
 
 @st.composite
