@@ -476,8 +476,9 @@ def horner(cs: Sequence, t):
 class PythonScalars:
     """The loops' kernel (the class itself) for all but slots: ``lift``
     gives Python scalars, which ``enter`` keeps; ``dot`` is acc + x0 y0 +
-    ..., left to right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x for j =
-    1..stop in turn, in place, and returns the last. It has no ``mp``."""
+    x1 y1 + ..., left to right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x
+    for j = 1..stop in turn, in place, and returns the last. It has no
+    context ``mp``."""
 
     drop, mul, div, neg, zero, mp = tuple, mul, truediv, neg, 0, None
 
@@ -501,9 +502,9 @@ class PythonScalars:
 
 class _MpfScalars:
     """Raw tuples of ``mp``: mpf's libmpf calls at its prec when called,
-    ``fused_muladd``; ``lift`` gives None past its slots, and numbers as
-    mpf arithmetic takes them (floats, ints and mpf of any context exactly),
-    and ``enter`` numbers as they enter a computation in ``mp``."""
+    ``fused_muladd``. ``lift`` gives None past its slots, and numbers as
+    mpf arithmetic takes them (floats, ints and mpf of any context exactly);
+    ``enter`` gives numbers as they enter a computation in ``mp``."""
 
     def __init__(self, mp):
         self.mp, self.zero, self.raw = mp, fzero, {
