@@ -614,6 +614,9 @@ def _kronecker(a: "RawSlot", b: "RawSlot") -> list | None:
     if ia is None or ib is None:
         return None
     n, e, prec = len(ia), ea + eb, a.mp.prec
+    for ints, c, other in ((ia, a.raw[0], b), (ib, b.raw[0], a)):
+        if not any(ints[1:]):  # a constant factor: one rounded product each
+            return [mpf_mul(c, y, prec, round_nearest) for y in other.raw]
     # bytes per slot: every exact product coefficient is below half a slot
     size = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
             + n.bit_length()) // 8 + 1

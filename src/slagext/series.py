@@ -173,9 +173,9 @@ def poly_derivative(a: TaylorPoly) -> TaylorPoly:
 
 def poly_antiderivative(a: TaylorPoly) -> TaylorPoly:
     """Antiderivative with zero constant term; the cap rises by one."""
-    zero = _zero_like(a.array[:1])
+    k, zero = scalar_kernel(a.array), _zero_like(a.array[:1])
     quotients = a.array / np.arange(1, len(a.array) + 1)
-    return TaylorPoly(zero.tolist() + quotients.tolist())
+    return TaylorPoly(k.drop(k.lift(zero) + k.lift(quotients)))
 
 
 def poly_eval(a: TaylorPoly, t):
@@ -500,6 +500,7 @@ class SigmaJetEvaluator:
             [(self._rows[j, i], k.lift([divisors[j][i]])[0])
              for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
         self.enter = k.enter  # how a number enters the jets' context
+        self._t_stage = None, None  # (raw t and prec, terms) of _raw_jet
 
     def jet(self, t, sigma) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
@@ -537,7 +538,8 @@ class SigmaJetEvaluator:
         terms = (vals.reshape(vals.shape[:1] + shape)[self._rows]
                  / divisors.reshape(divisors.shape + (1,) * len(shape)))
         s2 = sigma * sigma
-        acc = np.broadcast_to(t * 0, (6,) + shape)
+        acc = np.broadcast_to(t * 0, (6,) + np.broadcast_shapes(
+            shape, np.shape(sigma)))  # the grid's shape, also at K = 0
         for k in range(len(terms) - 1, 0, -1):
             acc = acc * s2 + terms[k]
         # k = 0 has no odd terms
@@ -556,9 +558,14 @@ class SigmaJetEvaluator:
         ts, sig, sq, zero = (k.lift(np.ravel(x).tolist())
                              for x in (t, sigma, sigma * sigma, 0))
         zeros = [k.mul(x, zero[0]) for x in ts]  # t*0: NaN at NaN or inf
-        vals = self._values(ts)
-        terms = [[[k.div(vals[row][p], d) for row, d in chain]
-                  for chain in self._chains] for p in range(t.size)]
+        # the last t-stage, kept per points and the prec the kernel reads
+        key, stage = (ts, k.mp.prec), self._t_stage
+        if stage[0] != key:
+            vals = self._values(ts)
+            stage = self._t_stage = key, [
+                [[k.div(vals[row][p], d) for row, d in chain]
+                 for chain in self._chains] for p in range(t.size)]
+        terms = stage[1]
         grid = np.broadcast(np.arange(t.size).reshape(t.shape),
                             np.arange(len(sig)).reshape(np.shape(sigma)))
         fields = []

@@ -12,11 +12,12 @@ from slagext.arcs import graph_arc
 from slagext.engine import extend_arc
 from slagext.series import SigmaExpansion, TaylorPoly, poly_from
 
-# the deep run of the fused multiply-add property and of the precision
-# entry rule, in their own CI step: pytest tests/test_series.py
-# tests/test_precision.py -k "fused_muladd or enter_an_mp_chart"
-# --hypothesis-profile=deep. The entry-rule property takes a tenth of the
-# profile's examples, as each of its examples builds mp jets or charts.
+# the deep run of the fused multiply-add property, of the precision
+# entry rule and of the jet's kept t-stage, in their own CI step: pytest
+# tests/test_series.py tests/test_precision.py -k "fused_muladd or
+# enter_an_mp_chart or kept_t_stage" --hypothesis-profile=deep. The
+# entry-rule and t-stage properties take a tenth of the profile's
+# examples, as each of their examples builds mp jets or charts.
 settings.register_profile("deep", max_examples=20000)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -667,3 +668,62 @@ def test_mp_jet_computes_at_the_precision_of_each_call():
         assert _jet_digest(later) == _jet_digest(
             SigmaJetEvaluator(exp).jet(T[:, None], S))
     assert _jet_digest(later) != _jet_digest(first)
+
+
+def test_kept_t_stage_is_kept_per_precision():
+    """A cached evaluator of global ``mpmath.mp`` mpf keeps the t-stage of
+    its last jet only for the same points at the same precision: a dyadic
+    t is the same raw tuple at 20 and at 40 digits, and jetted at dps 20
+    and then at dps 40 it gives a new evaluator's dps-40 jet."""
+    exp = SigmaExpansion(n=2, terms=[
+        poly_from([mpmath.mpf(m) / 64 for m in ms])
+        for ms in ((0, 0, 0, 5, -7, 3), (0, 9, 1, -3, 11, 2),
+                   (1, -5, 7, 3, 0, 13))])
+    T = np.array([mpmath.mpf(3) / 8, mpmath.mpf(-5) / 16], dtype=object)
+    S = np.array([0.0625, 0.125])
+
+    def bits(ev):  # raw tuples: an mpf's repr reads the digits of mpmath.mp
+        return [x._mpf_ for v in dataclasses.astuple(ev.jet(T[:, None], S))
+                for x in v.ravel()]
+
+    with mpmath.workdps(20):
+        first = bits(exp.jet_evaluator)
+    with mpmath.workdps(40):
+        assert bits(exp.jet_evaluator) == bits(SigmaJetEvaluator(exp))
+        assert bits(exp.jet_evaluator) != first
+
+
+def test_mp_residuals_at_one_t_grid_evaluate_the_f_k_once():
+    """Three ``pde_residual`` calls on one mp40 chart at one t grid (built
+    afresh for each call) and three sigma scales, as the decay sweeps make
+    them, run the evaluator's values kernel once; a new t runs it again."""
+    ctx = MPContext(40)
+    arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+    phi = extend_arc(arc, ctx.real("0.03"), n=2, K=4, D=16, ctx=ctx,
+                     with_radius=False).phi
+    ev, calls = phi.jet_evaluator, []
+    values = ev._values
+    ev._values = lambda ts: calls.append(len(ts)) or values(ts)
+    for sm in ("0.025", "0.05", "0.1"):
+        ts = [ctx.real(-0.1 + 0.2 * j / 6) for j in range(7)]
+        pde_residual(phi, ts, [ctx.real(sm) * (j + 1) / 4 for j in range(4)])
+    assert calls == [7]
+    pde_residual(phi, [ctx.real("0.01")] + ts[1:], [ctx.real("0.05")])
+    assert calls == [7, 7]
+
+
+@pytest.mark.parametrize("kind", ["float64", "Fraction", "mp40"])
+def test_jet_fields_of_f0_alone_take_the_grid_shape(kind):
+    """An expansion with f_0 alone (K = 0) gives every jet field the
+    shape of the grid, a t column against a sigma row, whatever the form
+    of its coefficients."""
+    number = {"float64": float, "Fraction": Fraction,
+              "mp40": MPContext(40).real}[kind]
+    f0 = poly_from([number(c) for c in (0, 0, 0, 1, -2, 3)])
+    ev = SigmaJetEvaluator(SigmaExpansion(n=2, terms=[f0]))
+    dtype = float if kind == "float64" else object
+    t = np.array([number(c) / 8 for c in (-1, 0, 2)], dtype=dtype)
+    sigma = np.array([number(1) / 16, number(1) / 4], dtype=dtype)
+    fields = vars(ev.jet(t[:, None], sigma[None, :]))
+    assert {name: np.shape(v) for name, v in fields.items()} == dict.fromkeys(
+        fields, (3, 2))

@@ -17,7 +17,7 @@ from slagext.arcs import graph_arc
 from slagext.engine import (ReducedChartMap, extend_arc, pde_lhs_value,
                             pde_residual)
 from slagext.precision import FLOAT64, context_named, polynomial_values
-from slagext.series import poly_derivative
+from slagext.series import SigmaExpansion, poly_derivative
 
 _CTX = context_named("mp30")
 _MP = _CTX.real(0).context
@@ -171,3 +171,53 @@ def test_numbers_enter_an_mp_chart_once(case):
         for idx in np.ndindex(T.shape):
             fields = [np.asarray(x, dtype=object)[idx] for x in got]
             assert _bits(fields) == _bits(_jet_by_mpf(T[idx], S[idx]))
+
+
+_T_POOL = (_CTX.real("0.03"), _CTX.real(-1) / 7, 0.0, 0.25,
+           context_named("mp20").real(1) / 3, _CTX.real("nan"), math.inf,
+           -math.inf)
+_SIGMA_POOL = (_CTX.real("0.05"), _CTX.real(1) / 30, 0.1, 0,
+               context_named("mp40").real(1) / 9)
+
+
+@st.composite
+def _t_stage_calls(draw):
+    """A sequence of jets (scalar, a t array against a scalar sigma, a t
+    column against a sigma row) and residual grids, each t grid one of two
+    drawn from a small pool (NaN and infinities included), so that grids
+    repeat while sigma varies."""
+    grids = draw(st.lists(st.lists(st.sampled_from(_T_POOL), min_size=1,
+                                   max_size=3), min_size=2, max_size=2))
+    return [(draw(st.sampled_from(["scalar", "flat", "column", "residual"])),
+             draw(st.sampled_from(grids)),
+             draw(st.lists(st.sampled_from(_SIGMA_POOL), min_size=1,
+                           max_size=2)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def _t_stage_outcome(exp, call) -> list:
+    """A call of ``_t_stage_calls`` on the expansion, as bits."""
+    kind, ts, sigmas = call
+    if kind == "residual":
+        report = pde_residual(exp, ts, sigmas)
+        return [repr(report.max_pde), report.samples]
+    t, s = {"scalar": (ts[0], sigmas[0]),
+            "flat": (np.array(ts, dtype=object), sigmas[0]),
+            "column": (np.array(ts, dtype=object)[:, None],
+                       np.array(sigmas, dtype=object)[None, :])}[kind]
+    return [_bits(v) for v in vars(exp.jet_evaluator.jet(t, s)).values()]
+
+
+@given(_t_stage_calls())
+# a tenth of the profile's examples, and at least the default 100: 2,000
+# in the deep CI run (tests/conftest.py)
+@settings(deadline=None,
+          max_examples=max(100, settings.default.max_examples // 10))
+def test_kept_t_stage_gives_a_fresh_evaluators_bits(calls):
+    """Jets and residual grids in turn on one mp30 chart's evaluator, which
+    keeps the t-stage of its last jet, equal those of a fresh evaluator
+    for every call, bit for bit."""
+    kept = SigmaExpansion(n=_CHART.n, terms=tuple(_TERMS))
+    for call in calls:
+        fresh = SigmaExpansion(n=_CHART.n, terms=tuple(_TERMS))
+        assert _t_stage_outcome(kept, call) == _t_stage_outcome(fresh, call)

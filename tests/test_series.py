@@ -319,6 +319,23 @@ def test_mp_kernel_is_the_exact_sum_rounded_once_at_any_tilt(case, tilts):
         assert tilt is None or a.exact[2] == b.exact[2] == tilt
 
 
+def test_mp_kernel_with_a_constant_factor():
+    """A factor whose coefficients past the first are zero (a constant or
+    zero) on either side: the exact dyadic oracle's bits, and both slots
+    keep the mantissas at the tilt the kernel picked."""
+    mp = _MP30.real(0).context
+    rng = random.Random(30)
+    ys = [from_man_exp(rng.randrange(-2 ** 99, 2 ** 99), -5 * j - 99)
+          for j in range(12)]
+    for c in (fzero, from_man_exp(3, -2), from_man_exp(-2 ** 99 + 1, 40)):
+        xs = [c] + [fzero] * 11
+        want = _dyadic_product(xs, ys, mp.prec)
+        for a, b in ((xs, ys), (ys, xs)):
+            slot_a, slot_b = RawSlot(list(a), mp), RawSlot(list(b), mp)
+            assert truncated_product(slot_a, slot_b).raw == want
+            assert slot_a.exact[2] == slot_b.exact[2] is not None
+
+
 def test_mp_kernel_on_a_slice_of_a_tilted_slot():
     """A slot keeps the mantissas a product tilted, and its slices share
     them: a slice from ``start`` holds c_(start+j) 2**(j s) == m 2**e' with
@@ -933,6 +950,26 @@ def test_mixed_forms_keep_their_arithmetic(case):
                            lambda *arrays: PythonScalars):
         want = _loop_outcomes(*case)
     assert got == want
+
+
+def test_antiderivative_of_a_slot_makes_no_mpf(monkeypatch):
+    """``poly_antiderivative`` of a slot builds its slot from raw tuples,
+    c_0 * 0 and then the quotients c_j / (j + 1), as mpf arithmetic gives
+    them, bit for bit (an infinite c_0 gives a NaN constant), and never
+    calls ``RawSlot.tolist``, which makes mpf."""
+    ctx = MPContext(40)
+    calls = []
+    tolist = RawSlot.tolist
+    for cs in ([1, -2, 3, 5, 0], [math.inf, 1, -2]):
+        xs = [ctx.real(c) / 7 for c in cs]
+        want = [(x * 0 if j < 0 else x / (j + 1))._mpf_
+                for j, x in [(-1, xs[0])] + list(enumerate(xs))]
+        poly = TaylorPoly(coefficient_array(xs))
+        monkeypatch.setattr(RawSlot, "tolist",
+                            lambda self: calls.append(1) or tolist(self))
+        got = poly_antiderivative(poly).array
+        monkeypatch.undo()
+        assert (type(got), got.raw, calls) == (RawSlot, want, [])
 
 
 def test_slot_loops_and_jets_make_no_mpf(monkeypatch):
