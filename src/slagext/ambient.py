@@ -40,18 +40,18 @@ class AmbientPoint:
 def phi_map(w: complex, zeta: complex, u) -> AmbientPoint:
     """(w, zeta, u) -> (w, zeta u_1, ..., zeta u_n); 2-to-1 under
     (zeta, u) -> (-zeta, -u). w and zeta may be arrays of one shape, and u
-    one unit vector or an (m, n) stack of them, which appends an axis of
-    length m to the coordinates. Each element of the result equals the
-    scalar map at its (w, zeta, u) bit for bit."""
-    uu = np.array(u, dtype=float)
+    one unit vector or an (..., m, n) stack, broadcast against w, which
+    appends an axis of length m to the coordinates. Each element of the
+    result equals the scalar map at its (w, zeta, u) bit for bit."""
+    uu = np.asarray(u, dtype=float)
     if not np.all(np.abs(np.sqrt(np.sum(uu * uu, axis=-1)) - 1.0) <= 1e-12):
         raise ValueError("u must be a unit vector (|u| within 1e-12 of 1)")
-    if uu.ndim == 2:
-        zeta = np.asarray(zeta)[..., None]
-        w = np.broadcast_to(np.asarray(w)[..., None], zeta.shape[:-1]
-                            + (len(uu),))
+    if uu.ndim >= 2:
+        zeta, xs = np.asarray(zeta)[..., None], np.moveaxis(uu, -1, 0)
+        w = np.broadcast_to(np.asarray(w)[..., None],
+                            np.broadcast_shapes(zeta.shape, xs.shape[1:]))
         return AmbientPoint((w,) + tuple(complex_product(zeta, x)
-                                         for x in uu.T))
+                                         for x in xs))
     if not isinstance(zeta, np.ndarray):
         w, zeta = complex(w), complex(zeta)
     return AmbientPoint((w,) + tuple(complex_product(zeta, x)
@@ -61,8 +61,8 @@ def phi_map(w: complex, zeta: complex, u) -> AmbientPoint:
 def chart_point(chart: Chart, t: float, sigma: float, u) -> AmbientPoint:
     """Ambient point of the chart surface at (t, sigma, u): graph lift,
     branch twist, then the inverse of the normalizing motion. t and sigma
-    may be float64 arrays of one shape, and u an (m, n) stack of unit
-    vectors (see ``phi_map``); all the points come from one jet
+    may be float64 arrays that broadcast against each other, and u a stack
+    of unit vectors (see ``phi_map``); all the points come from one jet
     evaluation."""
     w, zeta = chart.reduced_map.point(t, sigma)
     return phi_map(w, zeta, u)

@@ -100,7 +100,13 @@ def local_series(arc: ArcSpec, s0, cap: int) -> tuple:
 def _shift_to_cap(p: TaylorPoly, s0, cap: int) -> TaylorPoly:
     if p.cap < cap:
         p = poly_pad(p, cap)  # arc data is an exact polynomial
-    p = poly_shift(p, s0)
+    # the shift leaves the top coefficients as they are while each c + d*s0
+    # is c, bit for bit (d the next one up): it runs below them only
+    cs, top = p.coeffs, p.cap
+    while top and type(c := cs[top - 1]) is type(w := c + cs[top] * s0) and (
+            w == c and math.copysign(1, w) == math.copysign(1, c)):
+        top -= 1
+    p = TaylorPoly(poly_shift(poly_truncate(p, top), s0).coeffs + cs[top + 1:])
     return p if p.cap == cap else poly_truncate(p, cap)
 
 

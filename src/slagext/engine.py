@@ -57,9 +57,9 @@ from .errors import (
 from .precision import (
     FLOAT64,
     Context,
+    PythonScalars,
     abs_squared,
     coefficient_array,
-    complex_power,
     complex_product,
     finite_coefficients,
     log_weighted_norm,
@@ -414,24 +414,30 @@ class ResidualReport:
 
 def pde_lhs_value(exp: SigmaExpansion, t, sigma):
     """Pointwise singular PDE left side
-    Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)]."""
-    sigma = exp.jet_evaluator.enter(sigma)
-    jet = exp.jet_evaluator.jet(t, sigma)
-    return _pde_lhs(exp.n, sigma, jet.phi_sigma, jet.phi_tt,
-                    jet.phi_sigmasigma, jet.phi_sigmat)
+    Im[(sigma + i phi_sigma)^(n-1)((1+i phi_tt)(1+i phi_ss) + phi_st^2)];
+    on an mp chart, taken as in ``pde_residual``, an mpf or array of them."""
+    ev = exp.jet_evaluator
+    sigma = ev.enter(sigma)
+    if ev.kernel is PythonScalars:
+        jet = ev.jet(t, sigma)
+        return _pde_lhs(exp.n, sigma, jet.phi_sigma, jet.phi_tt,
+                        jet.phi_sigmasigma, jet.phi_sigmat)
+    shape, points = ev.jet(np.asarray(t), sigma, _lhs=True)
+    return np.array([ev.kernel.mp.make_mpf(_pde_lhs(exp.n, *p, ev.kernel))
+                     for p in points], dtype=object).reshape(shape)[()]
 
 
-def _pde_lhs(n, sigma, phi_sigma, phi_tt, phi_ss, phi_st):
-    """The PDE left side from the jet, on scalars or, element by element
-    and bit for bit, on float64 arrays."""
+def _pde_lhs(n, sigma, phi_sigma, phi_tt, phi_ss, phi_st, k=PythonScalars):
+    """The PDE left side from the jet by the complex operations of the
+    scalar kernel k: on scalars or, element by element and bit for bit, on
+    float64 arrays, and on an mp kernel's raw tuples as on mpc."""
     # i * x is exact for float and mpf alike; complex() would round
     # mpf scalars through float
-    a = sigma + complex_product(1j, phi_sigma)
-    b = 1 + complex_product(1j, phi_tt)
-    c = 1 + complex_product(1j, phi_ss)
-    val = complex_product(complex_power(a, n - 1),
-                          complex_product(b, c) + phi_st * phi_st)
-    return val.imag
+    a = k.add_re(k.mul_re(k.i, phi_sigma), sigma)
+    b = k.add_re(k.mul_re(k.i, phi_tt), k.one)
+    c = k.add_re(k.mul_re(k.i, phi_ss), k.one)
+    return k.imag(k.cmul(k.cpow(a, n - 1), k.add_re(k.cmul(b, c),
+                                                    k.mul(phi_st, phi_st))))
 
 
 def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
@@ -440,22 +446,27 @@ def pde_residual(exp: SigmaExpansion, t_values, sigma_values) -> ResidualReport:
 
     One jet call evaluates the grid, a t column against a sigma row, so
     each f_k is evaluated once per t. float64 jets give the left side in
-    one array expression, equal to ``pde_lhs_value`` at every point. mp
-    jets come back as object arrays, whose complex left side is taken
-    point by point (``_lanewise``): numpy's ``.imag`` of an object array
-    of mpc reads 0. sigma enters the jets' context first, as the left side
-    reads it too.
+    one array expression, equal to ``pde_lhs_value`` at every point, and
+    object jets (of Fraction) point by point (``_lanewise``). mp jets run
+    the four chains the left side reads, which is taken on their raw tuples
+    (no mpf or mpc made). sigma enters the jets' context first, as the left
+    side reads it too.
     """
+    ev = exp.jet_evaluator
     T = np.asarray(t_values)[:, None]
-    S = exp.jet_evaluator.enter(np.asarray(sigma_values))[None, :]
+    S = ev.enter(np.asarray(sigma_values))[None, :]
     # IEEE semantics, as on Python floats: an infinite or NaN jet gives an
     # infinite or NaN residual, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = exp.jet_evaluator.jet(T, S)
-        # the jet's lanes first: they, not S, tell an mp chart's objects
-        lhs = _lanewise(lambda *p: _pde_lhs(exp.n, p[4], *p[:4]), 1,
-                        jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,
-                        jet.phi_sigmat, S)
+        if ev.kernel is PythonScalars:
+            jet = ev.jet(T, S)
+            # the jet's lanes first: they, not S, tell a chart's objects
+            lhs = _lanewise(lambda *p: _pde_lhs(exp.n, p[4], *p[:4]), 1,
+                            jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma,
+                            jet.phi_sigmat, S)
+        else:
+            lhs = [ev.kernel.to_float(_pde_lhs(exp.n, *p, ev.kernel))
+                   for p in ev.jet(T, S, _lhs=True)[1]]
         vals = np.abs(np.asarray(lhs, dtype=float))
     grid = (
         f"t[{float(min(t_values)):.4g},{float(max(t_values)):.4g}]x"

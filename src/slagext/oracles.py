@@ -122,9 +122,8 @@ def unit_circle_residual(n: int, chart: Chart, sigma_max: float,
 
     zeta is recovered from the ambient point through the sphere direction
     used to produce it, so the test exercises the full chart_point path:
-    one array call lifts every sample to all 8 directions, and each sample
-    keeps its own. A non-finite residual makes the result non-finite, so
-    it fails.
+    one array call lifts each sample in its own one of 8 directions. A
+    non-finite residual makes the result non-finite, so it fails.
     """
     if chart.n != n:
         raise ValueError("chart was built for a different n")
@@ -136,22 +135,22 @@ def unit_circle_residual(n: int, chart: Chart, sigma_max: float,
     dirs = np.array(sphere_points(n, 8))
     nt = max(2, int(math.sqrt(samples / 2)))
     ns = max(2, (samples + nt - 1) // nt)
-    T, S = np.meshgrid(
-        [-t_halfwidth + 2 * t_halfwidth * i / (nt - 1) for i in range(nt)],
-        [-sigma_max + 2 * sigma_max * j / (ns - 1) for j in range(ns)],
-        indexing="ij")
-    # sample (i, j) uses direction (i * ns + j) mod 8
-    idx = np.arange(T.size)
-    which = idx % len(dirs)
-    p = chart_point(chart, T.ravel(), S.ravel(), dirs)
-    z0, *zs = (c[idx, which] for c in p.z)
+    t = np.array([-t_halfwidth + 2 * t_halfwidth * i / (nt - 1)
+                  for i in range(nt)])
+    s = np.array([-sigma_max + 2 * sigma_max * j / (ns - 1)
+                  for j in range(ns)])
+    # sample (i, j), at (t_i, s_j), uses direction (i * ns + j) mod 8; the
+    # jet takes the t column against the s row, each f_k once per t
+    which = np.arange(nt * ns) % len(dirs)
+    p = chart_point(chart, t[:, None], s, dirs[which].reshape(nt, ns, 1, n))
+    z0, *zs = (c.reshape(-1) for c in p.z)
     # the first largest component of each direction, as max() picks it
     kmax = np.argmax(np.abs(dirs), axis=1)[which]
-    zeta = np.stack(zs)[kmax, idx] / dirs[which, kmax]
+    zeta = np.select([kmax == k for k in range(n)], zs) / dirs[which, kmax]
     f1 = sum(np.abs(zk) ** 2 for zk in zs) - n * (np.abs(z0) ** 2 - 1.0)
     f2 = (z0 * zeta ** n).real
     return _result(f"unit-circle locus n={n}",
-                   np.max(np.abs([f1, f2])), T.size, tolerance)
+                   np.max(np.abs([f1, f2])), nt * ns, tolerance)
 
 
 # ---------------------------------------------------------------------------

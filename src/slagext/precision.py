@@ -40,15 +40,17 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from itertools import count, repeat
-from operator import attrgetter, mul, neg, truediv
+from operator import add, attrgetter, itemgetter, mul, neg, truediv
 from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
+from mpmath.libmp import (from_float, from_int, fone, fzero, mpc_add_mpf,
+                          mpc_mul, mpc_mul_mpf, mpc_pow_int, mpf_abs, mpf_add,
                           mpf_div, mpf_mul, mpf_neg, mpf_pos, normalize,
-                          round_nearest)
+                          round_nearest, to_float)
 
 try:
     from numpy._core.multiarray import correlate
@@ -68,7 +70,8 @@ class FloatContext:
     def real(self, x: Union[int, float, str]) -> float:
         return float(x)
 
-    enter = real  # a number enters a float64 computation rounded to float
+    def enter(self, x):  # a number enters float64 rounded, arrays too
+        return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
 
     def make_complex(self, re, im) -> complex:
         """``complex(re, im)``; elementwise over numpy float64 arrays."""
@@ -477,10 +480,14 @@ class PythonScalars:
     """The loops' kernel (the class itself) for all but slots: ``lift``
     gives Python scalars, which ``enter`` keeps; ``dot`` is acc + x0 y0 +
     x1 y1 + ..., left to right; ``run`` sets cs[j] = cs[j] + cs[j - 1] x
-    for j = 1..stop in turn, in place, and returns the last. It has no
-    context ``mp``."""
+    for j = 1..stop in turn, in place, and returns the last; the complex
+    operations are ``+`` and, also on float64 arrays, ``complex_product``
+    and ``complex_power``. It has no context ``mp``."""
 
     drop, mul, div, neg, zero, mp = tuple, mul, truediv, neg, 0, None
+    add_re, mul_re, cmul, cpow, imag, i, one = (
+        add, complex_product, complex_product, complex_power,
+        attrgetter("imag"), 1j, 1)
 
     def lift(xs) -> list:
         return xs.tolist() if hasattr(xs, "tolist") else list(xs)
@@ -502,9 +509,17 @@ class PythonScalars:
 
 class _MpfScalars:
     """Raw tuples of ``mp``: mpf's libmpf calls at its prec when called,
-    ``fused_muladd``. ``lift`` gives None past its slots, and numbers as
-    mpf arithmetic takes them (floats, ints and mpf of any context exactly);
-    ``enter`` gives numbers as they enter a computation in ``mp``."""
+    ``fused_muladd``, and on pairs of them the mpc operators' libmpc calls.
+    ``lift`` gives None past its slots, and numbers as mpf arithmetic takes
+    them (floats, ints and mpf of any context exactly); ``enter`` gives
+    numbers as they enter a computation in ``mp``."""
+
+    imag, i, one = itemgetter(1), (fzero, fone), fone
+    to_float = partial(to_float, rnd=round_nearest)  # as float() of an mpf
+    # z + x and z * x for a real x, z * w and z ** k, at the prec
+    add_re, mul_re, cmul, cpow = (
+        lambda self, z, w, f=f: f(z, w, self.mp.prec, round_nearest)
+        for f in (mpc_add_mpf, mpc_mul_mpf, mpc_mul, mpc_pow_int))
 
     def __init__(self, mp):
         self.mp, self.zero, self.raw = mp, fzero, {

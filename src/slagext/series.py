@@ -46,7 +46,7 @@ from .errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from .precision import (PythonScalars, coefficient_array, horner,
+from .precision import (FLOAT64, PythonScalars, coefficient_array, horner,
                         polynomial_values, scalar_kernel, truncated_product)
 
 
@@ -495,14 +495,16 @@ class SigmaJetEvaluator:
         self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
                           np.dtype(float): np.array(divisors, dtype=float)}
         # raw mpf: per accumulator, (row, divisor) from k = K to 1 or 0
-        k = self._kernel = scalar_kernel(*polys)
+        k = self.kernel = scalar_kernel(*polys)
         self._chains = k is not PythonScalars and [
             [(self._rows[j, i], k.lift([divisors[j][i]])[0])
              for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
-        self.enter = k.enter  # how a number enters the jets' context
+        # how a number enters the jets' context (float64's: rounded)
+        self.enter = (FLOAT64.enter if all(p.dtype == float for p in polys)
+                      else k.enter)
         self._t_stage = None, None  # (raw t and prec, terms) of _raw_jet
 
-    def jet(self, t, sigma) -> PhiJet:
+    def jet(self, t, sigma, _lhs: bool = False) -> PhiJet:
         """phi and its partials at (t, sigma); exact at sigma = 0.
 
         t and sigma are scalars or numpy arrays that broadcast against each
@@ -516,7 +518,8 @@ class SigmaJetEvaluator:
         the Python scalars of an object array; mpf of one context take the
         same steps on raw tuples (``_raw_jet``), bit for bit, on t and sigma
         entered into their context. Scalar t and sigma take the same path,
-        and give Python scalars back.
+        and give Python scalars back. t and sigma enter the jets' context
+        first (``enter``); ``_lhs``, internal, is ``_raw_jet``'s ``lhs``.
 
         The odd-looking (2k-1)! bookkeeping: d/dsigma sigma^(2k)/(2k)! =
         sigma^(2k-1)/(2k-1)!, so phi_sigma/sigma and phi_sigmat pick up the
@@ -528,9 +531,10 @@ class SigmaJetEvaluator:
             with np.errstate(over="ignore", invalid="ignore"):
                 jet = self.jet(np.asarray(t), sigma)
             return PhiJet(*(np.asarray(v).item() for v in vars(jet).values()))
-        t = np.asarray(t)
+        t, sigma = np.asarray(self.enter(t)), self.enter(sigma)
         if self._chains:
-            return PhiJet(*self._raw_jet(t, sigma))
+            return (self._raw_jet(t, sigma, True) if _lhs
+                    else PhiJet(*self._raw_jet(t, sigma)))
         vals = self._values(t)
         divisors = self._divisors[vals.dtype]
         # t's axes, behind the leading ones that sigma may add
@@ -549,12 +553,13 @@ class SigmaJetEvaluator:
                       phi_tt=phi_tt, phi_sigmat=phi_st * sigma,
                       phi_sigmasigma=phi_ss, phi_sigma_over_sigma=q)
 
-    def _raw_jet(self, t: np.ndarray, sigma) -> list:
+    def _raw_jet(self, t: np.ndarray, sigma, lhs: bool = False) -> list:
         """``jet``'s fields on the raw kernel, each of the broadcast grid's
-        shape (scalars on a 0-d grid). t and sigma enter the context first,
-        sigma before it is squared: a float or an int squares in its type."""
-        k = self._kernel
-        t, sigma = np.asarray(k.enter(t)), k.enter(sigma)
+        shape (scalars on a 0-d grid); a float or an int sigma squares in
+        its type. With ``lhs``, only the chains of phi_tt, q, phi_ss and
+        phi_st run, and it gives the grid's shape and, per point, the raw
+        (sigma, phi_sigma, phi_tt, phi_ss, phi_st) of the PDE's left side."""
+        k = self.kernel
         ts, sig, sq, zero = (k.lift(np.ravel(x).tolist())
                              for x in (t, sigma, sigma * sigma, 0))
         zeros = [k.mul(x, zero[0]) for x in ts]  # t*0: NaN at NaN or inf
@@ -570,10 +575,14 @@ class SigmaJetEvaluator:
                             np.arange(len(sig)).reshape(np.shape(sigma)))
         fields = []
         for p, s in grid:
-            phi, phi_t, phi_tt, q, phi_ss, phi_st = (
-                k.run([zeros[p], *cs], len(cs), sq[s]) for cs in terms[p])
-            fields.append((phi, phi_t, k.mul(q, sig[s]), phi_tt,
-                           k.mul(phi_st, sig[s]), phi_ss, q))
+            *phi, phi_tt, q, phi_ss, phi_st = (
+                k.run([zeros[p], *cs], len(cs), sq[s])
+                for cs in terms[p][2 if lhs else 0:])
+            phi_s, phi_st = k.mul(q, sig[s]), k.mul(phi_st, sig[s])
+            fields.append((sig[s], phi_s, phi_tt, phi_ss, phi_st) if lhs
+                          else (*phi, phi_s, phi_tt, phi_st, phi_ss, q))
+        if lhs:
+            return grid.shape, fields
         return [np.fromiter(map(k.mp.make_mpf, x), dtype=object,
                             count=grid.size).reshape(grid.shape)[()]
                 for x in list(zip(*fields)) or [()] * 7]

@@ -3,8 +3,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import sys
 from fractions import Fraction
+
+# float64 products go through numpy's correlate, which calls OpenBLAS's
+# ddot, whose summation order is that of the kernel OpenBLAS picks for the
+# CPU when it loads. The frozen float64 digests are those of the Haswell
+# kernel, which every x86-64 CPU with AVX2 runs; the variable is read only
+# when numpy loads OpenBLAS, so it is set before numpy is imported.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could "
+                       "pin OPENBLAS_CORETYPE; the frozen float64 digests "
+                       "would depend on the CPU's OpenBLAS kernel")
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 from hypothesis import settings
 
@@ -13,11 +26,12 @@ from slagext.engine import extend_arc
 from slagext.series import SigmaExpansion, TaylorPoly, poly_from
 
 # the deep run of the fused multiply-add property, of the precision
-# entry rule and of the jet's kept t-stage, in their own CI step: pytest
-# tests/test_series.py tests/test_precision.py -k "fused_muladd or
-# enter_an_mp_chart or kept_t_stage" --hypothesis-profile=deep. The
-# entry-rule and t-stage properties take a tenth of the profile's
-# examples, as each of their examples builds mp jets or charts.
+# entry rule, of the jet's kept t-stage and of the mp residual sweep, in
+# their own CI step: pytest tests/test_series.py tests/test_precision.py
+# -k "fused_muladd or enter_an_mp_chart or kept_t_stage or
+# mp_residual_sweep" --hypothesis-profile=deep. All but the first take a
+# tenth of the profile's examples, as each of their examples builds mp
+# jets or charts.
 settings.register_profile("deep", max_examples=20000)
 
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
+from slagext import precision
 from slagext.arcs import (
     ArcSpec,
+    _shift_to_cap,
     arc_tangent,
     existence_gate,
     graph_arc,
@@ -20,7 +23,8 @@ from slagext.arcs import (
 )
 from slagext.errors import NormalizationError, ResolutionError
 from slagext.precision import FLOAT64, MPContext
-from slagext.series import poly_eval, poly_from
+from slagext.series import (TaylorPoly, poly_eval, poly_from, poly_pad,
+                            poly_shift, poly_truncate)
 
 
 PARABOLA_DOC = {"kind": "graph", "g_coeffs": ["0", "0", "0.5"], "degree_cap": 24}
@@ -228,3 +232,52 @@ def test_normalize_in_mp_context():
     chi = 2 * na.frame.theta
     z0 = mpmath.mpc(mpmath.cos(ctx.real("0.25")), mpmath.sin(ctx.real("0.25")))
     assert abs(ctx.exp_i(chi) * z0 + na.frame.a) < mpmath.mpf(10) ** -35
+
+
+def _shift_of_every_coefficient(p, s0, cap: int) -> TaylorPoly:
+    """p padded to the cap, Taylor-shifted by s0 in full, truncated."""
+    p = poly_shift(poly_pad(p, max(cap, p.cap)), s0)
+    return p if p.cap == cap else poly_truncate(p, cap)
+
+
+def _bits(p: TaylorPoly) -> list:
+    return [(type(c), getattr(c, "_mpf_", None) or repr(c))
+            for c in p.coeffs]
+
+
+def test_shift_to_cap_equals_the_shift_of_every_coefficient():
+    """Arc data shifted below the top coefficients the shift leaves as they
+    are gives the full shift's coefficients, type and bits, zero signs
+    included: -0.0 tops, negative padding zeros, NaN, and s0 of other types
+    than the data (which the full shift's zeros take on) or not finite."""
+    mp = MPContext(40)
+    kinds = (float, mp.real,
+             lambda c: Fraction(c) if math.isfinite(c) else c,
+             lambda c: int(c) if math.isfinite(c) and c == int(c) else c)
+    polys = ([0.0, 1.0], [0.0, 0.0, 0.5, 0.1], [1.0, 2.0, -0.0], [-1.0, 2.0],
+             [0.0, 1.0, -0.0, 0.0], [0.25, -0.5, 0.125, -0.0, 0.0],
+             [1.0, math.nan, 0.0], [-0.0])
+    shifts = (0.3, -0.7, -0.0, 3, math.inf, -math.inf, math.nan,
+              Fraction(1, 3), mp.real(1) / 3)
+    for number in kinds:
+        for cs in polys:
+            p = TaylorPoly(tuple(map(number, cs)))
+            for s0 in shifts:
+                for cap in sorted({0, len(cs) - 1, len(cs) + 3}):
+                    assert _bits(_shift_to_cap(p, s0, cap)) == _bits(
+                        _shift_of_every_coefficient(p, s0, cap))
+
+
+def test_local_series_shifts_graph_data_below_its_zeros(monkeypatch):
+    """An mp40 graph arc padded to degree_cap 48: the shifts of x = (0, 1)
+    and of the quartic g run below their top nonzero coefficients, 1 + 10
+    fused multiply-adds instead of 2 x 1,176 on the padded data."""
+    ctx = MPContext(40)
+    arc = load_arc({"kind": "graph", "degree_cap": 48, "g_coeffs": [
+        "0", "0", "0.503", "0.0071", "-0.0042"]}, ctx)
+    calls = []
+    fused = precision.fused_muladd
+    monkeypatch.setattr(precision, "fused_muladd",
+                        lambda *a: calls.append(1) or fused(*a))
+    X, Y = local_series(arc, ctx.real("0.0371"), 48)
+    assert len(calls) == 11 and X.cap == Y.cap == 48

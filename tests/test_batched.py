@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -503,6 +504,25 @@ def test_unit_circle_locus_is_frozen(n, s0, samples, want):
     assert repr(r.max_residual) == want
 
 
+def test_unit_circle_locus_lifts_each_sample_in_its_direction_only():
+    """At n = 6 and 20,000 samples, on the chart ``slagext oracle circle``
+    builds at its defaults, the circle oracle's tracemalloc peak is at most
+    5 MB: each sample is lifted in its own direction only, on a t column
+    against a sigma row (a lift of every sample to all 8 directions peaks
+    at 21 MB)."""
+    chart = extend_arc(unit_circle_arc(), 0.0, n=6, K=3, D=22,
+                       with_radius=False)
+    unit_circle_residual(6, chart, 0.05, samples=100)  # builds the map
+    tracemalloc.start()
+    try:
+        r = unit_circle_residual(6, chart, 0.05, samples=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed and r.samples == 20000
+    assert peak <= 5e6
+
+
 def test_unit_circle_locus_lifts_every_sample_at_once(monkeypatch):
     """One chart_point call for all samples and directions: two jets in
     all, the other one for the unit-circle base check."""
@@ -570,7 +590,7 @@ def test_mp_jet_on_elementwise_lanes_is_frozen():
     (w, z), jac = cmap.point_and_jacobian(T, S)
     text = "\n".join(repr(a.tolist()) for a in (w, z) + jac)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e6bc1b5a41cabe9383c4b7d81f4e74088c035dc4711e78a284fd0bd739207f9d")
+        "a44dec2303621e0cbf2cdfd7b5c91c26840e0b39cfc9ecf8c5a2bfe78428055b")
 
 
 def _mp40_jet_cases() -> list:
@@ -691,6 +711,51 @@ def test_kept_t_stage_is_kept_per_precision():
     with mpmath.workdps(40):
         assert bits(exp.jet_evaluator) == bits(SigmaJetEvaluator(exp))
         assert bits(exp.jet_evaluator) != first
+
+
+def _mp_residual_cases() -> list:
+    """(expansion, t values, sigma values) of mp residual grids at mp30 and
+    mp40, n = 2, 3 and 4: t grids with -0.0, NaN, +inf and -inf, each
+    against sigma as floats, as ints and as mpf of another context."""
+    cases = []
+    for dps, other in ((30, 40), (40, 30)):
+        ctx, oc = MPContext(dps), MPContext(other)
+        arc = graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx)
+        ts = [ctx.real(j) / 23 for j in range(-3, 4)]
+        for n in (2, 3, 4):
+            phi = extend_arc(arc, ctx.real("0.03"), n=n, K=4, D=16, ctx=ctx,
+                             with_radius=False).phi
+            for t in (ts, ts[:2] + [-0.0], ts[:2] + [ctx.real("nan")],
+                      [math.inf] + ts[:2], ts[:2] + [-math.inf]):
+                for sigma in ([0.05, 0.1, -0.025], [0, 2],
+                              [oc.real(1) / 30, oc.real(-1) / 7]):
+                    cases.append((phi, t, sigma))
+    return cases
+
+
+def test_mp_residuals_and_left_sides_are_frozen():
+    """``pde_residual`` of mp charts on every grid of ``_mp_residual_cases``,
+    and ``pde_lhs_value`` at each of its points, bit for bit: the report,
+    and each left side's type, precision and raw tuple."""
+    lines = []
+    for phi, t, sigma in _mp_residual_cases():
+        lines.append(repr(pde_residual(phi, t, sigma)))
+        for x in (pde_lhs_value(phi, a, b) for a in t for b in sigma):
+            lines.append(f"{type(x).__name__}{x.context.prec}{x._mpf_}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7f0eac7d3d4e134798fee93a93f43bbdd9b12b66c82195b845c1020004435145")
+
+
+def test_mp_left_side_on_arrays_is_the_left_side_at_each_point():
+    """``pde_lhs_value`` of an mp chart on a t column against a sigma row
+    gives an object array of each point's scalar left side, bit for bit,
+    not the 0 that numpy's ``.imag`` reads on an object array of mpc."""
+    phi, t, sigma = _mp_residual_cases()[0]
+    got = pde_lhs_value(phi, np.array(t, dtype=object)[:, None],
+                        np.array(sigma)[None, :])
+    assert got.shape == (len(t), len(sigma)) and got.dtype == object
+    assert [x._mpf_ for x in got.ravel()] == [
+        pde_lhs_value(phi, a, b)._mpf_ for a in t for b in sigma]
 
 
 def test_mp_residuals_at_one_t_grid_evaluate_the_f_k_once():

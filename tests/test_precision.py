@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slagext.arcs import graph_arc
-from slagext.engine import (ReducedChartMap, extend_arc, pde_lhs_value,
-                            pde_residual)
+from slagext.engine import (ReducedChartMap, _pde_lhs, extend_arc,
+                            pde_lhs_value, pde_residual)
 from slagext.precision import FLOAT64, context_named, polynomial_values
 from slagext.series import SigmaExpansion, poly_derivative
 
@@ -221,3 +221,79 @@ def test_kept_t_stage_gives_a_fresh_evaluators_bits(calls):
     for call in calls:
         fresh = SigmaExpansion(n=_CHART.n, terms=tuple(_TERMS))
         assert _t_stage_outcome(kept, call) == _t_stage_outcome(fresh, call)
+
+
+_FLOAT_CHART = extend_arc(graph_arc(["0", "0", "0.5", "0.01", "-0.01"]),
+                          0.03, n=3, K=3, D=12, with_radius=False)
+
+
+def _as_float(x):
+    """x with every number rounded to float, arrays to float64."""
+    return x.astype(float) if isinstance(x, np.ndarray) else float(x)
+
+
+def _float_outcome(entry, t, sigma) -> list:
+    """What the entry point returns on the float64 chart, as a list."""
+    phi = _FLOAT_CHART.phi
+    if entry == "jet":
+        return list(vars(phi.jet_evaluator.jet(t, sigma)).values())
+    if entry == "pde_residual":  # and the left side at the first point
+        return [pde_residual(phi, list(t), list(sigma)).max_pde,
+                pde_lhs_value(phi, t.tolist()[0], sigma.tolist()[0])]
+    return list(_FLOAT_CHART.reduced_map.point(t, sigma))
+
+
+@given(_entry_case().filter(lambda case: case[0] != "extend_arc"))
+@settings(deadline=None,
+          max_examples=max(100, settings.default.max_examples // 10))
+def test_numbers_enter_a_float64_chart_as_float(case):
+    """At the jet, the residual grid (and the PDE left side at a point) and
+    the chart map of a float64 chart, float64, int, mp20, mp30, mp40 or
+    mp50 numbers (scalars or arrays) give the result of the same call on
+    inputs rounded to float first, bit for bit, and no mpf: a float64
+    computation stays float64 whatever precision its inputs carry."""
+    entry, t, sigma = case
+    got = _float_outcome(entry, t, sigma)
+    want = _float_outcome(entry, _as_float(t), _as_float(sigma))
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    assert not any(hasattr(x, "context") for v in got
+                   for x in np.ravel(np.asarray(v, dtype=object)).tolist())
+
+
+_SWEEP_CHARTS = [
+    extend_arc(graph_arc(["0", "0", "0.5", "0.01", "-0.01"], ctx),
+               ctx.real("0.03"), n=n, K=3, D=12, ctx=ctx,
+               with_radius=False).phi
+    for ctx in (_CTX, context_named("mp40")) for n in (2, 3, 4)]
+
+
+def _lhs_by_mpc(exp, T, S) -> np.ndarray:
+    """The PDE left side of an mp chart on the grid T x S point by point,
+    on the mpf of its jet and on mpc, by the Python operators."""
+    S = exp.jet_evaluator.enter(S)
+    jet = exp.jet_evaluator.jet(T, S)
+    return np.frompyfunc(lambda *p: _pde_lhs(exp.n, p[4], *p[:4]), 5, 1)(
+        jet.phi_sigma, jet.phi_tt, jet.phi_sigmasigma, jet.phi_sigmat, S)
+
+
+@given(st.sampled_from(_SWEEP_CHARTS),
+       st.lists(st.sampled_from(_T_POOL) | _numbers("mp30")
+                | _numbers("float64"), min_size=1, max_size=3),
+       st.lists(st.sampled_from(_SIGMA_POOL) | st.sampled_from(_KINDS).flatmap(
+           _numbers), min_size=1, max_size=3))
+# a tenth of the profile's examples, and at least the default 100: 2,000
+# in the deep CI run (tests/conftest.py)
+@settings(deadline=None,
+          max_examples=max(100, settings.default.max_examples // 10))
+def test_mp_residual_sweep_equals_the_generic_object_path(exp, ts, sigmas):
+    """An mp chart's residual grid, and its left side on the grid's arrays,
+    taken on raw tuples from four jet chains, equal the left side taken
+    point by point on mpf and mpc objects of the full jet, bit for bit: at
+    mp30 and mp40, n = 2, 3 and 4, t with NaN and infinities, sigma of
+    every kind."""
+    T = np.asarray(ts, dtype=object)[:, None]
+    S = np.asarray(sigmas)[None, :]
+    want = _lhs_by_mpc(exp, T, S)
+    assert _bits(pde_lhs_value(exp, T, S)) == _bits(want)
+    assert repr(pde_residual(exp, ts, sigmas).max_pde) == repr(
+        float(np.max(np.abs(np.asarray(want, dtype=float)))))

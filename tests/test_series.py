@@ -851,7 +851,7 @@ def _loop_digest(polys) -> str:
     ("mp40",
      "7e9c496153be958533160be47bdcc660c6d4f011fce76f44552aa94df78c1c23"),
     ("float",
-     "59acf62aa4534134755f4538e9544a544d8283965b864674fd833aff42bd848a"),
+     "e629ac235d233bfdf208ea452036e2d6be060966bf7dedf77a9bd87ff8bd8c37"),
     ("Fraction",
      "982ab87b7f28772bb201840d1cc403e62ba454e1a37dbdc4341ebb0e2b88ff3c"),
 ])
