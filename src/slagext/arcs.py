@@ -98,13 +98,13 @@ def local_series(arc: ArcSpec, s0, cap: int) -> tuple:
 
 
 def _shift_to_cap(p: TaylorPoly, s0, cap: int) -> TaylorPoly:
-    if p.cap < cap:
-        p = poly_pad(p, cap)  # arc data is an exact polynomial
-    # the shift leaves the top coefficients as they are while each c + d*s0
-    # is c, bit for bit (d the next one up): it runs below them only
+    p = poly_pad(p, max(cap, p.cap))  # arc data is an exact polynomial
+    # the shift leaves each c below a 0 as it is where c + 0*s0 is c, bit
+    # for bit and of c's type: it runs below the lowest such c only
     cs, top = p.coeffs, p.cap
-    while top and type(c := cs[top - 1]) is type(w := c + cs[top] * s0) and (
-            w == c and math.copysign(1, w) == math.copysign(1, c)):
+    while top and cs[top] == 0 and type(c := cs[top - 1]) is type(
+            w := c + cs[top] * s0) and w == c and (
+            math.copysign(1, w) == math.copysign(1, c)):
         top -= 1
     p = TaylorPoly(poly_shift(poly_truncate(p, top), s0).coeffs + cs[top + 1:])
     return p if p.cap == cap else poly_truncate(p, cap)
