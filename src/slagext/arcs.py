@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +46,10 @@ class ArcSpec:
     period: Optional[object] = None
     domain: tuple = (-1.0, 1.0)
     resample: Optional[ResampleHook] = field(default=None, compare=False)
+    # extend_arc's last chart per exact input, weakly; never copied or shared
+    _charts: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False,
+        compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "graph":

@@ -178,7 +178,7 @@ def cmd_oracle(args) -> int:
         ctx = from_env()
         arc = _load_arc_arg(args.arc, ctx)
         res = oracles.branch_separation(arc, args.n, K=args.K,
-                                        tolerance=args.tolerance)
+                                        tolerance=args.tolerance, ctx=ctx)
         config = {"n": args.n, "K": args.K, "arc": args.arc}
     else:
         raise ValueError(f"unknown oracle {which!r}")
@@ -188,6 +188,8 @@ def cmd_oracle(args) -> int:
         "oracle": _oracle_payload(res),
         "passed": res.passed,
     }
+    if which == "branches":
+        report["precision"] = ctx.name
     return _emit(report, args.out)
 
 

@@ -33,7 +33,7 @@ checked in ``gt_hypotheses_check``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
@@ -590,6 +590,7 @@ class RadiusEstimate:
     fit_quality: float
 
 
+@np.errstate(over="ignore")
 def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     """Least-squares growth fit of the computed terms.
 
@@ -631,10 +632,12 @@ def estimate_radius(exp: SigmaExpansion) -> RadiusEstimate:
     ss_res = float(np.sum((log_norm - fitted) ** 2))
     ss_tot = float(np.sum((log_norm - log_norm.mean()) ** 2))
     quality = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    m_env = math.exp(-slope_env)
-    # an amplitude past float range stays inf, also where M**k underflows
-    c_env = max(a * m_env**k if a < math.inf else a
-                for k, a in zip(ks_arr, amps))
+    m_env = math.exp(-slope_env) if slope_env > -700 else math.inf
+    # an amplitude past float range stays inf, also where M**k underflows;
+    # a_k M**k is taken from the logs where M**k would overflow
+    c_env = max(a if a == math.inf else a * m_env**k if slope_env * k > -700
+                else float(np.exp(log_a - slope_env * k))
+                for k, a, log_a in zip(ks_arr, amps, logs))
     rho = math.exp(-slope_nrm / 2.0)
     return RadiusEstimate(
         C=float(c_env), M=float(m_env), rho_sigma=float(rho),
@@ -680,14 +683,27 @@ class Chart:
 
 def extend_arc(arc: ArcSpec, s0, n: int, K: int, D: int, branch: int = 0,
                ctx: Context = FLOAT64, with_radius: bool = True) -> Chart:
-    """Normalize the arc at s0 and extend: the single-chart pipeline."""
-    na = normalize_at(arc, s0, n, cap=D, ctx=ctx)
-    exp = extend_series(na.f0, n, K)
-    radius = estimate_radius(exp) if with_radius else None
-    return Chart(
-        n=n, branch=branch, frame=na.frame, phi=exp, radius=radius,
-        center_param=float(s0),
-    )
+    """Normalize the arc at s0 and extend: the single-chart pipeline.
+
+    The n branch charts of one arc point are one potential seen through n
+    frames: while a chart of (arc, s0, n, K, D, ctx) is alive, the others
+    share its frame, expansion and radius fit. The key is exact: the arc
+    object, s0 by type and bits (floats and mpf only), ctx by identity.
+    """
+    bits = s0.hex() if isinstance(s0, float) else getattr(s0, "_mpf_", None)
+    key = None if bits is None else (type(s0), bits, n, K, D, ctx)
+    seen = arc._charts.get(key)
+    if seen is None:
+        na = normalize_at(arc, s0, n, cap=D, ctx=ctx)
+        seen = Chart(n=n, branch=branch, frame=na.frame,
+                     phi=extend_series(na.f0, n, K), center_param=float(s0))
+    radius = None
+    if with_radius:
+        radius = seen.radius or estimate_radius(seen.phi)
+    chart = replace(seen, branch=branch, radius=radius)
+    if key is not None:
+        arc._charts[key] = chart
+    return chart
 
 
 def build_atlas(arc: ArcSpec, n: int, K: int, D: int, spacing, branch: int = 0,

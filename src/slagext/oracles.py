@@ -29,6 +29,7 @@ from .ambient import (
 from .arcs import ArcSpec, existence_gate
 from .engine import Chart, extend_arc, pde_residual
 from .errors import GateObstructionError
+from .precision import FLOAT64, Context
 
 
 @dataclass(frozen=True)
@@ -211,16 +212,16 @@ def plane_oracle(n: int, trials: int = 20, tolerance: float = 1e-12,
 
 
 def branch_separation(arc: ArcSpec, n: int, K: int, sigma_steps: int = 5,
-                      t_points: int = 9,
-                      tolerance: float = 1e-13) -> OracleResult:
+                      t_points: int = 9, tolerance: float = 1e-13,
+                      ctx: Context = FLOAT64) -> OracleResult:
     """All branch pairs separate linearly in sigma and coincide on the arc.
 
-    The n charts are built at the middle of the arc's domain with degree
-    budget max(4K, 12). For each pair j < k the minimum distance between
-    branch point sets over |t| <= 0.1, at fixed sigma in [0.01, 0.05], is
-    fitted to c * sigma through the origin; every fitted c must be
-    positive. The reported residual is the worst coincidence defect at
-    sigma = 0.
+    The n charts are built in ctx at the middle of the arc's domain with
+    degree budget max(4K, 12). For each pair j < k the minimum distance
+    between branch point sets over |t| <= 0.1, at fixed sigma in
+    [0.01, 0.05], is fitted to c * sigma through the origin; every fitted
+    c must be positive. The reported residual is the worst coincidence
+    defect at sigma = 0.
     """
     gate = existence_gate(arc, n)
     if not gate.ok:
@@ -229,7 +230,7 @@ def branch_separation(arc: ArcSpec, n: int, K: int, sigma_steps: int = 5,
         )
     lo, hi = arc.domain
     charts = [extend_arc(arc, 0.5 * (lo + hi), n=n, K=K, D=max(4 * K, 12),
-                         branch=j, with_radius=False)
+                         branch=j, ctx=ctx, with_radius=False)
               for j in range(n)]
     u = sphere_points(n, 1)[0]
     ts = np.linspace(-0.1, 0.1, t_points)

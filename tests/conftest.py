@@ -21,17 +21,19 @@ os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 from hypothesis import settings
 
+from slagext import engine
 from slagext.arcs import graph_arc
 from slagext.engine import extend_arc
 from slagext.series import SigmaExpansion, TaylorPoly, poly_from
 
 # the deep run of the fused multiply-add property, of the precision
-# entry rule, of the jet's kept t-stage and of the mp residual sweep, in
-# their own CI step: pytest tests/test_series.py tests/test_precision.py
-# -k "fused_muladd or enter_an_mp_chart or kept_t_stage or
-# mp_residual_sweep" --hypothesis-profile=deep. All but the first take a
-# tenth of the profile's examples, as each of their examples builds mp
-# jets or charts.
+# entry rule, of the jet's kept t-stage, of the mp residual sweep and of
+# the shared branch solve, in their own CI step: pytest
+# tests/test_series.py tests/test_precision.py tests/test_engine.py -k
+# "fused_muladd or enter_an_mp_chart or kept_t_stage or mp_residual_sweep
+# or branch_charts_share" --hypothesis-profile=deep. All but the first
+# take a tenth of the profile's examples, as each of their examples builds
+# mp jets or charts, and the last a hundredth, as each builds up to 12.
 settings.register_profile("deep", max_examples=20000)
 
 
@@ -65,3 +67,15 @@ def chart_with_nan_in_f3():
     terms[3] = TaylorPoly(tuple(coeffs))
     return dataclasses.replace(
         ch, phi=SigmaExpansion(n=ch.n, terms=tuple(terms)))
+
+
+def count_solves(monkeypatch) -> list:
+    """The n of every ``engine.extend_series`` call from here on."""
+    calls, solve = [], engine.extend_series
+
+    def counted(f0, n, K):
+        calls.append(n)
+        return solve(f0, n, K)
+
+    monkeypatch.setattr(engine, "extend_series", counted)
+    return calls

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import chart_with_nan_in_f3
-from slagext import arcs
+from conftest import chart_with_nan_in_f3, count_solves
+from slagext import arcs, oracles
 from slagext.chartio import dump_chart
 from slagext.cli import main
 from slagext.engine import ResidualReport
+from slagext.precision import context_named
 
 
 @pytest.fixture
@@ -41,6 +42,48 @@ def test_extend_all_branches(parabola, tmp_path):
     chart0 = _read(doc["outputs"][0])
     assert chart0["n"] == 3 and chart0["K"] == 2
     assert all(isinstance(c, str) for row in chart0["terms"] for c in row)
+
+
+@pytest.mark.parametrize("spec", ["float64", "mp30"])
+def test_extend_solves_once_for_all_branches(parabola, tmp_path,
+                                             monkeypatch, spec):
+    # the n branch charts share one expansion, and each chart file is
+    # byte for byte the file of a run for that branch alone
+    monkeypatch.setenv("SLAG_PRECISION", spec)
+    solves = count_solves(monkeypatch)
+    out = tmp_path / "chart"
+    assert main(["extend", "--arc", parabola, "--n", "3", "--K", "3",
+                 "--out", str(out)]) == 0
+    assert solves == [3]
+    for j in range(3):
+        single = tmp_path / f"single{j}.json"
+        assert main(["extend", "--arc", parabola, "--n", "3", "--K", "3",
+                     "--branch", str(j), "--out", str(single)]) == 0
+        assert (tmp_path / f"chart.b{j}.json").read_bytes() == (
+            single.read_bytes())
+    assert solves == [3] * 4
+
+
+@pytest.mark.parametrize("spec", ["float64", "mp30"])
+def test_oracle_branches_builds_at_the_env_precision(parabola, monkeypatch,
+                                                     capsys, spec):
+    monkeypatch.setenv("SLAG_PRECISION", spec)
+    solves = count_solves(monkeypatch)
+    built, extend = [], oracles.extend_arc
+
+    def keep(*args, **kwargs):
+        built.append(extend(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(oracles, "extend_arc", keep)
+    assert main(["oracle", "branches", "--arc", parabola, "--n", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["precision"] == spec and doc["passed"] is True
+    real = type(context_named(spec).real(0))
+    assert [ch.branch for ch in built] == [0, 1, 2]
+    assert {type(c) for ch in built for f in ch.phi.terms
+            for c in f.coeffs} == {real}
+    assert solves == [3]
 
 
 def test_extend_single_branch(parabola, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_value, random_flat_potential
+from conftest import count_solves, exact_value, random_flat_potential
 from slagext import engine, precision
 from slagext.arcs import existence_gate, graph_arc, unit_circle_arc
 from slagext.engine import (
@@ -721,6 +721,25 @@ def test_radius_of_mp_terms_beyond_float_is_fitted():
     assert 0.5 < r.fit_quality <= 1.0
 
 
+def test_radius_fit_takes_m_to_the_k_past_float_range_from_logs():
+    # a nearly flat arc: the f_k fall by about 1e-89 per step, so M is
+    # 4e118 and M**3 is no float, while C = max_k a_k M**k is about 1e72
+    ch = extend_arc(graph_arc(["0", "0", "1.7855805948686218e-75"]), 0.25,
+                    n=5, K=3, D=8)
+    r = ch.radius
+    amps = [sum(abs(mpmath.mpf(c)) * mpmath.mpf(0.15) ** j
+                for j, c in enumerate(f.coeffs)) for f in ch.phi.terms[1:]]
+    exact = max(a * mpmath.mpf(r.M) ** k for k, a in enumerate(amps, 1))
+    assert 1e118 < r.M < math.inf and 1e71 < r.C < 1e73
+    assert abs(r.C - exact) <= 1e-10 * exact
+    # two steps 315 decades apart: M itself is no float, and C rounds to inf
+    steep = SigmaExpansion(n=2, terms=(TaylorPoly((0.0, 0.0)),
+                                       TaylorPoly((0.0, 1e-5)),
+                                       TaylorPoly((1e-320, 0.0))))
+    r = estimate_radius(steep)
+    assert r.M == r.C == math.inf and math.isfinite(r.rho_sigma)
+
+
 def test_extend_arc_chart_contents():
     arc = unit_circle_arc()
     ch = extend_arc(arc, 0.3, n=3, K=4, D=16, branch=2)
@@ -733,6 +752,108 @@ def test_extend_arc_chart_contents():
     for a, b in zip(ch.phi.terms, other.phi.terms):
         for x, y in zip(a.coeffs, b.coeffs):
             assert abs(x - y) < 1e-10
+
+
+def _sharing_arc(circle: bool, tail: list, ctx):
+    return (unit_circle_arc(ctx) if circle
+            else graph_arc(["0", "0"] + [repr(c) for c in tail], ctx))
+
+
+def _chart_bits(ch) -> list:
+    """A chart's f_k, frame, radius, center and one point of its map, as
+    reprs, so zero signs and the last digit count."""
+    return ([repr(c) for f in ch.phi.terms for c in f.coeffs]
+            + [repr(ch.frame), repr(ch.radius), repr(ch.center_param),
+               repr(ch.reduced_map.point(0.05, 0.02))])
+
+
+@given(n=st.integers(2, 6), K=st.integers(1, 3), extra=st.integers(0, 4),
+       mp=st.booleans(), circle=st.booleans(), s0=st.floats(-0.3, 0.3),
+       tail=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+       radii=st.lists(st.booleans(), min_size=6, max_size=6))
+# a hundredth of the profile's examples, and at least 25: 200 in the deep
+# CI run (tests/conftest.py)
+@settings(deadline=None,
+          max_examples=max(25, settings.default.max_examples // 100))
+def test_branch_charts_share_one_exact_solve(n, K, extra, mp, circle, s0,
+                                             tail, radii):
+    """The n branch charts of one arc point, from separate calls, share
+    one expansion and equal, bit for bit, charts built each on a new arc
+    object: float64 and mp30, graph arcs and the circle, with and without
+    the radius fit."""
+    ctx = precision.context_named("mp30") if mp else FLOAT64
+    s0, D = ctx.real(s0), 2 * K + 2 + extra
+    arc = _sharing_arc(circle, tail, ctx)
+    shared = [extend_arc(arc, s0, n, K, D, branch=b, ctx=ctx,
+                         with_radius=radii[b]) for b in range(n)]
+    fresh = [extend_arc(_sharing_arc(circle, tail, ctx), s0, n, K, D,
+                        branch=b, ctx=ctx, with_radius=radii[b])
+             for b in range(n)]
+    assert [c.branch for c in shared] == list(range(n))
+    assert [_chart_bits(c) for c in shared] == [_chart_bits(c) for c in fresh]
+    assert all(c.phi is shared[0].phi for c in shared)
+    assert len({id(c.phi) for c in fresh}) == n
+    assert [repr(c.radius) for c in shared] == [
+        repr(estimate_radius(c.phi) if r else None)
+        for c, r in zip(shared, radii)]
+
+
+def test_extend_arc_shares_only_exact_inputs(monkeypatch):
+    solves = count_solves(monkeypatch)
+    ctx, twin = MPContext(30), MPContext(30)
+    coeffs = ["0", "0", "0.5", "0.1"]
+    arc = graph_arc(coeffs)
+    kw = dict(n=3, K=3, D=12)
+    first = extend_arc(arc, 0.0, **kw)
+    # ArcSpec's equality, hash and repr ignore the kept charts
+    assert dataclasses.replace(arc) == arc == graph_arc(coeffs)
+    assert hash(dataclasses.replace(arc)) == hash(arc)
+    assert repr(dataclasses.replace(arc)) == repr(arc)
+    others = [extend_arc(arc, -0.0, **kw),
+              extend_arc(arc, 0.1, ctx=ctx, **kw),
+              extend_arc(arc, ctx.real(0.1), ctx=ctx, **kw),
+              extend_arc(arc, twin.real(0.1), ctx=ctx, **kw),
+              extend_arc(arc, 0.1, ctx=twin, **kw),
+              extend_arc(dataclasses.replace(arc), 0.0, **kw),
+              extend_arc(graph_arc(coeffs), 0.0, **kw),
+              extend_arc(arc, 0.0, n=2, K=3, D=12),
+              extend_arc(arc, 0.0, n=3, K=2, D=12),
+              extend_arc(arc, 0.0, n=3, K=3, D=13)]
+    assert len(solves) == 1 + len(others)
+    assert len({id(c.phi) for c in [first] + others}) == 1 + len(others)
+    assert extend_arc(arc, 0.0, branch=2, **kw).phi is first.phi
+    assert len(solves) == 1 + len(others)
+    # the radius fit follows each call's with_radius: False, True, False
+    a = extend_arc(arc, 0.2, with_radius=False, **kw)
+    b = extend_arc(arc, 0.2, branch=1, **kw)
+    c = extend_arc(arc, 0.2, branch=2, with_radius=False, **kw)
+    assert a.radius is None and c.radius is None
+    assert repr(b.radius) == repr(estimate_radius(b.phi)) == repr(
+        extend_arc(graph_arc(coeffs), 0.2, branch=1, **kw).radius)
+    assert a.phi is b.phi is c.phi
+    count = len(solves)
+    # a bad branch is still rejected, and a failed call keeps nothing
+    with pytest.raises(ValueError, match=r"branch must lie in \[0, n\)"):
+        extend_arc(arc, 0.2, branch=3, **kw)
+    fresh = graph_arc(coeffs)
+    with pytest.raises(ValueError, match=r"branch must lie in \[0, n\)"):
+        extend_arc(fresh, 0.2, branch=3, **kw)
+    extend_arc(fresh, 0.2, **kw)
+    assert len(solves) == count + 2
+
+
+def test_extend_arc_keeps_a_solve_only_while_a_chart_lives(monkeypatch):
+    solves = count_solves(monkeypatch)
+    arc = unit_circle_arc()
+    charts = [extend_arc(arc, 0.3, n=3, K=3, D=12, branch=b)
+              for b in range(3)]
+    charts[0].reduced_map.point(0.0, 0.01)  # a kept map keeps no chart
+    assert solves == [3]
+    del charts
+    extend_arc(arc, 0.3, n=3, K=3, D=12)
+    # and the result of that call, not kept, is gone at once
+    extend_arc(arc, 0.3, n=3, K=3, D=12, branch=1)
+    assert solves == [3, 3, 3]
 
 
 def test_atlas_construction_and_gate():
