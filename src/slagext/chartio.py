@@ -16,27 +16,27 @@ import numpy as np
 from .ambient import chart_point, sphere_points
 from .engine import Chart, RadiusEstimate
 from .errors import SchemaError
-from .precision import FLOAT64, Context, context_named
-from .series import SigmaExpansion, poly_from
+from .precision import FLOAT64, Context, context_named, encode_real
+from .series import SigmaExpansion, TaylorPoly
 
 SCHEMA_NAME = "slag-chart"
 SCHEMA_VERSION = 1
-
-
-def encode_real(x) -> str:
-    """Shortest decimal string that reloads to the exact same value: the
-    float repr, or for an mpmath scalar enough digits for the precision of
-    its own mpmath context."""
-    mp = getattr(x, "context", None)
-    if mp is None:
-        return repr(float(x))
-    return mp.nstr(x, int(mp.prec * 0.30103) + 3)
 
 
 def _decode_real(s, ctx: Context):
     if not isinstance(s, (str, int, float)):
         raise SchemaError(f"expected a decimal string, got {type(s).__name__}")
     return ctx.real(s)
+
+
+def _decode_row(row: list, ctx: Context):
+    """A term's coefficients: in one call to ``ctx.reals`` when every entry
+    is a decimal string, or at float64 a str, int or float, by exact type
+    (not a bool); else entry by entry, as single values decode."""
+    kinds = set(map(type, row))
+    if kinds <= {str} or ctx is FLOAT64 and kinds <= {str, int, float}:
+        return ctx.reals(row)
+    return [_decode_real(c, ctx) for c in row]
 
 
 def _fields(value, what: str, keys) -> dict:
@@ -66,7 +66,9 @@ def serialize_chart(chart: Chart) -> dict:
             "a_im": encode_real(chart.frame.a.imag),
             "theta": encode_real(chart.frame.theta),
         },
-        "terms": [[encode_real(c) for c in f.coeffs] for f in chart.phi.terms],
+        # the expansion's strings, shared by the charts that share it,
+        # copied so that an edit of the document cannot reach them
+        "terms": list(map(list, chart.phi.decimal_rows)),
     }
     if chart.center_param is not None:
         doc["center_param"] = encode_real(chart.center_param)
@@ -112,7 +114,7 @@ def deserialize_chart(doc: dict) -> Chart:
             raise SchemaError("chart document term is not a list")
         if len(row) != cap + 1:
             raise SchemaError("chart document term length does not match D-2K")
-        terms.append(poly_from([_decode_real(c, ctx) for c in row], cap=cap))
+        terms.append(TaylorPoly(_decode_row(row, ctx)))
     fr = _fields(doc["frame"], "chart frame", ("a_re", "a_im", "theta"))
     frame = Frame(
         a=ctx.make_complex(_decode_real(fr["a_re"], ctx),

@@ -34,7 +34,9 @@ float64 for float64 arrays at float64 points and on the Python scalars
 otherwise. ``scalar_kernel`` is the series loops' and mpf jets' arithmetic:
 the Python operators, or on a slot's raw tuples the mpf operators' libmpf
 calls and ``fused_muladd``; each rounds its exact result once, so the bits
-are mpf's. Products, loops and jets keep mpf of a slot as raw tuples.
+are mpf's. Products, loops and jets keep mpf of a slot as raw tuples, and
+so do a chart's decimal strings: ``decimal_strings`` prints an array by its
+form, and a context's ``reals`` reads a row of them back.
 """
 from __future__ import annotations
 
@@ -47,10 +49,10 @@ from typing import Any, Callable, Sequence, Union
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_float, from_int, fone, fzero, mpc_add_mpf,
-                          mpc_mul, mpc_mul_mpf, mpc_pow_int, mpf_abs, mpf_add,
-                          mpf_div, mpf_mul, mpf_neg, mpf_pos, normalize,
-                          round_nearest, to_float)
+from mpmath.libmp import (from_float, from_int, from_str, fone, fzero,
+                          mpc_add_mpf, mpc_mul, mpc_mul_mpf, mpc_pow_int,
+                          mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pos,
+                          normalize, round_nearest, to_float, to_str)
 
 try:
     from numpy._core.multiarray import correlate
@@ -69,6 +71,10 @@ class FloatContext:
 
     def real(self, x: Union[int, float, str]) -> float:
         return float(x)
+
+    def reals(self, row: list) -> list:
+        """``real`` of each entry of ``row``, strs, ints and floats."""
+        return list(map(float, row))
 
     def enter(self, x):  # a number enters float64 rounded, arrays too
         return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
@@ -122,6 +128,14 @@ class MPContext:
 
     def real(self, x):
         return self._mp.mpf(x)
+
+    def reals(self, row: list) -> "RawSlot":
+        """``real`` of each decimal string of ``row``, as the slot of their
+        raw tuples: libmpf's ``from_str`` at the context's prec, the call
+        ``mpf(s)`` makes."""
+        prec = self._mp.prec
+        return RawSlot([from_str(s, prec, round_nearest) for s in row],
+                       self._mp)
 
     def make_complex(self, re, im):
         """An mpc; elementwise over numpy object arrays of mpf."""
@@ -277,6 +291,36 @@ def coefficient_array(cs):
     # not np.array, which probes every scalar for a sequence interface
     return np.fromiter(cs, dtype=_FLOAT64 if kind is float else _OBJECT,
                        count=len(cs))
+
+
+def encode_real(x) -> str:
+    """Shortest decimal string that reloads to the exact same value: the
+    float repr, or for an mpmath scalar enough digits for the precision of
+    its own mpmath context."""
+    if type(x) is float:
+        return repr(x)
+    mp = getattr(x, "context", None)
+    if mp is None:
+        return repr(float(x))
+    return mp.nstr(x, _digits(mp))
+
+
+def decimal_strings(cs) -> list:
+    """``encode_real`` of each coefficient of the array ``cs``, by its form:
+    the repr of a float64 array's floats, libmpf's ``to_str`` on a slot's
+    raw tuples (the call ``nstr`` makes on an mpf), else element by
+    element."""
+    if cs.dtype == _FLOAT64:
+        return list(map(repr, cs.tolist()))
+    if type(cs) is RawSlot:
+        digits = _digits(cs.mp)
+        return [to_str(x, digits) for x in cs.raw]
+    return list(map(encode_real, cs.tolist()))
+
+
+def _digits(mp) -> int:
+    """Significant digits that reload any mpf of ``mp`` exactly."""
+    return int(mp.prec * 0.30103) + 3
 
 
 def finite_coefficients(cs) -> bool:

@@ -46,8 +46,9 @@ from .errors import (
     SeriesShapeError,
     SingularDivisionError,
 )
-from .precision import (FLOAT64, PythonScalars, coefficient_array, horner,
-                        polynomial_values, scalar_kernel, truncated_product)
+from .precision import (FLOAT64, PythonScalars, coefficient_array,
+                        decimal_strings, horner, polynomial_values,
+                        scalar_kernel, truncated_product)
 
 
 class TaylorPoly:
@@ -452,6 +453,12 @@ class SigmaExpansion:
     def jet_evaluator(self) -> "SigmaJetEvaluator":
         """The expansion's one ``SigmaJetEvaluator``, built on first use."""
         return SigmaJetEvaluator(self)
+
+    @cached_property
+    def decimal_rows(self) -> tuple:
+        """Each f_k's coefficients as decimal strings
+        (``precision.decimal_strings``), made on first use."""
+        return tuple(tuple(decimal_strings(f.array)) for f in self.terms)
 
 
 @dataclass(frozen=True)

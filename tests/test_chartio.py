@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import (
     _text_lines,
+    encode_real,
     deserialize_chart,
     embedded_cloud_text,
     export_mesh,
@@ -19,7 +20,7 @@ from slagext.chartio import (
     reduced_mesh_text,
     serialize_chart,
 )
-from slagext.engine import extend_arc
+from slagext.engine import Chart, extend_arc
 from slagext.errors import SchemaError
 from slagext import precision
 from slagext.precision import (MPContext, RawSlot, complex_array,
@@ -286,3 +287,146 @@ def test_text_lines_equal_one_format_per_number(data, spec):
     want = ((template.replace("%s", "%.17g") + "\n") * rows) % tuple(
         parts.ravel().tolist())
     assert _text_lines(z, template) == want
+
+
+# what an entry of a term row decodes to (``real`` of the value given), or
+# the SchemaError message it raises, in a float64 and an mp30 document;
+# captured before rows of plain numbers decoded in one call
+ROW_ENTRIES = [
+    (True, 1, None),
+    (None, None, "expected a decimal string, got NoneType"),
+    ([1], None, "expected a decimal string, got list"),
+    ({"a": 1}, None, "expected a decimal string, got dict"),
+    (7, 7, None),
+    (-0.0, -0.0, None),
+    ("2.5e-3", "2.5e-3", None),
+]
+
+
+@pytest.mark.parametrize("precision", ["float64", "mp30"])
+@pytest.mark.parametrize("entry, value, message", ROW_ENTRIES,
+                         ids=lambda x: repr(x))
+def test_row_entries_decode_as_single_values(precision, entry, value,
+                                             message):
+    ctx = context_named(precision)
+    ch = extend_arc(graph_arc(["0", "0", "0.5"], ctx=ctx), ctx.real("0.1"),
+                    n=2, K=2, D=10, ctx=ctx)
+    doc = json.loads(json.dumps(serialize_chart(ch)))
+    doc["terms"][2][3] = entry
+    if message is not None:
+        with pytest.raises(SchemaError) as err:
+            deserialize_chart(doc)
+        assert str(err.value) == message
+        return
+    back = deserialize_chart(doc).phi.terms[2].coeffs
+    assert back[3] == ctx.real(value) and repr(back[3]) == repr(
+        ctx.real(value))
+    assert back[:3] + back[4:] == ch.phi.terms[2].coeffs[:3] \
+        + ch.phi.terms[2].coeffs[4:]
+
+
+def _chart_of_rows(rows, n=3):
+    """A chart holding the coefficient rows as its f_k, the base-point
+    zeros of f0 and f1 put in front."""
+    from slagext.arcs import Frame
+    from slagext.series import SigmaExpansion
+
+    zero = rows[0][0] * 0
+    terms = [[zero] * 3 + rows[0][3:], [zero] + rows[1][1:]] + rows[2:]
+    return Chart(n=n, branch=0, frame=Frame(a=complex(0.5, -0.25),
+                                            theta=1.0),
+                 phi=SigmaExpansion(n=n, terms=tuple(map(TaylorPoly,
+                                                         terms))))
+
+
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e-300, -3.3e-301, 1e300,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 123.0]
+floats = st.one_of(st.sampled_from(FLOAT_EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+def mpfs(dps):
+    """mpf of the mp<dps> context: a full-precision mantissa at any
+    exponent, zero, and floats as they enter."""
+    mp = context_named(f"mp{dps}")._mp
+    bits = mp.prec + 8
+    return st.one_of(
+        st.builds(lambda m, e: mp.mpf((m, e)),
+                  st.integers(-2 ** bits, 2 ** bits), st.integers(-1200, 1200)),
+        st.just(mp.mpf(0)), floats.map(mp.mpf))
+
+
+@given(st.data(), st.sampled_from(["float64", "mp20", "mp40"]),
+       st.integers(1, 4), st.integers(3, 8), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_rows_encode_as_each_coefficient_does(data, precision, K, cap,
+                                              shared_first):
+    """The chart text is that of ``encode_real`` on each coefficient, byte
+    for byte, whether the expansion's strings or the per-coefficient ones
+    are made first, and the text reloads to the same coefficients."""
+    draw = floats if precision == "float64" else mpfs(int(precision[2:]))
+    rows = [data.draw(st.lists(draw, min_size=cap + 1, max_size=cap + 1))
+            for _ in range(K + 1)]
+    ch = _chart_of_rows(rows)
+    assert (type(ch.phi.terms[1].array) is RawSlot) == (
+        precision != "float64")
+    if shared_first:
+        doc = serialize_chart(ch)
+    want = [[encode_real(c) for c in f.coeffs] for f in ch.phi.terms]
+    if not shared_first:
+        doc = serialize_chart(ch)
+    assert doc["terms"] == want
+    assert doc["precision"] == precision
+    back = deserialize_chart(json.loads(json.dumps(doc)))
+    for f, g in zip(ch.phi.terms, back.phi.terms):
+        assert g.coeffs == f.coeffs and repr(g) == repr(f)
+    assert serialize_chart(back)["terms"] == want
+
+
+@given(st.sampled_from(["mp20", "mp40"]),
+       st.lists(st.one_of(
+           st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+                     st.integers(0, 10 ** 30), st.integers(0, 10 ** 30),
+                     st.integers(-1200, 1200)),
+           st.sampled_from(["0", "-0.0", "1", " 2.5 ", "1e400", "3E-401",
+                            "inf", "-inf", "nan", "1/3"])),
+           min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_mp_rows_decode_as_each_string_does(precision, row):
+    ctx = context_named(precision)
+    assert ctx.reals(row).raw == [ctx.real(s)._mpf_ for s in row]
+
+
+@pytest.mark.parametrize("precision", ["float64", "mp30"])
+def test_branch_charts_share_one_encoding(precision, monkeypatch):
+    """The n branch charts of one arc point make their decimal strings once;
+    an edit of a returned document reaches no later one; a chart read back
+    makes its own strings, equal to the original's."""
+    from slagext import series
+
+    made = []
+    strings = series.decimal_strings
+    monkeypatch.setattr(series, "decimal_strings",
+                        lambda cs: made.append(1) or strings(cs))
+    ctx = context_named(precision)
+    arc = graph_arc(["0", "0", "0.5", "0.1"], ctx=ctx)
+    charts = [extend_arc(arc, ctx.real("0.2"), n=3, K=3, D=12, ctx=ctx,
+                         branch=b) for b in range(3)]
+    docs = [serialize_chart(ch) for ch in charts]
+    assert len(made) == 4  # one per f_k, for all three charts
+    rows = charts[0].phi.decimal_rows
+    assert all(ch.phi.decimal_rows is rows for ch in charts)
+    assert [d["terms"] for d in docs[1:]] == [docs[0]["terms"]] * 2
+    text = json.dumps(docs[0])
+    docs[0]["terms"][1][2] = "7"
+    docs[0]["terms"][2].append("8")
+    docs[0]["terms"].pop()
+    assert json.dumps(serialize_chart(charts[0])) == text
+    assert json.dumps(serialize_chart(charts[1])) == text.replace(
+        '"branch": 0', '"branch": 1')
+    back = deserialize_chart(json.loads(text))
+    assert back.phi.decimal_rows is not rows
+    assert back.phi.decimal_rows == rows
+    assert len(made) == 8
