@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from slagext.arcs import graph_arc, unit_circle_arc
 from slagext.chartio import (
     _text_lines,
-    encode_real,
     deserialize_chart,
     embedded_cloud_text,
+    encode_real,
     export_mesh,
     load_chart,
     reduced_mesh_text,
@@ -304,8 +304,7 @@ ROW_ENTRIES = [
 
 
 @pytest.mark.parametrize("precision", ["float64", "mp30"])
-@pytest.mark.parametrize("entry, value, message", ROW_ENTRIES,
-                         ids=lambda x: repr(x))
+@pytest.mark.parametrize("entry, value, message", ROW_ENTRIES, ids=repr)
 def test_row_entries_decode_as_single_values(precision, entry, value,
                                              message):
     ctx = context_named(precision)
