@@ -9,34 +9,63 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .ambient import chart_point, sphere_points
 from .engine import Chart, RadiusEstimate
-from .errors import SchemaError
-from .precision import FLOAT64, Context, context_named, encode_real
+from .errors import NonFiniteError, SchemaError
+from .precision import (FLOAT64, Context, coefficient_array, context_named,
+                        encode_real, finite_coefficients)
 from .series import SigmaExpansion, TaylorPoly
 
 SCHEMA_NAME = "slag-chart"
 SCHEMA_VERSION = 1
 
 
-def _decode_real(s, ctx: Context):
+def _decode_real(s, ctx: Context, what: str):
+    """s as a real of ``ctx``; ``SchemaError`` naming the field ``what``
+    for a string that is not a decimal number, ``NonFiniteError`` for an
+    int past float64 range."""
     if not isinstance(s, (str, int, float)):
         raise SchemaError(f"expected a decimal string, got {type(s).__name__}")
-    return ctx.real(s)
+    try:
+        return ctx.real(s)
+    except OverflowError:
+        raise NonFiniteError(f"{what} is past float64 range") from None
+    except ValueError:
+        raise SchemaError(f"{what} is not a decimal number: {s!r}") from None
 
 
-def _decode_row(row: list, ctx: Context):
-    """A term's coefficients: in one call to ``ctx.reals`` when every entry
-    is a decimal string, or at float64 a str, int or float, by exact type
-    (not a bool); else entry by entry, as single values decode."""
-    kinds = set(map(type, row))
+def _decode_terms(rows: list, ctx: Context) -> list:
+    """The f_k of the term rows, each of one length: every entry decoded in
+    one call to ``ctx.reals`` when every one is a decimal string, or at
+    float64 a str, int or float, by exact type (not a bool); else, or if
+    that call fails, entry by entry, as single values decode. A decimal
+    string past float64 range that does not spell an infinity, which
+    would load as one, raises ``NonFiniteError``; a NaN or an infinity
+    spelled out (as ``serialize_chart`` writes them) loads as it is."""
+    width, flat = len(rows[0]), list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    values = None
     if kinds <= {str} or ctx is FLOAT64 and kinds <= {str, int, float}:
-        return ctx.reals(row)
-    return [_decode_real(c, ctx) for c in row]
+        try:
+            values = ctx.reals(flat)
+        except (ValueError, OverflowError):
+            pass  # entry by entry, which names the entry
+    if values is None:
+        values = [_decode_real(c, ctx, "chart term %d entry %d" % divmod(
+            j, width)) for j, c in enumerate(flat)]
+    coeffs = coefficient_array(values)
+    if ctx is FLOAT64 and not finite_coefficients(coeffs):  # one test
+        for j in np.flatnonzero(np.isinf(coeffs)).tolist():
+            if isinstance(flat[j], str) and flat[j].strip().lstrip(
+                    "+-").lower() not in ("inf", "infinity"):
+                raise NonFiniteError("chart term %d entry %d is past float64"
+                                     " range: %r" % (*divmod(j, width), flat[j]))
+    return [TaylorPoly(coeffs[j:j + width]) for j in range(0, len(flat), width)]
 
 
 def _fields(value, what: str, keys) -> dict:
@@ -108,34 +137,31 @@ def deserialize_chart(doc: dict) -> Chart:
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or len(raw_terms) != K + 1:
         raise SchemaError("chart document terms do not match K")
-    terms = []
     for row in raw_terms:
         if not isinstance(row, list):
             raise SchemaError("chart document term is not a list")
         if len(row) != cap + 1:
             raise SchemaError("chart document term length does not match D-2K")
-        terms.append(TaylorPoly(_decode_row(row, ctx)))
+    terms = _decode_terms(raw_terms, ctx)
     fr = _fields(doc["frame"], "chart frame", ("a_re", "a_im", "theta"))
-    frame = Frame(
-        a=ctx.make_complex(_decode_real(fr["a_re"], ctx),
-                           _decode_real(fr["a_im"], ctx)),
-        theta=_decode_real(fr["theta"], ctx),
-    )
+    a_re, a_im, theta = (_decode_real(fr[key], ctx, f"chart frame {key}")
+                         for key in ("a_re", "a_im", "theta"))
+    if not finite_coefficients(coefficient_array([a_re, a_im, theta])):
+        raise NonFiniteError("chart frame holds a NaN or an infinity")
+    frame = Frame(a=ctx.make_complex(a_re, a_im), theta=theta)
     radius = None
     if doc.get("radius") is not None:
+        # M and rho are inf for a tail that is zero, and C may round to inf
         rd = _fields(doc["radius"], "chart radius", ("C", "M", "rho", "fit"))
-        radius = RadiusEstimate(
-            C=float(_decode_real(rd["C"], FLOAT64)),
-            M=float(_decode_real(rd["M"], FLOAT64)),
-            rho_sigma=float(_decode_real(rd["rho"], FLOAT64)),
-            fit_quality=float(_decode_real(rd["fit"], FLOAT64)),
-        )
+        radius = RadiusEstimate(*(
+            float(_decode_real(rd[key], FLOAT64, f"chart radius {key}"))
+            for key in ("C", "M", "rho", "fit")))
     center = doc.get("center_param")
     return Chart(
         n=n, branch=branch, frame=frame,
         phi=SigmaExpansion(n=n, terms=tuple(terms)), radius=radius,
         center_param=None if center is None else float(
-            _decode_real(center, FLOAT64)),
+            _decode_real(center, FLOAT64, "chart center_param")),
     )
 
 

@@ -945,13 +945,19 @@ def _normal_equations(dw_dt, dw_ds, dz_dt, dz_ds, rw, rz):
     = (b1, b2) from the Jacobian and the residual (rw, rz)."""
     a11 = abs_squared(dw_dt) + abs_squared(dz_dt)
     a22 = abs_squared(dw_ds) + abs_squared(dz_ds)
-    a12 = (complex_product(dw_dt.conjugate(), dw_ds)
-           + complex_product(dz_dt.conjugate(), dz_ds)).real
-    b1 = -(complex_product(dw_dt.conjugate(), rw)
-           + complex_product(dz_dt.conjugate(), rz)).real
-    b2 = -(complex_product(dw_ds.conjugate(), rw)
-           + complex_product(dz_ds.conjugate(), rz)).real
+    a12 = _re_conj_product(dw_dt, dw_ds) + _re_conj_product(dz_dt, dz_ds)
+    b1 = -(_re_conj_product(dw_dt, rw) + _re_conj_product(dz_dt, rz))
+    b2 = -(_re_conj_product(dw_ds, rw) + _re_conj_product(dz_ds, rz))
     return a11, a22, a12, b1, b2
+
+
+def _re_conj_product(a, b):
+    """Re(conj(a) b), on complex128 arrays as CPython's complex product
+    makes it, bit for bit: ar br - (-ai) bi. An mpc product rounds the
+    part once."""
+    if isinstance(a, np.ndarray):
+        return a.real * b.real - -a.imag * b.imag
+    return (a.conjugate() * b).real
 
 
 def _lanewise(fn, nout: int, *lanes):

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from operator import add, attrgetter, itemgetter, mul, neg, truediv
 from typing import Any, Callable, Sequence, Union
 
@@ -437,10 +437,12 @@ def polynomial_values(polys: Sequence) -> Callable:
     it drops a term only across a gap of more than 2 prec bits to the
     running sum. A row or a point holding NaN or an infinity takes
     ``fdot``, on mpf made for it. Every other form gives, for a numpy array
-    t, one array of shape (len(polys),) + t.shape: Horner's rule on all the
+    t, one array of shape (rows,) + t.shape: Horner's rule on all the
     polynomials at once (``_StackedHorner``), on float64 for float64 arrays
     at a float64 t and on objects otherwise, so that each element is what
-    ``horner`` gives on the Python scalars, bit for bit.
+    ``horner`` gives on the Python scalars, bit for bit. There a 2-D float64
+    or object array in ``polys`` is a block of polynomials of one length,
+    one per row, and each row is one of the rows of the values.
     """
     polys = list(map(coefficient_array, polys))
     mp = scalar_kernel(*polys).mp
@@ -467,49 +469,67 @@ def polynomial_values(polys: Sequence) -> Callable:
 
 class _StackedHorner:
     """Horner's rule for polynomials of any lengths at an array t, one loop
-    for all of them.
+    for all of them. ``polys`` holds coefficient arrays, each one
+    polynomial, or 2-D ones, each a block of polynomials of one length as
+    its rows; the values come in the order of the rows.
 
-    The coefficients sit in one matrix, rows sorted longest first and
+    The coefficients sit in one matrix, blocks sorted longest first and
     ragged ends unused, so the polynomials still running at each degree
     are a leading block of rows. A polynomial joins the loop at its top
     coefficient, so every row takes exactly the operations of the scalar
     Horner's rule, whatever t holds: no padding zero is multiplied by t.
-    A float64 matrix meets any t other than a float64 one as objects,
-    whose arithmetic numpy leaves to the Python scalars.
+    Each step is one multiply and one add in place, on views of the
+    running rows that change only where rows join. A float64 matrix meets
+    any t other than a float64 one as objects, whose arithmetic numpy
+    leaves to the Python scalars.
     """
 
     def __init__(self, polys):
-        self.order = sorted(range(len(polys)), key=lambda i: -len(polys[i]))
-        self.size = len(polys[self.order[0]])
+        # a slot as its mpf, each block filled in one assignment
+        blocks = [p.reshape(-1, p.shape[-1]) if isinstance(p, np.ndarray)
+                  else np.array([p.tolist()], dtype=_OBJECT) for p in polys]
+        order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
+        size = blocks[order[0]].shape[1]
+        first = [0, *accumulate(map(len, blocks))]  # each block's first row
+        dtype = (_FLOAT64 if all(b.dtype == _FLOAT64 for b in blocks)
+                 else _OBJECT)
         # degree-major, so that each degree's column is contiguous
-        dtype = float if all(p.dtype == _FLOAT64 for p in polys) else object
-        self.coeffs = np.zeros((self.size, len(polys), 1), dtype=dtype)
-        for row, i in enumerate(self.order):
-            self.coeffs[:len(polys[i]), row, 0] = polys[i].tolist()
-        # rows running at degree j: those of length > j
-        self.running = [sum(len(cs) > j for cs in polys)
-                        for j in range(self.size)]
-        self.unsort = np.argsort(self.order)
+        coeffs = self.coeffs = np.zeros((size, first[-1], 1), dtype=dtype)
+        running, stop = [0] * size, 0  # rows of length > j at degree j
+        for i in order:
+            length, stop = blocks[i].shape[1], stop + len(blocks[i])
+            coeffs[:length, stop - len(blocks[i]):stop, 0] = blocks[i].T
+            running[:length] = [stop] * length
+        self.top = coeffs[-1, :running[-1]]
+        # per degree below the top: the running rows' coefficients, and
+        # those of the rows that join there, if any
+        self.steps = [(coeffs[j, :running[j + 1]],
+                       coeffs[j, running[j + 1]:running[j]]
+                       if running[j] > running[j + 1] else None)
+                      for j in range(size - 2, -1, -1)]
+        # the values come back in the order of the rows
+        self.unsort = None if order == sorted(order) else np.argsort(
+            [r for i in order for r in range(first[i], first[i + 1])])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        coeffs = self.coeffs
-        if coeffs.dtype != t.dtype:
-            coeffs = coeffs.astype(object, copy=False)
-        rows = len(self.order)
+        dtype = self.coeffs.dtype
+        acc = np.empty((self.coeffs.shape[1], t.size),
+                       dtype=dtype if t.dtype == dtype else _OBJECT)
         # t once per row, so that each step runs over contiguous memory
-        x = np.broadcast_to(t.reshape(-1), (rows, t.size)).copy()
-        acc = np.empty(x.shape, dtype=coeffs.dtype)
-        top = self.size - 1
-        live = self.running[top]
-        acc[:live] = coeffs[top, :live]
-        for j in range(top - 1, -1, -1):
-            acc[:live] *= x[:live]
-            acc[:live] += coeffs[j, :live]
-            if self.running[j] > live:
-                joining = self.running[j]
-                acc[live:joining] = coeffs[j, live:joining]
-                live = joining
-        return acc[self.unsort].reshape((rows,) + t.shape)
+        x = t.reshape(1, -1).repeat(len(acc), axis=0)
+        live = len(self.top)
+        acc[:live] = self.top
+        a, xs = acc[:live], x[:live]
+        for column, joining in self.steps:
+            np.multiply(a, xs, a)
+            np.add(a, column, a)
+            if joining is not None:
+                acc[live:live + len(joining)] = joining
+                live += len(joining)
+                a, xs = acc[:live], x[:live]
+        if self.unsort is not None:
+            acc = acc[self.unsort]
+        return acc.reshape((len(acc),) + t.shape)
 
 
 def horner(cs: Sequence, t):

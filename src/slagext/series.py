@@ -480,12 +480,24 @@ class SigmaJetEvaluator:
 
     def __init__(self, exp: SigmaExpansion):
         # no reference to exp is kept: the expansion caches its evaluator
-        f = list(exp.terms)
-        fp = [poly_derivative(p) for p in f]
-        fpp = [poly_derivative(p) for p in fp]
-        # f_k, f_k' and f_k'' in one list, evaluated by the kernel of
-        # their arrays' form
-        polys = [p.array for p in f + fp + fpp]
+        f = [p.array for p in exp.terms]
+        k = self.kernel = scalar_kernel(*f)
+        if k is PythonScalars:
+            # the f_k as the rows of one (K+1, cap+1) block, and f_k' and
+            # f_k'' as two more, each one array multiply, as
+            # poly_derivative takes a row: a constant's derivative is c*0
+            polys = [np.stack([a if isinstance(a, np.ndarray) else
+                               np.array(a.tolist(), dtype=object) for a in f])]
+            for _ in range(2):
+                d = polys[-1]
+                with np.errstate(invalid="ignore"):  # inf*0, as on floats
+                    polys.append(d[:, 1:] * np.arange(1, d.shape[1])
+                                 if d.shape[1] > 1 else d * 0)
+        else:  # slots of one context: their raw kernels, row by row
+            fp = [poly_derivative(p) for p in exp.terms]
+            polys = f + [p.array for p in fp] + [
+                poly_derivative(p).array for p in fp]
+        # f_k, f_k' and f_k'' evaluated by the kernel of their arrays' form
         self._values = polynomial_values(polys)
         # per k, the rows of f_k, f_k' and f_k'' that feed (phi, phi_t,
         # phi_tt) and (q, phi_ss, phi_st), and their divisors; the second
@@ -502,7 +514,6 @@ class SigmaJetEvaluator:
         self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
                           np.dtype(float): np.array(divisors, dtype=float)}
         # raw mpf: per accumulator, (row, divisor) from k = K to 1 or 0
-        k = self.kernel = scalar_kernel(*polys)
         self._chains = k is not PythonScalars and [
             [(self._rows[j, i], k.lift([divisors[j][i]])[0])
              for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
@@ -549,10 +560,14 @@ class SigmaJetEvaluator:
         terms = (vals.reshape(vals.shape[:1] + shape)[self._rows]
                  / divisors.reshape(divisors.shape + (1,) * len(shape)))
         s2 = sigma * sigma
-        acc = np.broadcast_to(t * 0, (6,) + np.broadcast_shapes(
-            shape, np.shape(sigma)))  # the grid's shape, also at K = 0
-        for k in range(len(terms) - 1, 0, -1):
-            acc = acc * s2 + terms[k]
+        # the grid's shape, also at K = 0; the first step makes the
+        # accumulator, and the others run in place on it
+        acc = np.broadcast_to(t * 0, (6,) + np.broadcast(t, sigma).shape)
+        if len(terms) > 1:
+            acc = acc * s2 + terms[-1]
+        for k in range(len(terms) - 2, 0, -1):
+            np.multiply(acc, s2, acc)
+            np.add(acc, terms[k], acc)
         # k = 0 has no odd terms
         phi, phi_t, phi_tt = acc[:3] * s2 + terms[0, :3]
         q, phi_ss, phi_st = acc[3:]

@@ -281,6 +281,65 @@ def test_jet_output_is_frozen():
         "c3a89425118a577aa4d893c8567222850b75225f46405a715953be591ff910d8")
 
 
+def test_evaluator_build_is_frozen_at_caps_0_and_1():
+    """The values of f_k, f_k' and f_k'' and the jet of expansions at cap 0
+    and cap 1, bit for bit as the build that differentiated each f_k by
+    ``poly_derivative`` made them: a constant's derivative is c*0, which
+    is -0.0 for a negative c and NaN for an infinity or NaN, and f_k'' at
+    cap 1 is (1*c_1)*0."""
+    cases = [
+        [(0.0,), (-0.0,), (-1.5,), (math.inf,), (-math.inf,), (2.0,),
+         (math.nan,)],
+        [(0.0, -0.0), (-0.0, -2.5), (-0.0, math.inf), (3.0, -math.inf),
+         (-0.25, 0.5), (math.nan, -1.0)],
+    ]
+    T = np.array([0.0, -0.0, 0.5, -2.0, math.inf, math.nan])
+    h = hashlib.sha256()
+    for rows in cases:
+        ev = SigmaJetEvaluator(SigmaExpansion(
+            n=3, terms=tuple(map(TaylorPoly, rows))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h.update(ev._values(T).tobytes())
+            jet = ev.jet(T[:, None], np.array([0.0, -0.0, 0.1])[None, :])
+        for v in dataclasses.astuple(jet):
+            h.update(v.tobytes())
+    assert h.hexdigest() == (
+        "5e827aa14b585746ec136135fea772c9911fe0232e929c70b7647a24eda0b56c")
+
+
+def test_stacked_values_of_blocks_in_any_order():
+    """Rows of five distinct lengths, given as 1-D arrays and as 2-D blocks
+    of one length, shortest not last, come back in the order of their
+    rows, each exactly the scalar Horner value: Fraction coefficients at
+    Fraction points, and float64 ones at float64 points (zero signs
+    included) and at Fraction points."""
+    lengths = (3, 3, 7, 5, 5, 1, 2)
+    rows = [[Fraction(j + 1, k + 2) * (-1) ** (j + k) for j in range(m)]
+            for k, m in enumerate(lengths)]
+
+    def blocks(rs, dtype):
+        return [np.array(rs[0:2], dtype=dtype), np.array(rs[2], dtype=dtype),
+                np.array(rs[3:5], dtype=dtype), np.array(rs[5], dtype=dtype),
+                np.array(rs[6], dtype=dtype)]
+
+    ts = [Fraction(1, 3), Fraction(-5, 2), Fraction(0)]
+    got = polynomial_values(blocks(rows, object))(np.array(ts, dtype=object))
+    assert got.shape == (len(rows), len(ts))
+    assert [[got[r, i] for i in range(len(ts))] for r in range(len(rows))] \
+        == [[horner(cs, t) for t in ts] for cs in rows]
+    floats = [[float(c) for c in cs] for cs in rows]
+    values = polynomial_values(blocks(floats, float))
+    tf = [0.0, -0.0, 0.75, -1.25]
+    got = values(np.array(tf))
+    assert got.dtype == np.float64 and got.shape == (len(rows), len(tf))
+    assert all(_same_float(float(got[r, i]), horner(cs, t))
+               for r, cs in enumerate(floats) for i, t in enumerate(tf))
+    got = values(np.array(ts, dtype=object))
+    assert got.dtype == object
+    assert [[got[r, i] for i in range(len(ts))] for r in range(len(rows))] \
+        == [[horner(cs, t) for t in ts] for cs in floats]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.one_of(coefficient, st.floats(-1e200, 1e200)),
                           st.one_of(coefficient, st.floats(-1e200, 1e200))),

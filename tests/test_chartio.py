@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from slagext.chartio import (
     serialize_chart,
 )
 from slagext.engine import Chart, extend_arc
-from slagext.errors import SchemaError
+from slagext.errors import NonFiniteError, SchemaError
 from slagext import precision
 from slagext.precision import (MPContext, RawSlot, complex_array,
                                context_named, mp_context)
@@ -322,6 +323,82 @@ def test_row_entries_decode_as_single_values(precision, entry, value,
         ctx.real(value))
     assert back[:3] + back[4:] == ch.phi.terms[2].coeffs[:3] \
         + ch.phi.terms[2].coeffs[4:]
+
+
+# an edit of a chart document, and the error and message it raises at
+# float64 and at mp30 (None: it loads)
+MALFORMED = [
+    ("terms", (2, 3), "abc", SchemaError,
+     "chart term 2 entry 3 is not a decimal number: 'abc'", None),
+    ("terms", (1, 0), "", SchemaError,
+     "chart term 1 entry 0 is not a decimal number: ''", None),
+    ("terms", (2, 3), "1e99999", NonFiniteError,
+     "chart term 2 entry 3 is past float64 range: '1e99999'", "loads"),
+    ("terms", (0, 4), 10 ** 400, NonFiniteError,
+     "chart term 0 entry 4 is past float64 range", "loads"),
+    ("frame", "theta", "abc", SchemaError,
+     "chart frame theta is not a decimal number: 'abc'", None),
+    ("frame", "theta", "nan", NonFiniteError,
+     "chart frame holds a NaN or an infinity", None),
+    ("frame", "a_re", "1e99999", NonFiniteError,
+     "chart frame holds a NaN or an infinity", "loads"),
+    ("frame", "a_im", "-inf", NonFiniteError,
+     "chart frame holds a NaN or an infinity", None),
+    ("radius", "M", "1/3", SchemaError,
+     "chart radius M is not a decimal number: '1/3'", None),
+    ("center_param", None, " ", SchemaError,
+     "chart center_param is not a decimal number: ' '", None),
+]
+
+
+@pytest.mark.parametrize("precision", ["float64", "mp30"])
+@pytest.mark.parametrize("field, key, entry, error, message, mp", MALFORMED)
+def test_malformed_and_non_finite_values_raise_typed_errors(
+        precision, field, key, entry, error, message, mp):
+    """A string that is not a decimal number raises ``SchemaError`` naming
+    its field, and a number past float64 range in a term, or a NaN or an
+    infinity in the frame, ``NonFiniteError``; at mp30 such a number is
+    finite and loads. The radius is read at float64 in both."""
+    ctx = context_named(precision)
+    ch = extend_arc(graph_arc(["0", "0", "0.5"], ctx=ctx), ctx.real("0.1"),
+                    n=2, K=2, D=10, ctx=ctx)
+    doc = json.loads(json.dumps(serialize_chart(ch)))
+    doc["center_param"] = "0.1"
+    if key is None:
+        doc[field] = entry
+    elif field == "terms":
+        doc["terms"][key[0]][key[1]] = entry
+    else:
+        doc[field][key] = entry
+    if precision == "mp30" and mp == "loads":
+        deserialize_chart(doc)
+        return
+    with pytest.raises(error) as err:
+        deserialize_chart(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("precision", ["float64", "mp30"])
+def test_spelled_out_nan_and_infinity_in_terms_load(precision):
+    """A NaN or an infinity in a term, as ``serialize_chart`` writes it, and
+    an infinite radius (a zero tail's M and rho) load as they are, so a
+    non-finite chart round-trips and its residual report can fail on it."""
+    ctx = context_named(precision)
+    ch = extend_arc(graph_arc(["0", "0", "0.5"], ctx=ctx), ctx.real("0.1"),
+                    n=2, K=2, D=10, ctx=ctx)
+    doc = json.loads(json.dumps(serialize_chart(ch)))
+    doc["terms"][2][3:6] = ["nan", "-inf", "inf"]
+    if precision == "float64":  # as float() spells an infinity too
+        doc["terms"][2][6] = " +Infinity "
+    doc["radius"]["rho"] = "inf"
+    back = deserialize_chart(doc)
+    coeffs = back.phi.terms[2].coeffs
+    assert [repr(c) for c in coeffs[3:6]] == [
+        repr(ctx.real(s)) for s in ("nan", "-inf", "inf")]
+    assert back.radius.rho_sigma == math.inf
+    again = deserialize_chart(json.loads(json.dumps(serialize_chart(back))))
+    assert [repr(c) for c in again.phi.terms[2].coeffs] == list(
+        map(repr, coeffs))
 
 
 def _chart_of_rows(rows, n=3):

@@ -985,6 +985,36 @@ def _scalar_gauss_newton(cmap, target, t, s, iterations):
     return t, s, dist
 
 
+# real and imaginary parts of the Jacobian and residual lanes: zeros,
+# infinities and NaN of both signs, and floats whose products stay finite
+_part = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                   -math.nan]),
+                  st.floats(-1e100, 1e100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_part, min_size=12, max_size=12), min_size=1,
+                max_size=8))
+def test_normal_equations_are_the_python_complex_formula(lanes):
+    """a12, b1 and b2 of ``engine._normal_equations`` on complex128 lanes,
+    the parts Re(conj(a) b), are lane by lane what the scalar reference
+    above makes on Python complex numbers, bit for bit: the signs of zeros
+    and of NaN included. (a11 and a22 are ``abs_squared``'s, which
+    ``test_abs_squared_and_complex_power_equal_python`` checks.)"""
+    parts = np.array(lanes)
+    zs = [precision.complex_array(parts[:, 2 * i], parts[:, 2 * i + 1])
+          for i in range(6)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = engine._normal_equations(*zs)[2:]
+    want = [[(dw_dt.conjugate() * dw_ds + dz_dt.conjugate() * dz_ds).real,
+             -(dw_dt.conjugate() * rw + dz_dt.conjugate() * rz).real,
+             -(dw_ds.conjugate() * rw + dz_ds.conjugate() * rz).real]
+            for dw_dt, dw_ds, dz_dt, dz_ds, rw, rz in zip(
+                *(z.tolist() for z in zs))]
+    for g, w in zip(got, zip(*want)):
+        assert np.array_equal(g.view(np.uint64), np.array(w).view(np.uint64))
+
+
 def _seed_grid(sigma_max, w):
     ts = [-w + 2 * w * i / 20 for i in range(21)]
     ss = [-sigma_max + 2 * sigma_max * j / 10 for j in range(11)]
