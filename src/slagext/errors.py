@@ -48,3 +48,7 @@ class SchemaError(ValueError):
 
 class NonFiniteError(ValueError):
     """A computed value is NaN or infinite where it must be finite."""
+
+
+class PrecisionError(ValueError):
+    """mpf meet numbers of another precision or form in one computation."""

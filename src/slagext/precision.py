@@ -21,8 +21,9 @@ once to the nearest mpf of its context.
 
 Polynomial coefficients live in one array, whose form is decided once, here
 (``coefficient_array``, the only code that looks at their types): float64
-when all are Python floats, a ``RawSlot`` of raw libmpf tuples when all are
-mpf of one context, object otherwise. The form picks every kernel.
+when all are Python floats, a ``RawSlot`` of raw libmpf tuples for mpf of
+one context (and floats and ints, entered exactly), object otherwise; an mpf
+beside any other number is a ``PrecisionError``. The form picks every kernel.
 ``truncated_product`` multiplies behind ``series.poly_mul``: numpy's
 correlate straight on float64, for slots one exact big-integer (Kronecker)
 product of operands balanced by t -> 2**s t, which moves only exponents, so
@@ -58,6 +59,8 @@ try:
     from numpy._core.multiarray import correlate
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import correlate
+
+from .errors import PrecisionError
 
 Scalar = Any
 CScalar = Any
@@ -274,23 +277,28 @@ _FLOAT64, _OBJECT = np.dtype(np.float64), np.dtype(object)
 
 
 def coefficient_array(cs):
-    """The coefficients ``cs`` as one 1-D array: float64 when every one is
-    a Python float, a ``RawSlot`` when every one is an mpf of one mpmath
-    context, else object dtype holding the scalars unchanged. A float64
-    array or a slot is taken as it is."""
+    """The coefficients ``cs`` as one 1-D array (a float64 array or a slot
+    as it is): float64 when every one is a Python float, a ``RawSlot`` for
+    mpf of one mpmath context (floats and ints among them entered exactly),
+    else object dtype holding the scalars unchanged. An mpf beside any other
+    number (a Fraction, another context's mpf) raises ``PrecisionError``."""
     if type(cs) is RawSlot or isinstance(cs, np.ndarray) and (
             cs.dtype == _FLOAT64 or cs.ndim != 1):
         return cs
     if isinstance(cs, np.ndarray):
         cs = cs.tolist()
     kinds = {type(x) for x in cs}
-    kind = kinds.pop() if len(kinds) == 1 else None
-    mp = getattr(kind, "context", None)  # the mpmath context of its mpf
-    if mp is not None and kind is mp.mpf:
-        return RawSlot([x._mpf_ for x in cs], mp)
-    # not np.array, which probes every scalar for a sequence interface
-    return np.fromiter(cs, dtype=_FLOAT64 if kind is float else _OBJECT,
-                       count=len(cs))
+    mpfs = not kinds <= {float, int} and {  # mpf classes, one per context
+        k for k in kinds
+        if k is getattr(getattr(k, "context", None), "mpf", None)}
+    if not mpfs:  # not np.array, which probes every scalar for a sequence
+        return np.fromiter(cs, dtype=_FLOAT64 if kinds == {float}
+                           else _OBJECT, count=len(cs))
+    mp = next(iter(mpfs)).context
+    if len(mpfs) > 1 or not kinds <= {mp.mpf, float, int}:
+        raise PrecisionError(f"mpf of {[k.context.prec for k in mpfs]} bits "
+                             f"beside {[k.__name__ for k in kinds - mpfs]}")
+    return RawSlot(_MpfScalars(mp).lift(cs), mp)
 
 
 def encode_real(x) -> str:
@@ -325,14 +333,13 @@ def _digits(mp) -> int:
 
 def finite_coefficients(cs) -> bool:
     """Whether no coefficient of the array is NaN or infinite: one numpy
-    test on float64; mpf by the special values of their raw tuples, and
-    Python floats by ``math.isfinite`` (Fraction and int are finite)."""
+    test on float64; a slot by the special values of its raw tuples, and
+    an object array's floats by ``math.isfinite`` (Fraction, int finite)."""
     if cs.dtype == _FLOAT64:
         return bool(np.isfinite(cs).all())
     if type(cs) is RawSlot:
         return not any(map(_mpf_special, cs.raw))
-    return not any(_mpf_special(x._mpf_) if hasattr(x, "_mpf_")
-                   else isinstance(x, float) and not math.isfinite(x)
+    return not any(isinstance(x, float) and not math.isfinite(x)
                    for x in cs.tolist())
 
 
@@ -358,15 +365,13 @@ def truncated_product(ca, cb):
     float64 arrays go through numpy's correlate, as in ``np.convolve`` but
     without its Python wrapper. Two ``RawSlot`` of one mpmath context go
     through one exact big-integer product, rounded once per coefficient.
-    Everything else (Fraction, int, mixed scalars, mpf NaN or infinities)
-    takes the generic loop, which is exact over an exact field.
+    Object arrays (Fraction, int) and NaN or infinite mpf take the generic
+    loop, which is exact over an exact field.
     """
     if ca.dtype == _FLOAT64 and cb.dtype == _FLOAT64:
         return correlate(ca, cb[::-1], 2)[:len(ca)]  # mode 2 is "full"
-    if type(ca) is RawSlot is type(cb) and ca.mp is cb.mp:
-        out = _kronecker(ca, cb)
-        if out is not None:  # else NaN or an infinity: the loop, on the mpf
-            return RawSlot(out, ca.mp)
+    if type(ca) is RawSlot and (out := _kronecker(ca, cb)) is not None:
+        return RawSlot(out, ca.mp)  # else NaN or an infinity: the loop
     return coefficient_array(_loop_product(ca.tolist(), cb.tolist()))
 
 
@@ -375,14 +380,13 @@ class RawSlot:
     libmpf tuples: ``+`` a slot of ``mp``, unary ``-``, and ``*`` and
     ``/`` by a number or an array of them (``_MpfScalars.lift``) make,
     element by element, the mpf operator's libmpf call at the context's
-    ``prec`` and ``round_nearest``, bit for bit; ``+`` any other array
-    takes the mpf objects' arithmetic. Never modified, a slot keeps its
-    ``slope`` and the exact mantissas of its last product, also in slices.
+    ``prec`` and ``round_nearest``, bit for bit. A slot, never modified,
+    keeps its ``slope`` and its last product's exact mantissas, in slices too.
     """
 
     __slots__ = ("raw", "mp", "exact", "slope")
     dtype, ndim = _OBJECT, 1  # those of the object arrays it replaces
-    __array_ufunc__ = None  # an array plus a slot calls __radd__
+    __array_ufunc__ = None  # so an array plus a slot raises TypeError
 
     def __init__(self, raw: list, mp, exact=None, slope=None):
         self.raw, self.mp, self.exact, self.slope = raw, mp, exact, slope
@@ -401,15 +405,10 @@ class RawSlot:
     def tolist(self) -> list:
         return list(map(self.mp.make_mpf, self.raw))
 
-    def __add__(self, other):
-        if type(other) is not RawSlot or other.mp is not self.mp:
-            return np.array(self.tolist(), dtype=_OBJECT) + other
+    def __add__(self, other: "RawSlot") -> "RawSlot":
         prec = self.mp.prec
         return RawSlot([mpf_add(x, y, prec, round_nearest)
                         for x, y in zip(self.raw, other.raw)], self.mp)
-
-    def __radd__(self, other: np.ndarray) -> np.ndarray:
-        return other + np.array(self.tolist(), dtype=_OBJECT)
 
     def __neg__(self) -> "RawSlot":
         return RawSlot(list(map(_MpfScalars(self.mp).neg, self.raw)), self.mp)
@@ -445,7 +444,9 @@ def polynomial_values(polys: Sequence) -> Callable:
     one per row, and each row is one of the rows of the values.
     """
     polys = list(map(coefficient_array, polys))
-    mp = scalar_kernel(*polys).mp
+    mp = scalar_kernel(polys[0]).mp
+    if any(getattr(p, "mp", None) is not mp for p in polys):
+        raise PrecisionError("polynomial_values: a slot beside another form")
     if mp is None:
         return _StackedHorner(polys)
     rows = [_exact_mantissas(cs.raw) for cs in polys]
@@ -485,9 +486,7 @@ class _StackedHorner:
     """
 
     def __init__(self, polys):
-        # a slot as its mpf, each block filled in one assignment
-        blocks = [p.reshape(-1, p.shape[-1]) if isinstance(p, np.ndarray)
-                  else np.array([p.tolist()], dtype=_OBJECT) for p in polys]
+        blocks = [p.reshape(-1, p.shape[-1]) for p in polys]
         order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
         size = blocks[order[0]].shape[1]
         first = [0, *accumulate(map(len, blocks))]  # each block's first row
@@ -574,7 +573,7 @@ class PythonScalars:
 class _MpfScalars:
     """Raw tuples of ``mp``: mpf's libmpf calls at its prec when called,
     ``fused_muladd``, and on pairs of them the mpc operators' libmpc calls.
-    ``lift`` gives None past its slots, and numbers as mpf arithmetic takes
+    ``lift`` gives a slot's raw tuples, and numbers as mpf arithmetic takes
     them (floats, ints and mpf of any context exactly); ``enter`` gives
     numbers as they enter a computation in ``mp``."""
 
@@ -589,9 +588,9 @@ class _MpfScalars:
         self.mp, self.zero, self.raw = mp, fzero, {
             mp.mpf: attrgetter("_mpf_"), float: from_float, int: from_int}
 
-    def lift(self, xs) -> list | None:
-        if hasattr(xs, "dtype"):  # a slot of mp only; copied, as run writes
-            return xs.raw[:] if getattr(xs, "mp", None) is self.mp else None
+    def lift(self, xs) -> list:
+        if hasattr(xs, "dtype"):  # a slot of mp; copied, as run writes
+            return xs.raw[:]
         raw, converted = self.raw.get, self.converted
         return [raw(type(x), converted)(x) for x in xs]
 
@@ -638,12 +637,9 @@ class _MpfScalars:
         return acc
 
 
-def scalar_kernel(*arrays):
-    """The loops' kernel by form: raw on slots of one context."""
-    if type(arrays[0]) is not RawSlot:
-        return PythonScalars
-    k = _MpfScalars(arrays[0].mp)
-    return PythonScalars if any(k.lift(a) is None for a in arrays[1:]) else k
+def scalar_kernel(array):
+    """The loops' kernel by the array's form: raw on a slot."""
+    return _MpfScalars(array.mp) if type(array) is RawSlot else PythonScalars
 
 
 def fused_muladd(c, a, b, prec: int) -> tuple:

@@ -17,9 +17,9 @@ phi(t, sigma) = sum_k f_k(t) sigma^(2k) / (2k)!; the stored terms are the
 bare f_k, the factorials are applied at evaluation time.
 
 A ``TaylorPoly`` keeps its coefficients in one array: float64 when all are
-Python floats, a ``precision.RawSlot`` of raw libmpf tuples when all are mpf
-of one context, object dtype (Fraction, int, mixed) otherwise. That form
-picks every kernel. Sums, negations, scalings and derivatives are array
+Python floats, a ``precision.RawSlot`` of raw libmpf tuples for mpf of one
+context, object dtype (Fraction, int) otherwise. That form picks every
+kernel. Sums, negations, scalings and derivatives are array
 expressions that take the same operations as the Python scalars would, so
 every routine is exact over whichever field the inputs carry. ``poly_mul``
 multiplies by ``precision.truncated_product``: a numpy convolution on
@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     CompositionDomainError,
+    PrecisionError,
     SeriesShapeError,
     SingularDivisionError,
 )
@@ -65,6 +66,8 @@ class TaylorPoly:
         self._coeffs = None if hasattr(coeffs, "dtype") else tuple(coeffs)
         self.array = coefficient_array(
             coeffs if self._coeffs is None else self._coeffs)
+        if hasattr(self.array, "mp"):  # a slot's mpf, as floats and ints enter
+            self._coeffs = None
         if self.array.ndim != 1 or len(self.array) == 0:
             raise SeriesShapeError("a TaylorPoly needs at least one coefficient")
 
@@ -128,6 +131,8 @@ def _check_same_cap(a: TaylorPoly, b: TaylorPoly, what: str):
     if len(a.array) != len(b.array):
         raise SeriesShapeError(f"{what}: degree caps differ "
                                f"({a.cap} vs {b.cap})")
+    if getattr(a.array, "mp", None) is not getattr(b.array, "mp", None):
+        raise PrecisionError(f"{what}: a slot beside another form")
 
 
 def poly_add(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
@@ -207,7 +212,7 @@ def poly_compose_inverse(outer: TaylorPoly, inner: TaylorPoly) -> TaylorPoly:
     outer(s) = s the result is q itself.
     """
     _check_same_cap(outer, inner, "poly_compose_inverse")
-    k = scalar_kernel(outer.array, inner.array)
+    k = scalar_kernel(inner.array)
     head = k.lift(inner.array)
     if head[0] != k.zero:
         raise CompositionDomainError(
@@ -427,11 +432,9 @@ class SigmaExpansion:
             raise ValueError("SigmaExpansion: n must be >= 2")
         if len(self.terms) == 0:
             raise SeriesShapeError("SigmaExpansion: needs at least f0")
-        cap = self.terms[0].cap
+        f0, cap = self.terms[0], self.terms[0].cap
         for f in self.terms:
-            if f.cap != cap:
-                raise SeriesShapeError("SigmaExpansion: term caps differ")
-        f0 = self.terms[0]
+            _check_same_cap(f0, f, "SigmaExpansion")
         bad = [c for c in f0.coeffs[: min(3, cap + 1)] if c != 0]
         if bad:
             raise ValueError(
@@ -481,19 +484,18 @@ class SigmaJetEvaluator:
     def __init__(self, exp: SigmaExpansion):
         # no reference to exp is kept: the expansion caches its evaluator
         f = [p.array for p in exp.terms]
-        k = self.kernel = scalar_kernel(*f)
+        k = self.kernel = scalar_kernel(f[0])
         if k is PythonScalars:
             # the f_k as the rows of one (K+1, cap+1) block, and f_k' and
             # f_k'' as two more, each one array multiply, as
             # poly_derivative takes a row: a constant's derivative is c*0
-            polys = [np.stack([a if isinstance(a, np.ndarray) else
-                               np.array(a.tolist(), dtype=object) for a in f])]
+            polys = [np.stack(f)]
             for _ in range(2):
                 d = polys[-1]
                 with np.errstate(invalid="ignore"):  # inf*0, as on floats
                     polys.append(d[:, 1:] * np.arange(1, d.shape[1])
                                  if d.shape[1] > 1 else d * 0)
-        else:  # slots of one context: their raw kernels, row by row
+        else:  # slots: their raw kernels, row by row
             fp = [poly_derivative(p) for p in exp.terms]
             polys = f + [p.array for p in fp] + [
                 poly_derivative(p).array for p in fp]
@@ -509,17 +511,15 @@ class SigmaJetEvaluator:
         divisors = [[fact[2 * k]] * 3 + ([fact[2 * k - 1], fact[2 * k - 2],
                                           fact[2 * k - 1]] if k else [1] * 3)
                     for k in range(m)]
-        # Python ints, which object arrays (of Fraction) divide exactly, and
-        # float64 ones, rounded as a Python float divided by an int rounds
-        self._divisors = {np.dtype(object): np.array(divisors, dtype=object),
-                          np.dtype(float): np.array(divisors, dtype=float)}
+        # in the form's dtype: Python ints, which object arrays (of Fraction)
+        # divide exactly, or floats, as a Python float divided by an int rounds
+        self._divisors = np.array(divisors, dtype=polys[0].dtype)
         # raw mpf: per accumulator, (row, divisor) from k = K to 1 or 0
         self._chains = k is not PythonScalars and [
             [(self._rows[j, i], k.lift([divisors[j][i]])[0])
              for j in range(m - 1, i // 3 - 1, -1)] for i in range(6)]
         # how a number enters the jets' context (float64's: rounded)
-        self.enter = (FLOAT64.enter if all(p.dtype == float for p in polys)
-                      else k.enter)
+        self.enter = FLOAT64.enter if polys[0].dtype == float else k.enter
         self._t_stage = None, None  # (raw t and prec, terms) of _raw_jet
 
     def jet(self, t, sigma, _lhs: bool = False) -> PhiJet:
@@ -554,7 +554,7 @@ class SigmaJetEvaluator:
             return (self._raw_jet(t, sigma, True) if _lhs
                     else PhiJet(*self._raw_jet(t, sigma)))
         vals = self._values(t)
-        divisors = self._divisors[vals.dtype]
+        divisors = self._divisors
         # t's axes, behind the leading ones that sigma may add
         shape = (1,) * max(0, np.ndim(sigma) - t.ndim) + t.shape
         terms = (vals.reshape(vals.shape[:1] + shape)[self._rows]

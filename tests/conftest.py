@@ -27,13 +27,16 @@ from slagext.engine import extend_arc
 from slagext.series import SigmaExpansion, TaylorPoly, poly_from
 
 # the deep run of the fused multiply-add property, of the precision
-# entry rule, of the jet's kept t-stage, of the mp residual sweep and of
-# the shared branch solve, in their own CI step: pytest
-# tests/test_series.py tests/test_precision.py tests/test_engine.py -k
-# "fused_muladd or enter_an_mp_chart or kept_t_stage or mp_residual_sweep
-# or branch_charts_share" --hypothesis-profile=deep. All but the first
-# take a tenth of the profile's examples, as each of their examples builds
-# mp jets or charts, and the last a hundredth, as each builds up to 12.
+# entry rule, of the jet's kept t-stage, of the mp residual sweep, of the
+# shared branch solve, of the one-context rule and of the circle locus on
+# one branch, in their own CI step: pytest tests/test_series.py
+# tests/test_precision.py tests/test_engine.py -k "fused_muladd or
+# enter_an_mp_chart or kept_t_stage or mp_residual_sweep or
+# branch_charts_share or one_context_per or exactly_one_branch"
+# --hypothesis-profile=deep. All but the first take a tenth of the
+# profile's examples, as each of their examples builds mp jets or charts,
+# and the last three a hundredth, as each builds up to 12, runs two mp
+# recursions or projects onto up to 6 branch charts.
 settings.register_profile("deep", max_examples=20000)
 
 

@@ -21,7 +21,8 @@ from slagext.arcs import (
     tangent_angles,
     unit_circle_arc,
 )
-from slagext.errors import NormalizationError, ResolutionError
+from slagext.errors import (NormalizationError, PrecisionError,
+                            ResolutionError)
 from slagext.precision import FLOAT64, MPContext
 from slagext.series import (TaylorPoly, poly_eval, poly_from, poly_pad,
                             poly_shift, poly_truncate)
@@ -240,16 +241,24 @@ def _shift_of_every_coefficient(p, s0, cap: int) -> TaylorPoly:
     return p if p.cap == cap else poly_truncate(p, cap)
 
 
-def _bits(p: TaylorPoly) -> list:
+def _bits(shift, p: TaylorPoly, s0, cap: int):
+    """The coefficients of ``shift(p, s0, cap)``, type and bits, or
+    ``PrecisionError`` where the shift mixes mpf with another number."""
+    try:
+        out = shift(p, s0, cap)
+    except PrecisionError:
+        return PrecisionError
     return [(type(c), getattr(c, "_mpf_", None) or repr(c))
-            for c in p.coeffs]
+            for c in out.coeffs]
 
 
 def test_shift_to_cap_equals_the_shift_of_every_coefficient():
     """Arc data shifted below the top coefficients the shift leaves as they
     are gives the full shift's coefficients, type and bits, zero signs
     included: -0.0 tops, negative padding zeros, NaN, and s0 of other types
-    than the data (which the full shift's zeros take on) or not finite."""
+    than the data (which the full shift's zeros take on) or not finite.
+    Where the full shift meets Fraction data with an mpf s0, both raise
+    ``PrecisionError``, and nowhere else."""
     mp = MPContext(40)
     kinds = (float, mp.real,
              lambda c: Fraction(c) if math.isfinite(c) else c,
@@ -259,13 +268,18 @@ def test_shift_to_cap_equals_the_shift_of_every_coefficient():
              [1.0, math.nan, 0.0], [-0.0])
     shifts = (0.3, -0.7, -0.0, 3, math.inf, -math.inf, math.nan,
               Fraction(1, 3), mp.real(1) / 3)
+    raised = set()
     for number in kinds:
         for cs in polys:
             p = TaylorPoly(tuple(map(number, cs)))
             for s0 in shifts:
                 for cap in sorted({0, len(cs) - 1, len(cs) + 3}):
-                    assert _bits(_shift_to_cap(p, s0, cap)) == _bits(
-                        _shift_of_every_coefficient(p, s0, cap))
+                    got = _bits(_shift_to_cap, p, s0, cap)
+                    assert got == _bits(_shift_of_every_coefficient, p, s0,
+                                        cap)
+                    if got is PrecisionError:
+                        raised.add((number, type(s0)))
+    assert raised == {(kinds[2], type(shifts[-1]))}
 
 
 def test_local_series_shifts_graph_data_below_its_zeros(monkeypatch):

@@ -22,6 +22,7 @@ from slagext.engine import (
     Chart,
     PDESlots,
     ReducedChartMap,
+    _gauss_newton_project,
     build_atlas,
     compute_R,
     compute_f1,
@@ -42,8 +43,10 @@ from slagext.errors import (
     DegreeExhaustionError,
     GateObstructionError,
     NonFiniteError,
+    PrecisionError,
 )
-from slagext.precision import FLOAT64, MPContext, mp_context
+from slagext.precision import (FLOAT64, MPContext, RawSlot, coefficient_array,
+                               mp_context, polynomial_values)
 from slagext.series import (
     ComplexSeries,
     EvenSeries,
@@ -55,6 +58,8 @@ from slagext.series import (
     cs_mul,
     even_int_pow,
     even_mul,
+    poly_add,
+    poly_compose_inverse,
     poly_derivative,
     poly_eval,
     poly_from,
@@ -617,22 +622,62 @@ def test_recursion_on_python_int_coefficients_is_frozen():
         "01333c515f3150d6a29ccf2c5177ff606a41dc57e1bbc1a15e9cd348220fd80a")
 
 
-def test_recursion_on_mixed_scalars_is_frozen():
-    """mpf mixed with Python floats, and mpf of two contexts, in one f0:
-    slots holding them take the mpf objects' own arithmetic. Every f_k,
-    bit for bit, as the slots of mpf objects made them."""
-    a, b = MPContext(30), MPContext(40)
-    tail = [a.real("0.01")] * 10
-    digests = []
-    for head in ([0.1, a.real("0.2"), -0.05],
-                 [b.real("0.1"), a.real("0.2"), b.real("-0.05")]):
-        f0 = poly_from([a.real(0)] * 3 + head + tail)
-        text = "\n".join(repr(c) for f in extend_series(f0, 3, 4).terms
-                         for c in f.coeffs)
-        digests.append(hashlib.sha256(text.encode()).hexdigest())
-    assert digests == [
-        "e87c19d3bdba1cef14be97b5add7f1636da4229b1a38c0424bd06b0edf7119b9",
-        "1d4aa554f418c0949cd91737e38924743fb0618702b307fbb6b189944acc0228"]
+@st.composite
+def _mixed_f0(draw):
+    """An f0 of mpf of one context with Python floats and ints among them,
+    that context and another, and a number that no mpf of the first may
+    meet: an mpf of the other context or a Fraction."""
+    ctx, other = draw(st.permutations([MPContext(30), MPContext(40)]))
+    damped = st.tuples(st.floats(-1, 1), st.integers(0, 12)).map(
+        lambda v: v[0] * 0.3 ** v[1])
+    tail = draw(st.lists(damped.map(ctx.real).map(lambda x: x / 3) | damped
+                         | st.integers(-3, 3), min_size=4, max_size=12))
+    tail[draw(st.integers(0, len(tail) - 1))] = ctx.real(1) / 7
+    f0 = draw(st.permutations([ctx.real(0), 0, 0.0])) + tail
+    stranger = draw(st.sampled_from([other.real(1) / 3, Fraction(1, 3)]))
+    return ctx, other, f0, stranger, draw(st.integers(0, len(f0)))
+
+
+@given(_mixed_f0(), st.integers(2, 4), st.integers(1, 3))
+@settings(deadline=None,
+          max_examples=max(50, settings.default.max_examples // 100))
+def test_one_context_per_coefficient_array(case, n, K):
+    """Python floats and ints among mpf of one context enter its slot
+    exactly, as the polynomial's coefficients too, and the recursion on it
+    gives the f_k of the same f0 entered into mpf first, bit for bit. An mpf of another context or a
+    Fraction beside them raises ``PrecisionError`` in
+    ``coefficient_array``, and a slot that meets another form (float64,
+    objects, a slot of another context) raises it in the series
+    operations and in ``polynomial_values``."""
+    ctx, other, f0, stranger, at = case
+    entered = [ctx.real(c) for c in f0]
+    array = coefficient_array(f0)
+    assert type(array) is RawSlot and array.mp is entered[0].context
+    assert array.raw == [c._mpf_ for c in entered]
+    assert [c._mpf_ for c in poly_from(f0).coeffs] == array.raw
+    K = min(K, (len(f0) - 1) // 2)
+    got, want = (extend_series(poly_from(cs), n, K).terms
+                 for cs in (f0, entered))
+    assert [f.array.raw for f in got] == [f.array.raw for f in want]
+    with pytest.raises(PrecisionError):
+        coefficient_array(f0[:at] + [stranger] + f0[at:])
+    slot = TaylorPoly(array)
+    for cs in ([float(c) for c in f0], list(map(exact_value, entered)),
+               [other.real(c) for c in entered]):
+        form = TaylorPoly(cs)
+        for run in (lambda: poly_add(slot, form),
+                    lambda: poly_add(form, slot),
+                    lambda: poly_mul(slot, form),
+                    lambda: poly_mul(form, slot),
+                    lambda: poly_compose_inverse(slot, form),
+                    lambda: poly_compose_inverse(form, slot),
+                    lambda: ComplexSeries(slot, form),
+                    lambda: SigmaExpansion(n, (slot, form)),
+                    lambda: SigmaExpansion(n, (form, slot)),
+                    lambda: polynomial_values([slot.array, form.array]),
+                    lambda: polynomial_values([form.array, slot.array])):
+            with pytest.raises(PrecisionError):
+                run()
 
 
 # worst per-term error of the float64 f_k against the exact ones, measured
@@ -1292,6 +1337,34 @@ def test_graph_coordinates_invert_point(circle, n, K, branch, s0, tail, ts):
             assert err.max() <= 4 * eps * (1 + abs(ch.frame.a))
         else:
             assert err.max() <= 1e-28
+
+
+@given(st.integers(2, 6), st.floats(-math.pi, math.pi),
+       st.lists(st.tuples(st.floats(1e-6, 2e-4), st.floats(-0.02, 0.02),
+                          st.integers(0, 11)), min_size=1, max_size=12))
+@settings(deadline=None,
+          max_examples=max(25, settings.default.max_examples // 100))
+def test_circle_locus_lies_on_exactly_one_branch(n, s0, points):
+    """The unit-circle locus F1 = F2 = 0, sampled near a chart center s0 as
+    |z| = 1 + eps, |zeta|^2 = n(|z|^2 - 1) and Re(z zeta^n) = 0, lies on
+    exactly one of the n branch charts (K=10, D=40) there: projected onto
+    each by Gauss-Newton from its graph coordinates, a point is at most
+    1e-12 from one branch and at least 1e-3 from every other."""
+    arc = unit_circle_arc()
+    eps, angle, m = (np.array(v) for v in zip(*points))
+    w = (1 + eps) * np.exp(1j * (s0 + angle))
+    # arg zeta solves n arg zeta + arg z = pi/2 mod pi, one root per m
+    zeta = np.sqrt(n * (np.abs(w) ** 2 - 1)) * np.exp(
+        1j * (math.pi / 2 + m * math.pi - (s0 + angle)) / n)
+    dist = []
+    for branch in range(n):
+        cmap = extend_arc(arc, s0, n, 10, 40, branch=branch,
+                          with_radius=False).reduced_map
+        dist.append(_gauss_newton_project(
+            cmap, (w, zeta), *cmap.graph_coordinates(w, zeta), 30)[2])
+    nearest, *others = np.sort(dist, axis=0)
+    assert nearest.max() <= 1e-12
+    assert np.min(others) >= 1e-3
 
 
 def test_residual_report_shape():

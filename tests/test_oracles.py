@@ -10,7 +10,7 @@ from conftest import chart_with_nan_in_f3
 from slagext import oracles
 from slagext.ambient import SlagResidual
 from slagext.arcs import graph_arc, unit_circle_arc
-from slagext.engine import extend_arc
+from slagext.engine import ReducedChartMap, extend_arc
 from slagext.errors import GateObstructionError
 from slagext.oracles import (
     branch_separation,
@@ -19,6 +19,7 @@ from slagext.oracles import (
     plane_oracle,
     unit_circle_residual,
 )
+from slagext.precision import MPContext
 
 
 def test_cone_oracle_flat_union():
@@ -74,6 +75,34 @@ def test_circle_locus_decay_exponent():
             for sm in smaxes]
     slope = np.polyfit(np.log(smaxes), np.log(vals), 1)[0]
     assert slope >= 2 * ch.K
+
+
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_circle_locus_decays_at_the_first_omitted_order(K):
+    """mp charts of the unit circle (s0 = 0.3, D = 8K, 6K + 12 digits) meet
+    the locus F1 = |zeta|^2 - n(|w|^2 - 1) = 0, F2 = Re(w zeta^n) = 0 up
+    to the first omitted term f_(K+1) sigma^(2K+2)/(2K+2)!: over t in
+    [-0.05, 0.05], max(|F1|, |F2|) falls with slope 2K+2 in sigma, on every
+    branch for n = 2, 3, 4. The t-cap term (0.05^(6K+1)) and the rounding
+    lie below the smallest residual, so the slope is the order itself."""
+    ctx = MPContext(6 * K + 12)
+    sigmas = ("0.0125", "0.025", "0.05", "0.1")
+    t, s = (np.array(v, dtype=object) for v in np.meshgrid(
+        [ctx.real(j) / 40 for j in range(-2, 3)], list(map(ctx.real, sigmas)),
+        indexing="ij"))
+    real = np.frompyfunc(lambda x: x.real, 1, 1)
+    arc = unit_circle_arc(ctx)  # one solve per n, shared by its branches
+    for n in (2, 3, 4):
+        for branch in range(n):
+            chart = extend_arc(arc, ctx.real("0.3"), n, K, 8 * K,
+                               branch=branch, ctx=ctx, with_radius=False)
+            w, zeta = ReducedChartMap(chart, ctx).point(t, s)
+            f1 = abs(zeta) ** 2 - n * (abs(w) ** 2 - 1)
+            f2 = real(w * zeta ** n)
+            worst = np.maximum(abs(f1), abs(f2)).max(axis=0)
+            slope = np.polyfit(np.log(list(map(float, sigmas))),
+                               np.log(worst.astype(float)), 1)[0]
+            assert abs(slope - (2 * K + 2)) <= 0.1, (n, branch, slope)
 
 
 def test_circle_locus_rejects_other_arcs():

@@ -25,6 +25,7 @@ from slagext.arcs import graph_arc
 from slagext.engine import _scale_ratio, extend_arc
 from slagext.errors import (
     CompositionDomainError,
+    PrecisionError,
     SeriesShapeError,
     SingularDivisionError,
 )
@@ -107,8 +108,8 @@ _SCALARS = {
         [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
     "mpf": _MP40_VALUES,
     "Fraction": st.fractions(max_denominator=50),
-    # mp40 among other scalars: a polynomial is a slot only where every
-    # coefficient is mp40, and a slot meets the others in the mixed ones
+    # mp40 among other scalars, at least one per polynomial: ints enter its
+    # slot as mp40, and mp30 beside it is a PrecisionError
     "mpf+int": _MP40_VALUES | st.integers(-10 ** 6, 10 ** 6),
     "mpf+mp30": _MP40_VALUES | st.floats(-1e6, 1e6).map(_MP30.real),
 }
@@ -120,6 +121,9 @@ def _op_case(draw):
     n = draw(st.integers(1, 12))
     xs, ys = (draw(st.lists(_SCALARS[kind], min_size=n, max_size=n))
               for _ in range(2))
+    if "+" in kind:
+        for cs in (xs, ys):
+            cs[draw(st.integers(0, n - 1))] = draw(_MP40_VALUES)
     factors = _SCALARS[kind] | st.integers(-10 ** 40, 10 ** 40)
     if "+" in kind:  # a slot times a Fraction takes the mpf arithmetic
         factors |= st.fractions(max_denominator=50)
@@ -135,9 +139,20 @@ def test_array_ops_equal_the_scalar_loops(case):
     and the type that the same operation on the Python scalars gives:
     zero signs, NaN and infinities on floats, exact mpf and Fraction
     results, and no int or float zero mixed into mpf. The array is a
-    ``RawSlot`` exactly when every coefficient is an mpf of one context."""
+    ``RawSlot`` exactly when there are mpf of one context, ints among them
+    entered as those mpf, exactly; mpf of two contexts raise
+    ``PrecisionError``."""
     xs, ys, s, num, den, cap = case
+    for cs in (xs, ys):
+        if len({c.context for c in cs if hasattr(c, "_mpf_")}) > 1:
+            with pytest.raises(PrecisionError):
+                poly_from(cs)
+            return
     a, b = poly_from(xs), poly_from(ys)
+    # the ints beside mp40 as they enter its slot (exact at these sizes)
+    xs, ys = ([_MP40.real(c) if type(c) is int else c for c in cs]
+              if any(hasattr(c, "_mpf_") for c in cs) else cs
+              for cs in (xs, ys))
     # numpy reports inf - inf, 0 * inf and overflow on float64 arrays as
     # warnings, which the recursion's entry points switch off; the values
     # are compared here
@@ -877,8 +892,9 @@ def test_series_loops_are_frozen(kind, want):
 
 
 _SPECIAL_MP40 = st.sampled_from([_MP40.real(v) for v in ("nan", "inf", "-inf")])
-# a coefficient array's form: mp40 alone (a slot), mp40 among one other
-# scalar type (an object array), float64, or objects of other types
+# a coefficient array's form: mp40 alone or with ints or floats among them
+# (a slot), mp40 beside mp30 or a Fraction (a PrecisionError), float64, or
+# objects of other types
 _FORMS = {
     "mp40": None,
     "mp40+int": st.integers(-10 ** 6, 10 ** 6),
@@ -944,10 +960,11 @@ def test_mixed_forms_keep_their_arithmetic(case):
     forced to ``PythonScalars``): coefficient for coefficient, type for
     type. So the kernel picked by the arrays' form changes no result, also
     where a slot meets a float or int shift, which now takes the raw
-    kernel."""
+    kernel. Where mpf meet another number, or a slot another form, both
+    raise ``PrecisionError``."""
     got = _loop_outcomes(*case)
     with mock.patch.object(series, "scalar_kernel",
-                           lambda *arrays: PythonScalars):
+                           lambda array: PythonScalars):
         want = _loop_outcomes(*case)
     assert got == want
 
